@@ -102,8 +102,48 @@ def _build_grid(block):
     return make_grid(float(block["horizon"]), int(block["steps"]))
 
 
-def _validate_config(cfg: dict) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# value type of each typed key wherever it appears in a config; null in an
+# optional tolerance or schedule means its default
+_KINDS = {
+    "a number": _is_number,
+    "an integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "a number or null": lambda v: v is None or _is_number(v),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a non-empty list of numbers or null": lambda v: v is None or (
+        isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))),
+    "a string": lambda v: isinstance(v, str),
+}
+_KEY_KINDS = {
+    **dict.fromkeys(("horizon", "t0", "eps_bar", "delta", "h_inv_slope"),
+                    "a number"),
+    **dict.fromkeys(("steps", "m_outer", "m_inner", "basis_degree"),
+                    "an integer"),
+    **dict.fromkeys(("tol", "conv_tol", "conv_radius", "snap_tol"),
+                    "a number or null"),
+    **dict.fromkeys(("params", "lambdas", "Ns"), "a list of numbers"),
+    "schedule": "a non-empty list of numbers or null",
+    **dict.fromkeys(("name", "mode", "case", "out"), "a string"),
+}
+
+
+def _check_types(block: dict, where: str) -> None:
+    for key, value in block.items():
+        if key in _KEY_KINDS:
+            kind = _KEY_KINDS[key]
+            _require(_KINDS[kind](value), f"{where}.{key} must be {kind}")
+        elif isinstance(value, dict):
+            _check_types(value, f"{where}.{key}")
+
+
+def _validate_config(cfg, overrides: dict) -> None:
+    """Check the config, with the non-None command-line ``overrides``
+    applied to it in place, before any computation."""
     _require(isinstance(cfg, dict), "config root must be an object")
+    cfg.update((k, v) for k, v in overrides.items() if v is not None)
     _check_keys(cfg, _TOP_KEYS, "config root")
     _require("scenario" in cfg, "config needs a scenario")
     _require(cfg["scenario"] in _SCENARIOS,
@@ -113,6 +153,9 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"block {key!r} does not match scenario {cfg['scenario']!r}"
             )
+    for key in ("grid", "driver", "terminal", cfg["scenario"]):
+        _require(isinstance(cfg.get(key, {}), dict), f"{key} must be an object")
+    _check_types(cfg, "config")
     _require("grid" in cfg, "config needs a grid")
     backend = cfg.get("backend", "tree")
     _require(backend in ("tree", "scalar", "mc"),
@@ -186,7 +229,7 @@ def _run_envelope(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     env = compute_envelope(
         driver, terminal, grid,
         schedule=block.get("schedule"),
-        tol=float(block.get("tol", 0.0)),
+        tol=float(block.get("tol") or 0.0),
         backend=backend if backend != "mc" else "scalar",
         conv_tol=block.get("conv_tol"),
         conv_radius=block.get("conv_radius"),
@@ -247,7 +290,7 @@ def _run_compare(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
         seed=seed,
         eps_bar=block.get("eps_bar"),
         delta=float(block.get("delta", 0.1)),
-        schedule=tuple(block["schedule"]) if "schedule" in block else None,
+        schedule=tuple(block["schedule"]) if block.get("schedule") else None,
         conv_tol=block.get("conv_tol"),
     )
     report = compare_solutions(case)
@@ -280,13 +323,7 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
         log.error("cannot read config: %s", exc)
         return 2
     try:
-        if seed is not None:
-            cfg["seed"] = seed
-        if backend is not None:
-            cfg["backend"] = backend
-        if out is not None:
-            cfg["out"] = out
-        _validate_config(cfg)
+        _validate_config(cfg, {"seed": seed, "backend": backend, "out": out})
         outdir = Path(cfg.get("out", "bdsde_out"))
         outdir.mkdir(parents=True, exist_ok=True)
         grid = _build_grid(cfg["grid"])

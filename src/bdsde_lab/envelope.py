@@ -114,14 +114,29 @@ def _check_scalar_applicable(driver: DriverSpec, terminal: TerminalSpec,
     return _terminal_constant(terminal, grid.steps)
 
 
-def _scalar_solve(f_part, grid: TimeGrid, xi: float) -> np.ndarray:
-    n = grid.steps
-    y = np.empty(n + 1)
-    y[n] = xi
-    zero = np.zeros(())
-    for i in range(n - 1, -1, -1):
-        y[i] = y[i + 1] + grid.dt * float(f_part(grid.time(i + 1),
-                                                 np.asarray(y[i + 1]), zero))
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
+
+
+def scalar_step(f_part, grid: TimeGrid, y, i: int, sign: float):
+    """One explicit step over [t_i, t_{i+1}] of the deterministic recursion
+    (Z == 0).  Sign +1 predicts y[i] = y[i+1] + dt f(t_{i+1}, y[i+1]), the
+    backward right-endpoint step; sign -1 predicts y[i+1] = y[i] -
+    dt f(t_i, y[i]), the forward left-endpoint step."""
+    k = i + 1 if sign > 0 else i
+    fv = float(f_part(grid.time(k), np.asarray(y[k]), _ZERO))
+    return y[k] + sign * grid.dt * fv
+
+
+def _scalar_solve(f_part, grid: TimeGrid, xi: float,
+                  start: int | None = None) -> np.ndarray:
+    """Backward recursion from y[start] = xi (default: the horizon) down to
+    step 0; entries after ``start`` are left unset."""
+    start = grid.steps if start is None else start
+    y = np.empty(grid.steps + 1)
+    y[start] = xi
+    for i in range(start - 1, -1, -1):
+        y[i] = scalar_step(f_part, grid, y, i, 1.0)
     return y
 
 
@@ -312,29 +327,36 @@ def sandwich_check(candidate, envelope: EnvelopeResult,
         raise ValueError("candidate field lives on a different grid")
     if tol is None:
         tol = 10.0 * envelope.grid.dt * (1.0 + fld.max_abs(envelope.y_max))
-    n = envelope.grid.steps
-    over = under = -np.inf
-    step_over = step_under = -1
-    node_over = node_under = ()
-    for i in range(n + 1):
-        cand = fld.step_values(candidate, i)
-        lo = fld.step_values(envelope.y_min, i)
-        hi = fld.step_values(envelope.y_max, i)
-        if cand.shape != hi.shape and cand.ndim == 2:
-            lo = _expand_to_product(lo, i, n)
-            hi = _expand_to_product(hi, i, n)
-        gap_over = cand - hi
-        gap_under = lo - cand
-        ex_over = float(np.max(gap_over))
-        ex_under = float(np.max(gap_under))
-        if ex_over > over:
-            over, step_over = ex_over, i
-            node_over = np.unravel_index(int(np.argmax(gap_over)),
-                                         np.shape(gap_over) or (1,))
-        if ex_under > under:
-            under, step_under = ex_under, i
-            node_under = np.unravel_index(int(np.argmax(gap_under)),
-                                          np.shape(gap_under) or (1,))
+    if fld.as_1d(candidate, envelope.y_min, envelope.y_max) is not None:
+        # deterministic fields: each step is the single node 0
+        over, step_over = fld.worst_excess(candidate, envelope.y_max)
+        under, step_under = fld.worst_excess(envelope.y_min, candidate)
+        node_over = (np.intp(0),) if step_over >= 0 else ()
+        node_under = (np.intp(0),) if step_under >= 0 else ()
+    else:
+        n = envelope.grid.steps
+        over = under = -np.inf
+        step_over = step_under = -1
+        node_over = node_under = ()
+        for i in range(n + 1):
+            cand = fld.step_values(candidate, i)
+            lo = fld.step_values(envelope.y_min, i)
+            hi = fld.step_values(envelope.y_max, i)
+            if cand.shape != hi.shape and cand.ndim == 2:
+                lo = _expand_to_product(lo, i, n)
+                hi = _expand_to_product(hi, i, n)
+            gap_over = cand - hi
+            gap_under = lo - cand
+            ex_over = float(np.max(gap_over))
+            ex_under = float(np.max(gap_under))
+            if ex_over > over:
+                over, step_over = ex_over, i
+                node_over = np.unravel_index(int(np.argmax(gap_over)),
+                                             np.shape(gap_over) or (1,))
+            if ex_under > under:
+                under, step_under = ex_under, i
+                node_under = np.unravel_index(int(np.argmax(gap_under)),
+                                              np.shape(gap_under) or (1,))
     if over >= under:
         return SandwichReport(over <= tol, max(over, under), step_over,
                               tuple(node_over), "max")

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import fields as fld
 from .core import DriverSpec, TerminalSpec, TimeGrid
-from .envelope import EnvelopeResult, compute_envelope, sandwich_check
+from .envelope import (EnvelopeResult, _scalar_solve, compute_envelope,
+                       sandwich_check, scalar_step)
 from .errors import InversionError
 from .tree import (
     FORWARD_SIGN,
@@ -461,20 +462,13 @@ def glue_deterministic(driver: DriverSpec, terminal: TerminalSpec,
         raise ValueError("target value leaves the envelope band at t0")
 
     n = grid.steps
-    dt = grid.dt
-    y = np.empty(n + 1)
-    y[i0] = eta
-    zero = np.zeros(())
-    for i in range(i0 - 1, -1, -1):
-        y[i] = y[i + 1] + dt * float(driver.f(grid.time(i + 1),
-                                              np.asarray(y[i + 1]), zero))
+    y = _scalar_solve(driver.f, grid, eta, start=i0)
     tau_index = n
     for j in range(i0, n):
         if not (y_min[j] + snap_tol < y[j] < y_max[j] - snap_tol):
             tau_index = j
             break
-        y[j + 1] = y[j] - dt * float(driver.f(grid.time(j),
-                                              np.asarray(y[j]), zero))
+        y[j + 1] = scalar_step(driver.f, grid, y, j, -1.0)
     mid_at_tau = y[tau_index]
     side_is_max = bool(mid_at_tau >= y_max[tau_index] - snap_tol)
     tail = y_max if side_is_max else y_min
@@ -493,26 +487,20 @@ def _scalar_glued_residual(driver, envelope, grid, y, i0, tau_index,
                            side_is_max) -> float:
     """Worst off-splice defect of the scalar glued path, each regime against
     its own recursion (tail against the envelope's regularized drift)."""
-    n = grid.steps
-    dt = grid.dt
-    zero = np.zeros(())
     side = envelope.maximal if side_is_max else envelope.minimal
     reg_f = side.final_reg_spec.f
     worst = 0.0
-    for i in range(n):
+    for i in range(grid.steps):
         if tau_index == i0 and i == i0 - 1:
             continue       # immediate exit: the splice sits below t0
         if i < i0:
-            pred = y[i + 1] + dt * float(driver.f(grid.time(i + 1),
-                                                  np.asarray(y[i + 1]), zero))
+            pred = scalar_step(driver.f, grid, y, i, 1.0)
             worst = max(worst, abs(y[i] - pred))
         elif i + 1 < tau_index:
-            pred = y[i] - dt * float(driver.f(grid.time(i),
-                                              np.asarray(y[i]), zero))
+            pred = scalar_step(driver.f, grid, y, i, -1.0)
             worst = max(worst, abs(y[i + 1] - pred))
         elif i >= tau_index:
-            pred = y[i + 1] + dt * float(reg_f(grid.time(i + 1),
-                                               np.asarray(y[i + 1]), zero))
+            pred = scalar_step(reg_f, grid, y, i, 1.0)
             worst = max(worst, abs(y[i] - pred))
         # the single step entering tau_index is the splice
     return worst

@@ -27,7 +27,7 @@ from .core import (
     make_grid,
     shifted_driver,
 )
-from .envelope import compute_envelope
+from .envelope import _scalar_solve, compute_envelope, scalar_step
 from .errors import PremiseViolation
 from .lsmc import BasisSpec, sample_paths, solve_lsmc
 from .regularize import separating_mollified_driver
@@ -296,8 +296,6 @@ def convergence_study(case_name: str, ns, backend: str = "scalar",
 
 def _solve_y0(driver, terminal, grid, backend, m_inner, seed) -> float:
     if backend == "scalar":
-        from .envelope import _scalar_solve
-
         return float(_scalar_solve(driver.f, grid, 1.0)[0])
     if backend == "tree":
         sol = solve_tree(driver, terminal, grid)
@@ -371,17 +369,12 @@ def closedness_check(solutions, driver: DriverSpec, terminal: TerminalSpec,
         raise ValueError("fields do not share the lattice of the grid")
     y = np.asarray(solutions[-1], dtype=float)
     n = grid.steps
-    dt = grid.dt
-    zero = np.zeros(())
     xi = float(np.asarray(terminal.evaluate(np.zeros((1, n)))).ravel()[0])
     terminal_mismatch = abs(y[n] - xi)
     defects = np.empty(n)
     for i in range(n):
-        backward = abs(y[i] - (y[i + 1] + dt * float(
-            driver.f(grid.time(i + 1), np.asarray(y[i + 1]), zero))))
-        forward = abs(y[i + 1] - (y[i] - dt * float(
-            driver.f(grid.time(i), np.asarray(y[i]), zero))))
-        defects[i] = min(backward, forward)
+        defects[i] = min(abs(y[i] - scalar_step(driver.f, grid, y, i, 1.0)),
+                         abs(y[i + 1] - scalar_step(driver.f, grid, y, i, -1.0)))
     order = np.argsort(defects)
     residual = float(defects[order[-2]]) if n >= 2 else float(defects[order[-1]])
     worst_step = int(order[-2]) if n >= 2 else int(order[-1])

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
+from .tree import _check_dump_size, _read_header
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 
@@ -296,10 +297,13 @@ def load_path_batch(path) -> PathBatch:
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a path batch dump")
-        steps, _dt, horizon, anti = struct.unpack("<IddI", fh.read(24))
-        seed, m_outer, dim_l, m_inner, dim_d = struct.unpack("<qIIII", fh.read(24))
-        b = np.frombuffer(fh.read(8 * m_outer * steps * dim_l), dtype="<f8")
-        w = np.frombuffer(fh.read(8 * m_inner * steps * dim_d), dtype="<f8")
+        steps, _dt, horizon, anti = struct.unpack("<IddI", _read_header(fh, 24))
+        seed, m_outer, dim_l, m_inner, dim_d = struct.unpack(
+            "<qIIII", _read_header(fh, 24))
+        n_b, n_w = m_outer * steps * dim_l, m_inner * steps * dim_d
+        _check_dump_size(fh, 8 * (n_b + n_w))
+        b = np.frombuffer(fh.read(8 * n_b), dtype="<f8")
+        w = np.frombuffer(fh.read(8 * n_w), dtype="<f8")
     return PathBatch(
         grid=make_grid(horizon, steps),
         b_increments=b.reshape(m_outer, steps, dim_l).copy(),

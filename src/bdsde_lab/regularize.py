@@ -25,6 +25,7 @@ Two families of operators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,7 +86,8 @@ class ConvolvedPart:
     * fixed grid + z-independent + time-invariant base: a 1-d value table on
       the grid is built once by the exact two-pass distance transform and
       probes are evaluated by linear interpolation (which preserves both the
-      n-Lipschitz property and monotonicity in n exactly);
+      n-Lipschitz property and monotonicity in n exactly); a single 0-d
+      probe is interpolated in plain floats, bitwise as ``np.interp`` does;
     * fixed grid, z-dependent, time-invariant: a separable two-stage table
       (inner transform along z, outer scan along y) with the same exactness
       properties;
@@ -171,6 +173,8 @@ class ConvolvedPart:
         self._table2 = (grid, grid, h)
 
     def __call__(self, t, y, z):
+        if self._table is not None and np.ndim(y) == 0 and np.ndim(z) == 0:
+            return self._eval_table_scalar(float(y))
         y = np.asarray(y, dtype=float)
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         scalar = y.ndim == 0
@@ -197,6 +201,36 @@ class ConvolvedPart:
         if np.any(yf < grid[0]) or np.any(yf > grid[-1]):
             self.boundary_hits += int(np.sum((yf < grid[0]) | (yf > grid[-1])))
         return np.interp(yf, grid, tab)
+
+    def _eval_table_scalar(self, x: float) -> float:
+        """One probe of the 1-d table in plain floats, with the operations
+        of ``np.interp`` in the same order, so the value is bitwise the one
+        of :meth:`_eval_table_1d`."""
+        grid, tab = self._table
+        last = grid.size - 1
+        lo, hi = grid.item(0), grid.item(last)
+        if x != x:
+            return x
+        if x < lo or x > hi:
+            self.boundary_hits += 1
+            return tab.item(0) if x < lo else tab.item(last)
+        # the node at or below x: arithmetic guess, then a one-node fix-up
+        j = min(max(math.floor((x - lo) / self.spec.spacing), 0), last)
+        while grid.item(j) > x:
+            j -= 1
+        while j < last and grid.item(j + 1) <= x:
+            j += 1
+        xj, fj = grid.item(j), tab.item(j)
+        if j == last or xj == x:
+            return fj
+        xk, fk = grid.item(j + 1), tab.item(j + 1)
+        slope = (fk - fj) / (xk - xj)
+        out = slope * (x - xj) + fj
+        if out != out:
+            out = slope * (x - xk) + fk
+            if out != out and fj == fk:
+                out = fj
+        return out
 
     def _eval_table_2d(self, yf, zf):
         ygrid, zgrid, h = self._table2

@@ -40,6 +40,7 @@ one-step identity.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -428,19 +429,40 @@ def save_tree_solution(path, sol: TreeSolution) -> None:
             fh.write(np.ascontiguousarray(sol.zs[i], dtype="<f8").tobytes())
 
 
+def _read_header(fh, count: int) -> bytes:
+    """The next ``count`` header bytes of a dump; a file that ends first
+    raises ValueError with its size and the size the header needs."""
+    raw = fh.read(count)
+    if len(raw) != count:
+        raise ValueError(f"dump holds {os.fstat(fh.fileno()).st_size} bytes, "
+                         f"its header needs {fh.tell() - len(raw) + count}")
+    return raw
+
+
+def _check_dump_size(fh, payload: int) -> None:
+    """Raise ValueError unless the file holds exactly the header read so far
+    plus ``payload`` array bytes; called before any array is read."""
+    size = os.fstat(fh.fileno()).st_size
+    if size != fh.tell() + payload:
+        raise ValueError(f"dump holds {size} bytes, its header implies "
+                         f"{fh.tell() + payload}")
+
+
 def load_tree_solution(path) -> TreeSolution:
     from .core import make_grid
 
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a lattice solution dump")
-        (n,) = struct.unpack("<I", fh.read(4))
-        (dt,) = struct.unpack("<d", fh.read(8))
-        (horizon,) = struct.unpack("<d", fh.read(8))
+        n, dt, horizon = struct.unpack("<Idd", _read_header(fh, 20))
         texts = []
         for _ in range(2):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            texts.append(fh.read(ln).decode("utf-8"))
+            (ln,) = struct.unpack("<I", _read_header(fh, 4))
+            texts.append(_read_header(fh, ln).decode("utf-8"))
+        if n > TREE_MAX_STEPS:
+            raise ValueError(f"dump header gives N = {n}, above the lattice "
+                             f"cap {TREE_MAX_STEPS}")
+        _check_dump_size(fh, 16 * (n + 1) * 2 ** n)
         ys, zs = [], []
         for i in range(n + 1):
             shape = (2 ** i, 2 ** (n - i))

@@ -163,3 +163,59 @@ class TestMain:
 
     def test_missing_config(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def _envelope_cfg(**block):
+    return _base_cfg(scenario="envelope", backend="scalar",
+                     grid={"horizon": 1.0, "steps": 16},
+                     driver={"f": {"name": "f_sqrt_pos", "params": [2.0]},
+                             "g": {"name": "g_zero", "params": []}},
+                     terminal={"name": "constant", "params": [0.0]},
+                     envelope={"schedule": [2, 4], "conv_tol": 0.1, **block})
+
+
+class TestMalformedConfigs:
+    """Malformed configs are configuration errors (exit 2) found before any
+    computation, never a traceback."""
+
+    def test_params_not_a_list(self, tmp_path):
+        cfg = _base_cfg(driver={"f": {"name": "f_linear", "params": 5},
+                                "g": {"name": "g_zero", "params": []}})
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(tmp_path / "o")) == 2
+
+    def test_schedule_not_a_list(self, tmp_path):
+        cfg = _envelope_cfg(schedule="abc")
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(tmp_path / "o")) == 2
+
+    def test_array_as_config_root(self, tmp_path):
+        path = _write(tmp_path, [_base_cfg()])
+        assert cli.run_scenario(path, out=str(tmp_path / "o")) == 2
+        assert cli.run_scenario(path, seed=3, backend="tree") == 2
+        assert cli.main(["run", "--config", str(path), "--seed", "3"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_nested_and_block_types(self, tmp_path):
+        bad = [
+            _base_cfg(solve=[1, 2]),
+            _base_cfg(grid={"horizon": 1.0, "steps": [4]}),
+            _base_cfg(grid={"horizon": 1.0, "steps": 4.7}),
+            _base_cfg(terminal={"name": ["constant"], "params": [1.0]}),
+            _envelope_cfg(schedule=[]),
+            _envelope_cfg(conv_tol="0.1"),
+            _base_cfg(scenario="compare", compare={
+                "driver2": {"f": {"name": "f_linear", "params": {"a": 1}}},
+                "terminal2": {"name": "constant", "params": [0.0]}}),
+        ]
+        for k, cfg in enumerate(bad):
+            out = tmp_path / f"o{k}"
+            assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2, cfg
+            assert not out.exists()
+
+    def test_null_optional_keys_mean_defaults(self, tmp_path):
+        runs = []
+        for k, cfg in enumerate((_envelope_cfg(), _envelope_cfg(
+                tol=None, conv_radius=None))):
+            out = tmp_path / f"o{k}"
+            assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
+            runs.append((out / "envelope_max.csv").read_bytes())
+        assert runs[0] == runs[1]

@@ -60,6 +60,19 @@ class TestPathSampling:
         np.testing.assert_array_equal(loaded.w_increments, batch.w_increments)
         np.testing.assert_array_equal(loaded.b_increments, batch.b_increments)
 
+    def test_truncated_dump_rejected_before_reading(self, tmp_path, grid8):
+        batch = bl.sample_paths(grid8, (1, 1), (3, 8), seed=9)
+        p = tmp_path / "batch.bin"
+        bl.save_path_batch(p, batch)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:-5])
+        with pytest.raises(ValueError, match=f"holds {len(raw) - 5} bytes, "
+                                             f"its header implies {len(raw)}"):
+            bl.load_path_batch(p)
+        p.write_bytes(raw[:40])
+        with pytest.raises(ValueError, match="holds 40 bytes, its header needs 56"):
+            bl.load_path_batch(p)
+
 
 def _binary_outer(grid, bits):
     sq = np.sqrt(grid.dt)

@@ -282,6 +282,24 @@ class TestBinaryDump:
             np.testing.assert_array_equal(loaded.ys[i], sol.ys[i])
             np.testing.assert_array_equal(loaded.zs[i], sol.zs[i])
 
+    def test_truncated_dump_rejected_before_reading(self, tmp_path, grid4):
+        driver = bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3])
+        sol = bl.solve_tree(driver, bl.builtin_terminal("call", [0.0]), grid4)
+        path = tmp_path / "sol.bin"
+        bl.save_tree_solution(path, sol)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(raw[:-12])
+        with pytest.raises(ValueError, match=f"holds {len(raw) - 12} bytes, "
+                                             f"its header implies {len(raw)}"):
+            bl.load_tree_solution(cut)
+        cut.write_bytes(raw[:30])           # inside the fixed header
+        with pytest.raises(ValueError, match="holds 30 bytes, its header needs 32"):
+            bl.load_tree_solution(cut)
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(ValueError, match="its header implies"):
+            bl.load_tree_solution(cut)
+
     def test_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOTADUMP" + b"\x00" * 64)
