@@ -3,7 +3,8 @@
 A scenario is a JSON config naming a grid, a driver pair, a terminal, a
 backend, and one scenario block; the runner executes it and writes CSV
 artifacts plus a manifest into the output directory.  Exit codes: 0 success,
-1 property-suite failure, 2 configuration error, 3 numeric/capacity error.
+1 property-suite failure, 2 configuration error, 3 numeric/capacity error,
+4 failed internal invariant.
 
 Determinism contract: with the same config and seed, every CSV and the
 manifest are byte-identical across runs; wall-clock timing goes to
@@ -39,6 +40,7 @@ from .errors import (
     ConfigError,
     ContractViolation,
     InversionError,
+    InvariantError,
     NumericError,
     PremiseViolation,
     RegressionError,
@@ -106,13 +108,18 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
 # value type of each typed key wherever it appears in a config; null in an
 # optional tolerance or schedule means its default
 _KINDS = {
     "a number": _is_number,
-    "an integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "an integer": _is_integer,
     "a number or null": lambda v: v is None or _is_number(v),
     "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_integer, v)),
     "a non-empty list of numbers or null": lambda v: v is None or (
         isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))),
     "a string": lambda v: isinstance(v, str),
@@ -124,7 +131,8 @@ _KEY_KINDS = {
                     "an integer"),
     **dict.fromkeys(("tol", "conv_tol", "conv_radius", "snap_tol"),
                     "a number or null"),
-    **dict.fromkeys(("params", "lambdas", "Ns"), "a list of numbers"),
+    **dict.fromkeys(("params", "lambdas"), "a list of numbers"),
+    "Ns": "a list of integers",
     "schedule": "a non-empty list of numbers or null",
     **dict.fromkeys(("name", "mode", "case", "out"), "a string"),
 }
@@ -183,9 +191,14 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
+# solve-block keys each backend reads
+_SOLVE_KEYS = {"tree": {"dump"}, "mc": {"m_outer", "m_inner", "basis_degree"},
+               "scalar": set()}
+
+
 def _run_solve(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     block = dict(cfg.get("solve", {}))
-    _check_keys(block, {"m_outer", "m_inner", "basis_degree", "dump"}, "solve")
+    _check_keys(block, _SOLVE_KEYS[backend], f"solve (backend {backend})")
     if backend == "tree":
         sol = solve_tree(driver, terminal, grid)
         with open(outdir / "solve.csv", "w", newline="") as fh:
@@ -359,6 +372,9 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
             RegressionError) as exc:
         log.error("numeric/capacity error: %s", exc)
         return 3
+    except InvariantError as exc:
+        log.error("internal invariant failed: %s", exc)
+        return 4
 
 
 def list_catalog() -> str:

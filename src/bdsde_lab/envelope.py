@@ -34,9 +34,9 @@ import numpy as np
 
 from . import fields as fld
 from .core import DriverSpec, TerminalSpec, TimeGrid
-from .errors import StabilityError
+from .errors import InvariantError, StabilityError
 from .regularize import ConvGridSpec, lower_bound_driver, regularized_driver
-from .tree import solve_tree
+from .tree import _expand, solve_tree
 
 MONOTONE_TOL = 1e-9
 
@@ -237,13 +237,13 @@ def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
                 prev_y if mode == "sup" else y_field,
             )
             if worst > MONOTONE_TOL:
-                raise AssertionError(
+                raise InvariantError(
                     f"{mode}-side iterates not monotone: violation {worst:.3e} "
                     f"at slope {n}"
                 )
         ok, worst_u, _ = fld.nodewise_leq(u_field, y_field, MONOTONE_TOL)
         if not ok:
-            raise AssertionError(
+            raise InvariantError(
                 f"lower-bound field exceeds the slope-{n} iterate by {worst_u:.3e}"
             )
         iterates.append(IterateRecord(
@@ -297,7 +297,7 @@ def compute_envelope(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                           conv_tol, conv_radius)
     ok, worst, where = fld.nodewise_leq(mn.y, mx.y, 10.0 * grid.dt * (1.0 + fld.max_abs(mx.y)))
     if not ok:
-        raise AssertionError(
+        raise InvariantError(
             f"minimal side exceeds maximal side by {worst:.3e} at step {where}"
         )
     return EnvelopeResult(grid=grid, minimal=mn, maximal=mx)
@@ -315,53 +315,74 @@ class SandwichReport:
         return self.ok
 
 
+def _sandwich_tol(envelope: EnvelopeResult) -> float:
+    """Default sandwich tolerance 10 dt (1 + sup |Ymax|)."""
+    return 10.0 * envelope.grid.dt * (1.0 + fld.max_abs(envelope.y_max))
+
+
+def _sandwich_report(over, under, tol: float) -> SandwichReport:
+    """The report from the worst (excess, step, node) above Ymax and below
+    Ymin; ties go to the maximal side."""
+    worst = max(over[0], under[0])
+    if over[0] >= under[0]:
+        return SandwichReport(over[0] <= tol, worst, over[1], tuple(over[2]), "max")
+    return SandwichReport(under[0] <= tol, worst, under[1], tuple(under[2]), "min")
+
+
+def _first_max(best, i: int, gap):
+    """``best`` = (excess, step, node) updated with step i's gaps: a strictly
+    larger maximum takes over with its first node in row-major order."""
+    ex = float(np.max(gap))
+    if ex > best[0]:
+        return ex, i, np.unravel_index(int(np.argmax(gap)), np.shape(gap) or (1,))
+    return best
+
+
+class SandwichScan:
+    """Worst excesses of a lattice candidate over Ymax and under Ymin, fed
+    one step at a time.  Each side keeps the first step attaining its
+    maximum and, within it, the first node of that step's array.  A step
+    array on a larger node space than the envelope's step (the product
+    space, or the node space of a glued solution's later steps) is compared
+    with the band expanded to its shape."""
+
+    def __init__(self, envelope: EnvelopeResult):
+        self.envelope = envelope
+        self.over = self.under = (-np.inf, -1, ())
+
+    def add(self, i: int, cand: np.ndarray) -> None:
+        lo = fld.step_values(self.envelope.y_min, i)
+        hi = fld.step_values(self.envelope.y_max, i)
+        if cand.shape != hi.shape and cand.ndim == 2:
+            lo, hi = _expand(lo, cand.shape), _expand(hi, cand.shape)
+        self.over = _first_max(self.over, i, cand - hi)
+        self.under = _first_max(self.under, i, lo - cand)
+
+    def report(self, tol: float) -> SandwichReport:
+        return _sandwich_report(self.over, self.under, tol)
+
+
 def sandwich_check(candidate, envelope: EnvelopeResult,
                    tol: float | None = None) -> SandwichReport:
     """Assert Ymin - tol <= candidate <= Ymax + tol nodewise.
 
     Candidate steps may live on the full product node space (glued
     solutions); envelope steps are expanded to match."""
-    from .tree import _expand_to_product
-
     if len(candidate) != len(envelope.y_max):
         raise ValueError("candidate field lives on a different grid")
     if tol is None:
-        tol = 10.0 * envelope.grid.dt * (1.0 + fld.max_abs(envelope.y_max))
+        tol = _sandwich_tol(envelope)
     if fld.as_1d(candidate, envelope.y_min, envelope.y_max) is not None:
         # deterministic fields: each step is the single node 0
         over, step_over = fld.worst_excess(candidate, envelope.y_max)
         under, step_under = fld.worst_excess(envelope.y_min, candidate)
-        node_over = (np.intp(0),) if step_over >= 0 else ()
-        node_under = (np.intp(0),) if step_under >= 0 else ()
-    else:
-        n = envelope.grid.steps
-        over = under = -np.inf
-        step_over = step_under = -1
-        node_over = node_under = ()
-        for i in range(n + 1):
-            cand = fld.step_values(candidate, i)
-            lo = fld.step_values(envelope.y_min, i)
-            hi = fld.step_values(envelope.y_max, i)
-            if cand.shape != hi.shape and cand.ndim == 2:
-                lo = _expand_to_product(lo, i, n)
-                hi = _expand_to_product(hi, i, n)
-            gap_over = cand - hi
-            gap_under = lo - cand
-            ex_over = float(np.max(gap_over))
-            ex_under = float(np.max(gap_under))
-            if ex_over > over:
-                over, step_over = ex_over, i
-                node_over = np.unravel_index(int(np.argmax(gap_over)),
-                                             np.shape(gap_over) or (1,))
-            if ex_under > under:
-                under, step_under = ex_under, i
-                node_under = np.unravel_index(int(np.argmax(gap_under)),
-                                              np.shape(gap_under) or (1,))
-    if over >= under:
-        return SandwichReport(over <= tol, max(over, under), step_over,
-                              tuple(node_over), "max")
-    return SandwichReport(under <= tol, max(over, under), step_under,
-                          tuple(node_under), "min")
+        return _sandwich_report(
+            (over, step_over, (np.intp(0),) if step_over >= 0 else ()),
+            (under, step_under, (np.intp(0),) if step_under >= 0 else ()), tol)
+    scan = SandwichScan(envelope)
+    for i in range(envelope.grid.steps + 1):
+        scan.add(i, fld.step_values(candidate, i))
+    return scan.report(tol)
 
 
 def write_envelope_csv(path, side: EnvelopeSide) -> None:

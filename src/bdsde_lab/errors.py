@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration and catalog problems
-exit with 2, numeric/capacity/stability problems with 3, and property
-failures (comparison violations, premise rejections) with 1.
+exit with 2, numeric/capacity/stability problems with 3, property failures
+(comparison violations, premise rejections) with 1, and failed internal
+invariants (``InvariantError``) with 4.
 """
 
 
@@ -41,6 +42,12 @@ class InversionError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class InvariantError(AssertionError):
+    """An internal invariant of a solver failed: envelope iterates not
+    monotone in the slope, the lower-bound companion above an iterate, the
+    minimal side above the maximal side, or the forward sign self-check."""
 
 
 class RegressionError(RuntimeError):

@@ -33,21 +33,23 @@ snap tolerance, which the callers of the deterministic case use.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fields as fld
 from .core import DriverSpec, TerminalSpec, TimeGrid
-from .envelope import (EnvelopeResult, _scalar_solve, compute_envelope,
+from .envelope import (EnvelopeResult, SandwichReport, SandwichScan,
+                       _sandwich_tol, _scalar_solve, compute_envelope,
                        sandwich_check, scalar_step)
 from .errors import InversionError
 from .tree import (
-    FORWARD_SIGN,
     ForwardSegment,
+    _backward_defect,
     _backward_sweep,
-    _col_signs,
-    _expand_to_product,
+    _expand,
+    _forward_defects,
+    leaf_increments,
     solve_forward_swapped,
 )
 
@@ -158,11 +160,15 @@ def interpolate_target(envelope: EnvelopeResult, i0: int, lam: float):
 
 @dataclass(frozen=True)
 class GluedSolution:
-    """Three-segment solution on the full product node space.
+    """Three-segment solution.
 
-    ``tau_index`` and ``side_is_max`` are per-path (rows: forward-noise
-    coordinates, cols: backward-noise coordinates).  ``assembled_y(i)`` and
-    ``assembled_z(i)`` materialise the glued field one step at a time.
+    Steps before ``i0`` hold the backward piece on the lattice node spaces.
+    From ``i0`` on, the forward piece and the envelope tail depend only on
+    the s coordinates and on r_{i0}..r_{N-1}, so a path is a node of
+    D = ``(2**N, 2**(N-i0))``; ``tau`` (exit step) and ``side_is_max`` (tail
+    side) live on D.  ``assembled_y(i)``, ``assembled_z(i)``, ``tau_index``
+    and ``tau_times()`` give product-space arrays ``(2**N, 2**N)``, built
+    one at a time on demand.
     """
 
     grid: TimeGrid
@@ -173,7 +179,7 @@ class GluedSolution:
     segment1_z: list
     segment2: ForwardSegment
     envelope: EnvelopeResult
-    tau_index: np.ndarray
+    tau: np.ndarray
     side_is_max: np.ndarray
     snap_tol: float
     residual_off_splice: float
@@ -184,62 +190,58 @@ class GluedSolution:
     def steps(self) -> int:
         return self.grid.steps
 
-    def _tail_field(self, i: int, which: str) -> np.ndarray:
-        env_max = self.envelope.maximal
-        env_min = self.envelope.minimal
-        n = self.steps
-        fmax = _expand_to_product(
-            np.asarray((env_max.y if which == "y" else env_max.z)[i]), i, n)
-        fmin = _expand_to_product(
-            np.asarray((env_min.y if which == "y" else env_min.z)[i]), i, n)
-        return np.where(self.side_is_max, fmax, fmin)
+    @property
+    def tau_index(self) -> np.ndarray:
+        return _expand(self.tau, (2 ** self.steps,) * 2)
+
+    def tau_times(self) -> np.ndarray:
+        return _expand(self.tau * self.grid.dt, (2 ** self.steps,) * 2)
+
+    def step_field(self, i: int, which: str = "y") -> np.ndarray:
+        """Y (``which`` "y") or Z at step i on the node space it is stored
+        on: the lattice node space before ``i0``, D from ``i0`` on."""
+        if i < self.i0:
+            return (self.segment1_y if which == "y" else self.segment1_z)[i]
+        fmax, fmin = (
+            _expand(np.asarray((side.y if which == "y" else side.z)[i]),
+                    self.tau.shape)
+            for side in (self.envelope.maximal, self.envelope.minimal))
+        tail = np.where(self.side_is_max, fmax, fmin)
+        if which == "z" and i == self.steps:
+            return tail
+        middle = (self.segment2.ys if which == "y"
+                  else self.segment2.dw_integrands)[i - self.i0]
+        return np.where(self.tau <= i, tail, _expand(middle, self.tau.shape))
 
     def assembled_y(self, i: int) -> np.ndarray:
-        n = self.steps
-        if i < self.i0:
-            return _expand_to_product(self.segment1_y[i], i, n)
-        middle = self.segment2.ys[i - self.i0]
-        return np.where(self.tau_index <= i, self._tail_field(i, "y"), middle)
+        return _expand(self.step_field(i, "y"), (2 ** self.steps,) * 2)
 
     def assembled_z(self, i: int) -> np.ndarray:
-        n = self.steps
-        if i < self.i0:
-            return _expand_to_product(self.segment1_z[i], i, n)
-        if i == n:
-            return self._tail_field(i, "z")
-        middle = self.segment2.dw_integrands[i - self.i0]
-        return np.where(self.tau_index <= i, self._tail_field(i, "z"), middle)
+        return _expand(self.step_field(i, "z"), (2 ** self.steps,) * 2)
 
     def assembled_fields(self):
+        """Every step on the product space: 2 (N + 1) arrays of 4**N values."""
         ys = [self.assembled_y(i) for i in range(self.steps + 1)]
         zs = [self.assembled_z(i) for i in range(self.steps + 1)]
         return ys, zs
 
-    def tau_times(self) -> np.ndarray:
-        return self.tau_index * self.grid.dt
 
-
-def _expanded_band(envelope: EnvelopeResult, i: int, n: int):
-    y_min = _expand_to_product(np.asarray(envelope.y_min[i]), i, n)
-    y_max = _expand_to_product(np.asarray(envelope.y_max[i]), i, n)
-    return y_min, y_max
-
-
-def _backward_step_residual(driver: DriverSpec, grid: TimeGrid, i: int,
-                            y_i, z_i, y_next, z_next) -> np.ndarray:
-    """Nodewise defect of the right-endpoint backward identity on the full
-    product space at step i -> i+1."""
-    n = grid.steps
-    dt = grid.dt
-    sq = np.sqrt(dt)
+def _tail_defect(spec: DriverSpec, grid: TimeGrid, i: int, ys,
+                 zs) -> np.ndarray:
+    """Nodewise defect of the right-endpoint backward identity of an
+    envelope side between steps i and i+1, on the nodes (s_0..s_i,
+    r_i..r_{N-1}), shape (2**(i+1), 2**(N-i))."""
+    sq = np.sqrt(grid.dt)
     t_next = grid.time(i + 1)
-    fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-    gv = np.broadcast_to(np.asarray(driver.g(t_next, y_next, z_next),
+    y_next, z_next = (f[i + 1].reshape(2 ** i, 2, 1, -1) for f in (ys, zs))
+    y_i, z_i = (f[i].reshape(2 ** i, 1, 2, -1) for f in (ys, zs))
+    fv = np.asarray(spec.f(t_next, y_next, z_next), dtype=float)
+    gv = np.broadcast_to(np.asarray(spec.g(t_next, y_next, z_next),
                                     dtype=float), y_next.shape)
-    r_sign = _col_signs(n, i)[None, :]
-    s_sign = _col_signs(n, i)[:, None]
-    rhs = y_next + dt * fv + gv * r_sign * sq - z_i * s_sign * sq
-    return np.abs(y_i - rhs)
+    r_sign = np.array([-1.0, 1.0])[None, None, :, None]
+    s_sign = np.array([-1.0, 1.0])[None, :, None, None]
+    rhs = y_next + grid.dt * fv + gv * r_sign * sq - z_i * s_sign * sq
+    return np.abs(y_i - rhs).reshape(2 ** (i + 1), -1)
 
 
 def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
@@ -257,8 +259,6 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     (ties go to the maximal side, and exits near both sides at once are
     counted in ``ambiguous_exits``).
     """
-    from .tree import leaf_increments
-
     n = grid.steps
     if envelope.maximal.backend != "tree":
         raise ValueError("lattice glue needs a tree-backend envelope")
@@ -284,121 +284,59 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     seg1_y, seg1_z = _backward_sweep(driver, grid, i0, eta)
     segment2 = solve_forward_swapped(driver, pair.h_inv, eta, grid, i0)
 
-    # first exit from the shrunk open band, else the horizon
-    tau = np.full((2 ** n, 2 ** n), n, dtype=np.int64)
-    done = np.zeros((2 ** n, 2 ** n), dtype=bool)
-    for j in range(i0, n):
-        y_min_j, y_max_j = _expanded_band(envelope, j, n)
-        outside = ~((segment2.ys[j - i0] > y_min_j + snap_tol)
-                    & (segment2.ys[j - i0] < y_max_j - snap_tol))
-        newly = outside & ~done
-        tau[newly] = j
-        done |= outside
-    # side rule at the exit step: maximal side when the forward value sits
-    # within the snap tolerance of it, else minimal
-    near_max = np.zeros((2 ** n, 2 ** n), dtype=bool)
-    near_min = np.zeros((2 ** n, 2 ** n), dtype=bool)
+    # per path of D: the first exit from the shrunk open band (else the
+    # horizon), and the side rule at the exit step: maximal side when the
+    # forward value sits within the snap tolerance of it, else minimal;
+    # the splice replaces the forward value by that side's value there
+    d_shape = (2 ** n, 2 ** (n - i0))
+    tau = np.full(d_shape, n, dtype=np.int64)
+    side_is_max = np.zeros(d_shape, dtype=bool)
+    near_min = np.zeros(d_shape, dtype=bool)
+    splice = 0.0
     for j in range(i0, n + 1):
+        y_j = _expand(segment2.ys[j - i0], d_shape)
+        lo, hi = (_expand(b, d_shape) for b in envelope.band_at(j))
+        if j < n:
+            outside = ~((y_j > lo + snap_tol) & (y_j < hi - snap_tol))
+            tau[outside & (tau == n)] = j
         sel = tau == j
         if not np.any(sel):
             continue
-        y_min_j, y_max_j = _expanded_band(envelope, j, n)
-        y_j = segment2.ys[j - i0]
-        near_max[sel] = y_j[sel] >= (y_max_j - snap_tol)[sel]
-        near_min[sel] = y_j[sel] <= (y_min_j + snap_tol)[sel]
-    side_is_max = near_max
-    ambiguous = int(np.sum(near_max & near_min & (tau < n)))
+        side_is_max[sel] = y_j[sel] >= (hi - snap_tol)[sel]
+        near_min[sel] = y_j[sel] <= (lo + snap_tol)[sel]
+        tail = np.where(side_is_max, hi, lo)
+        splice = max(splice, float(np.max(np.abs(tail - y_j)[sel])))
+    # counted over product-space paths: a node of D stands for 2**i0 of them
+    ambiguous = int(np.sum(side_is_max & near_min & (tau < n))) * 2 ** i0
 
-    sol = GluedSolution(
-        grid=grid, i0=i0, eta=eta, lam=lam,
-        segment1_y=seg1_y, segment1_z=seg1_z, segment2=segment2,
-        envelope=envelope, tau_index=tau, side_is_max=side_is_max,
-        snap_tol=snap_tol, residual_off_splice=np.nan, splice_mismatch=np.nan,
-        ambiguous_exits=ambiguous,
-    )
-    residual, splice = _glued_diagnostics(sol, driver)
+    # off-splice residual, each segment against its own recursion: the
+    # backward piece on its own node spaces (valid for every path off the
+    # splice; paths exiting immediately splice at step i0 - 1)
+    worst = 0.0
+    for i in range(i0):
+        worst = max(worst, float(np.max(
+            _backward_defect(driver, grid, i, seg1_y, seg1_z))))
+    # the forward piece between i0 and each path's exit
+    for j, defect in _forward_defects(segment2, driver):
+        live = tau > j
+        if np.any(live):
+            worst = max(worst, float(np.max(_expand(defect, d_shape)[live])))
+    # the envelope tail against the regularized drift that generated it
+    for side, mask in ((envelope.maximal, side_is_max),
+                       (envelope.minimal, ~side_is_max)):
+        for i in range(i0, n):
+            in_tail = (tau <= i) & mask
+            if np.any(in_tail):
+                defect = _tail_defect(side.final_reg_spec, grid, i, side.y, side.z)
+                worst = max(worst, float(np.max(_expand(defect, d_shape)[in_tail])))
+
     return GluedSolution(
         grid=grid, i0=i0, eta=eta, lam=lam,
         segment1_y=seg1_y, segment1_z=seg1_z, segment2=segment2,
-        envelope=envelope, tau_index=tau, side_is_max=side_is_max,
-        snap_tol=snap_tol, residual_off_splice=residual,
+        envelope=envelope, tau=tau, side_is_max=side_is_max,
+        snap_tol=snap_tol, residual_off_splice=worst,
         splice_mismatch=splice, ambiguous_exits=ambiguous,
     )
-
-
-def _glued_diagnostics(sol: GluedSolution, driver: DriverSpec):
-    """Off-splice residual (each segment against its own recursion) and the
-    worst per-path splice jump."""
-    grid = sol.grid
-    n = grid.steps
-    i0 = sol.i0
-    worst = 0.0
-    # backward piece, checked on its own node spaces (valid for every path
-    # off the splice; paths exiting immediately splice at step i0 - 1)
-    for i in range(i0):
-        res = _seg1_step_residual(driver, grid, i, sol.segment1_y, sol.segment1_z, n)
-        worst = max(worst, float(np.max(res)))
-    # forward piece between i0 and each path's exit
-    sq = np.sqrt(grid.dt)
-    for j in range(i0, n):
-        k = j - i0
-        y = sol.segment2.ys[k]
-        y3 = y.reshape(2 ** j, 2, 2 ** (n - j - 1), 2 ** n)
-        a = np.broadcast_to(
-            (0.5 * (y3[:, 1] + y3[:, 0]))[:, None],
-            (2 ** j, 2, 2 ** (n - j - 1), 2 ** n),
-        ).reshape(2 ** n, 2 ** n)
-        zt = sol.segment2.zt[k]
-        c = sol.segment2.dw_integrands[k]
-        fv = np.asarray(driver.f(grid.time(j), a, zt), dtype=float)
-        s_sign = _col_signs(n, j)[:, None]
-        r_sign = _col_signs(n, j)[None, :]
-        rhs = a - grid.dt * fv - zt * r_sign * sq + FORWARD_SIGN * c * s_sign * sq
-        res = np.abs(sol.segment2.ys[k + 1] - rhs)
-        live = sol.tau_index > j          # step internal to the middle piece
-        if np.any(live):
-            worst = max(worst, float(np.max(res[live])))
-    # envelope tail against the regularized drift that generated it
-    for side, mask in ((sol.envelope.maximal, sol.side_is_max),
-                       (sol.envelope.minimal, ~sol.side_is_max)):
-        spec = side.final_reg_spec
-        for i in range(i0, n):
-            in_tail = (sol.tau_index <= i) & mask
-            if not np.any(in_tail):
-                continue
-            y_i = _expand_to_product(np.asarray(side.y[i]), i, n)
-            z_i = _expand_to_product(np.asarray(side.z[i]), i, n)
-            y_n = _expand_to_product(np.asarray(side.y[i + 1]), i + 1, n)
-            z_n = _expand_to_product(np.asarray(side.z[i + 1]), i + 1, n)
-            res = _backward_step_residual(spec, grid, i, y_i, z_i, y_n, z_n)
-            worst = max(worst, float(np.max(res[in_tail])))
-    # splice jumps: forward value replaced by the tail at the exit step
-    splice = 0.0
-    for j in range(i0, n + 1):
-        sel = sol.tau_index == j
-        if not np.any(sel):
-            continue
-        tail = sol._tail_field(j, "y")
-        mid = sol.segment2.ys[j - i0]
-        splice = max(splice, float(np.max(np.abs(tail - mid)[sel])))
-    return worst, splice
-
-
-def _seg1_step_residual(driver, grid, i, ys, zs, n):
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    t_next = grid.time(i + 1)
-    y_next, z_next = ys[i + 1], zs[i + 1]
-    fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-    gv = np.broadcast_to(np.asarray(driver.g(t_next, y_next, z_next),
-                                    dtype=float), y_next.shape)
-    rhs = (y_next + dt * fv).reshape(2 ** i, 2, 1, -1) \
-        + gv.reshape(2 ** i, 2, 1, -1) * sq \
-        * np.array([-1.0, 1.0])[None, None, :, None]
-    y_i = ys[i].reshape(2 ** i, 1, 2, -1)
-    z_i = zs[i].reshape(2 ** i, 1, 2, -1)
-    s_sign = np.array([-1.0, 1.0])[None, :, None, None]
-    return np.abs(y_i + z_i * s_sign * sq - rhs)
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +455,11 @@ class ContinuumRecord:
     tau_mean: float
     residual_off_splice: float
     splice_mismatch: float
-    sandwich_ok: bool
+    sandwich: SandwichReport    # lattice nodes in product-space coordinates
+
+    @property
+    def sandwich_ok(self) -> bool:
+        return bool(self.sandwich.ok)
 
 
 @dataclass(frozen=True)
@@ -532,6 +474,35 @@ class ContinuumReport:
     @property
     def all_sandwich_ok(self) -> bool:
         return all(r.sandwich_ok for r in self.records)
+
+
+def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
+    """Sandwich reports and pairwise sup-node distances of glued lattice
+    solutions from one pass over the steps, each step on the node space it
+    is stored on.  Report nodes are given in product-space coordinates, the
+    first occurrence there: a row of a step before i0 stands for the block
+    of product rows that starts at row * 2**(N-i), and a D node is its own
+    product node."""
+    n = envelope.grid.steps
+    m = len(solutions)
+    scans = [SandwichScan(envelope) for _ in solutions]
+    distances = np.zeros((m, m))
+    for i in range(n + 1):
+        steps = [g.step_field(i) for g in solutions]
+        for scan, y in zip(scans, steps):
+            scan.add(i, y)
+        for a in range(m):
+            for b in range(a + 1, m):
+                d = max(distances[a, b], float(np.max(np.abs(steps[a] - steps[b]))))
+                distances[a, b] = distances[b, a] = d
+    checks = []
+    for glued, scan in zip(solutions, scans):
+        check = scan.report(tol)
+        if 0 <= check.step < glued.i0:
+            row, col = check.node
+            check = replace(check, node=(row * 2 ** (n - check.step), col))
+        checks.append(check)
+    return checks, distances
 
 
 def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
@@ -555,45 +526,44 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
         envelope = compute_envelope(driver, terminal, grid, schedule=schedule,
                                     tol=tol, backend=backend, conv_tol=conv_tol)
     i0 = int(round(t0 / grid.dt))
-    solutions = []
-    records = []
-    fields = []
-    for lam in lambdas:
-        if backend == "scalar":
-            glued = glue_deterministic(
-                driver, terminal, grid, t0, lam=lam, envelope=envelope,
-                snap_tol=0.0 if snap_tol is None else snap_tol,
-            )
-            y_field = glued.y
-            tau_mean = glued.tau_time
-        else:
-            if inv_pair is None:
-                raise ValueError("the lattice glue needs an invertible pair")
-            eta = interpolate_target(envelope, i0, lam)
-            glued = glue_solution(driver, inv_pair, terminal, i0, eta,
-                                  envelope, grid, snap_tol=snap_tol, lam=lam)
-            y_field, _ = glued.assembled_fields()
-            tau_mean = float(np.mean(glued.tau_times()))
-        check = sandwich_check(y_field, envelope, tol=sandwich_tol)
-        solutions.append(glued)
-        fields.append(y_field)
-        records.append(ContinuumRecord(
-            lam=lam, y0=float(np.mean(fld.step_values(y_field, 0))),
-            tau_mean=tau_mean,
-            residual_off_splice=glued.residual_off_splice,
-            splice_mismatch=glued.splice_mismatch,
-            sandwich_ok=bool(check.ok),
-        ))
+    if sandwich_tol is None:
+        sandwich_tol = _sandwich_tol(envelope)
     m = len(lambdas)
-    distances = np.zeros((m, m))
+    if backend == "scalar":
+        solutions = [glue_deterministic(
+            driver, terminal, grid, t0, lam=lam, envelope=envelope,
+            snap_tol=0.0 if snap_tol is None else snap_tol,
+        ) for lam in lambdas]
+        fields = [glued.y for glued in solutions]
+        checks = [sandwich_check(y, envelope, tol=sandwich_tol) for y in fields]
+        y0s = [float(np.mean(fld.step_values(y, 0))) for y in fields]
+        tau_means = [glued.tau_time for glued in solutions]
+        distances = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                distances[i, j] = distances[j, i] = fld.sup_distance(fields[i], fields[j])
+    else:
+        if inv_pair is None:
+            raise ValueError("the lattice glue needs an invertible pair")
+        solutions = [glue_solution(
+            driver, inv_pair, terminal, i0, interpolate_target(envelope, i0, lam),
+            envelope, grid, snap_tol=snap_tol, lam=lam,
+        ) for lam in lambdas]
+        checks, distances = _lattice_scan(solutions, envelope, sandwich_tol)
+        # means over the product space (their rounding follows its
+        # summation order), one 4**N array at a time
+        y0s = [float(np.mean(glued.assembled_y(0))) for glued in solutions]
+        tau_means = [float(np.mean(glued.tau_times())) for glued in solutions]
+    records = [ContinuumRecord(
+        lam=lam, y0=y0, tau_mean=tau_mean,
+        residual_off_splice=glued.residual_off_splice,
+        splice_mismatch=glued.splice_mismatch,
+        sandwich=check,
+    ) for lam, glued, check, y0, tau_mean
+        in zip(lambdas, solutions, checks, y0s, tau_means)]
     threshold = 10.0 * grid.dt
-    distinct = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = fld.sup_distance(fields[i], fields[j])
-            distances[i, j] = distances[j, i] = d
-            if d > threshold:
-                distinct += 1
+    distinct = sum(int(distances[i, j] > threshold)
+                   for i in range(m) for j in range(i + 1, m))
     return ContinuumReport(grid=grid, records=records,
                            pairwise_distances=distances,
                            distinct_pairs=distinct,

@@ -43,14 +43,17 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
-from .errors import CapacityError, InversionError, NumericError
+from .errors import CapacityError, InversionError, InvariantError, NumericError
 
 TREE_MAX_STEPS = 20
+# The forward segment stores fewer than 4 * 2**N * 2**(N-i0) values, but the
+# glue's product-space means (Y0, mean exit time) allocate one 4**N array
+# at a time, and at i0 = 0 the segment itself lives on the product space.
 FORWARD_MAX_STEPS = 12
 FORWARD_SIGN = 1.0     # orientation of the extracted forward-noise integrand
 
@@ -170,6 +173,28 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
                         terminal_descriptor=terminal.descriptor)
 
 
+def _backward_defect(driver: DriverSpec, grid: TimeGrid, i: int, ys,
+                     zs) -> np.ndarray:
+    """Nodewise defect of the one-step identity Y_i + Z_i s_i sqrt(dt) =
+    Y_{i+1} + dt f + g r_i sqrt(dt) between lattice steps i and i+1, indexed
+    by (h, s_i, r_i, b'): history, both new increments, remaining future."""
+    dt = grid.dt
+    sq = np.sqrt(dt)
+    t_next = grid.time(i + 1)
+    y_next, z_next = ys[i + 1], zs[i + 1]
+    fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
+    gv = np.broadcast_to(
+        np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
+        y_next.shape,
+    )
+    rhs = (y_next + dt * fv).reshape(2 ** i, 2, 1, -1) \
+        + gv.reshape(2 ** i, 2, 1, -1) * sq * np.array([-1.0, 1.0])[None, None, :, None]
+    y_i = ys[i].reshape(2 ** i, 1, 2, -1)
+    z_i = zs[i].reshape(2 ** i, 1, 2, -1)
+    s_sign = np.array([-1.0, 1.0])[None, :, None, None]
+    return np.abs(y_i + z_i * s_sign * sq - rhs)
+
+
 def tree_residual(sol: TreeSolution, driver: DriverSpec,
                   terminal: TerminalSpec) -> float:
     """Worst pathwise defect of the discrete equation over all steps and
@@ -180,29 +205,14 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
     n = grid.steps
     if len(sol.ys) != n + 1:
         raise ValueError("solution dimensions inconsistent with its grid")
-    dt = grid.dt
-    sq = np.sqrt(dt)
     worst = float(np.max(np.abs(
         sol.ys[n].ravel() - terminal.evaluate(leaf_increments(grid))
     )))
     for i in range(n):
         if sol.ys[i].shape != (2 ** i, 2 ** (n - i)):
             raise ValueError("solution dimensions inconsistent with its grid")
-        t_next = grid.time(i + 1)
-        y_next, z_next = sol.ys[i + 1], sol.zs[i + 1]
-        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-        gv = np.broadcast_to(
-            np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
-            y_next.shape,
-        )
-        # rhs indexed by (h, s_i, r_i, b'): expand both steps to that shape
-        rhs = (y_next + dt * fv).reshape(2 ** i, 2, 1, -1) \
-            + gv.reshape(2 ** i, 2, 1, -1) * sq * np.array([-1.0, 1.0])[None, None, :, None]
-        y_i = sol.ys[i].reshape(2 ** i, 1, 2, -1)
-        z_i = sol.zs[i].reshape(2 ** i, 1, 2, -1)
-        s_sign = np.array([-1.0, 1.0])[None, :, None, None]
-        lhs = y_i + z_i * s_sign * sq
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, float(np.max(
+            _backward_defect(driver, grid, i, sol.ys, sol.zs))))
     return worst
 
 
@@ -223,17 +233,33 @@ def expectation_at(sol: TreeSolution, i: int) -> dict:
 # forward segment with swapped noise roles
 # --------------------------------------------------------------------------
 
+def _expand(arr: np.ndarray, shape) -> np.ndarray:
+    """``arr`` copied onto the larger node space ``shape``: rows repeat for
+    the trailing forward-noise coordinates, the block of columns tiles for
+    the leading backward-noise coordinates; a step-i lattice field expands
+    to the product space (2**N, 2**N) this way.  The result is C-contiguous,
+    so reductions over it sum in the same order as over any other copy."""
+    rows, cols = arr.shape
+    block = (rows, shape[0] // rows, shape[1] // cols, cols)
+    return np.ascontiguousarray(
+        np.broadcast_to(arr[:, None, None, :], block).reshape(shape))
+
+
 @dataclass(frozen=True)
 class ForwardSegment:
     """Forward evolution from a start field, with the backward noise driving
     the martingale development and the forward noise carrying the extracted
     integrand.
 
-    All fields live on the full product node space ``(2**N, 2**N)`` (rows:
-    all s coordinates, cols: all r coordinates); memory grows as 4**N, which
-    caps N at 12.  ``dw_integrands`` holds the realized forward-noise
+    The field at step j depends only on s_0..s_{j-1} and r_{i0}..r_{N-1}
+    (a step-i0 start field; each step adds an s_j branch pair and an r_j
+    term), so ``ys[k]``, step j = i0 + k, has shape ``(2**j, 2**(N-i0))``:
+    rows as on the lattice, columns r_{i0}..r_{N-1} (r_{i0} in the most
+    significant bit); ``y_at(j)`` expands it to the product node space
+    ``(2**N, 2**N)``.  ``dw_integrands`` holds the realized forward-noise
     integrand per step (the z-field of the original equation on this
-    segment); ``zt`` holds its image under g, the backward-noise integrand.
+    segment), ``zt`` its image under g, the backward-noise integrand; both
+    have the shape of ``ys[k]``.
 
     Step convention (left endpoint): with a_j the s_j-average of the current
     field and c_j the extracted integrand,
@@ -244,33 +270,24 @@ class ForwardSegment:
 
     ``residual`` is the worst defect of that identity, ``dependence`` the
     per-step, per-coordinate sensitivity of the field (flip the coordinate,
-    take the max absolute change): columns [0] for s_j, [1] for r_j.  The
-    start field is measurable for the start time, yet later fields depend on
-    backward-noise increments inside the segment; the diagnostic makes that
-    visible without adjudicating it.
+    take the max absolute change; 0.0 for a coordinate the step does not
+    store): columns [0] for s_j, [1] for r_j.  The start field is measurable
+    for the start time, yet later fields depend on backward-noise increments
+    inside the segment; the diagnostic makes that visible without
+    adjudicating it.
     """
 
     grid: TimeGrid
     start_step: int
-    ys: list            # ys[k]: field at step start_step + k, (2**N, 2**N)
+    ys: list            # ys[k]: field at step start_step + k
     zt: list            # backward-noise integrand per step, len = N - start_step
     dw_integrands: list
     residual: float
     dependence: np.ndarray = field(repr=False, default=None)
 
     def y_at(self, j: int) -> np.ndarray:
-        return self.ys[j - self.start_step]
-
-
-def _expand_to_product(arr: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Expand a step-i field (2**i, 2**(N-i)) to the full product space."""
-    expanded = np.repeat(arr, 2 ** (n - i), axis=0)         # trailing s bits
-    return np.tile(expanded, (1, 2 ** i))                   # leading r bits
-
-
-def _col_signs(n: int, j: int) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    return np.where((idx >> (n - 1 - j)) & 1, 1.0, -1.0)
+        """The field at step j on the product node space."""
+        return _expand(self.ys[j - self.start_step], (2 ** self.grid.steps,) * 2)
 
 
 def _sign_convention_case() -> float:
@@ -289,74 +306,29 @@ def _sign_convention_case() -> float:
     return abs(c_back - c_true)
 
 
-def forward_residual(segment: ForwardSegment, driver: DriverSpec) -> float:
-    """Replay the forward one-step identity from the stored arrays and
-    return the worst defect (round-off for solver output)."""
-    grid = segment.grid
-    n = grid.steps
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    worst = 0.0
-    for k, j in enumerate(range(segment.start_step, n)):
-        y = segment.ys[k]
-        y3 = y.reshape(2 ** j, 2, 2 ** (n - j - 1), 2 ** n)
-        a = np.broadcast_to(
-            (0.5 * (y3[:, 1] + y3[:, 0]))[:, None],
-            (2 ** j, 2, 2 ** (n - j - 1), 2 ** n),
-        ).reshape(2 ** n, 2 ** n)
-        zt = segment.zt[k]
-        c = segment.dw_integrands[k]
-        fv = np.asarray(driver.f(grid.time(j), a, zt), dtype=float)
-        s_sign = _col_signs(n, j)[:, None]          # rows carry s coordinates
-        r_sign = _col_signs(n, j)[None, :]
-        rhs = a - dt * fv - zt * r_sign * sq + FORWARD_SIGN * c * s_sign * sq
-        worst = max(worst, float(np.max(np.abs(segment.ys[k + 1] - rhs))))
-    return worst
+def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
+                  h_inv=None, stored=None):
+    """One left-endpoint step j -> j+1 on the segment's storage.
 
+    ``y`` is the step-j field (2**j, 2**(N-i0)).  It does not depend on s_j,
+    so both members of its s_j branch pair are ``y``; the pair's average and
+    scaled difference are formed as on the product space, which keeps every
+    value (signed zeros and non-finite values included) the same.
 
-def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
-                          grid: TimeGrid, i0: int,
-                          compute_dependence: bool = True) -> ForwardSegment:
-    """Evolve the start field ``eta`` (given on the step-i0 node space)
-    forward to the horizon with the noise roles swapped.
-
-    ``h_inv(t, y, zt) -> z`` must invert the noise coefficient in z; the
-    extracted integrand is checked against it nodewise at 1e-8 and any
-    mismatch raises with a witness.  A coefficient without an inverse
-    (e.g. identically zero g) is rejected the same way.
+    Solve mode (``stored`` None) checks the extracted integrand against
+    ``h_inv`` and returns ``(y_next, zt, c)``, with ``y_next`` of shape
+    (2**(j+1), 2**(N-i0)).  Defect mode (``stored = (zt, c, y_next)``)
+    replays the identity from stored arrays and returns the nodewise
+    defect, shaped like ``y_next``.
     """
     n = grid.steps
-    if n > FORWARD_MAX_STEPS:
-        raise CapacityError(
-            f"steps={n} exceeds the forward-segment cap {FORWARD_MAX_STEPS} "
-            "(full product storage grows as 4**N)"
-        )
-    if not 0 <= i0 <= n:
-        raise ValueError(f"start step {i0} out of range 0..{n}")
-    conv = _sign_convention_case()
-    if conv > 1e-10:
-        raise AssertionError(
-            f"forward sign convention self-check failed (residual {conv})"
-        )
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (2 ** i0, 2 ** (n - i0)):
-        raise ValueError(
-            f"eta has shape {eta.shape}, expected {(2 ** i0, 2 ** (n - i0))}"
-        )
-    dt = grid.dt
-    sq = np.sqrt(dt)
-    ys = [_expand_to_product(eta, i0, n)]
-    zts, dws = [], []
-    for j in range(i0, n):
-        t_j = grid.time(j)
-        y = ys[-1]
-        y3 = y.reshape(2 ** j, 2, 2 ** (n - j - 1), 2 ** n)
-        a = 0.5 * (y3[:, 1] + y3[:, 0])
-        c = FORWARD_SIGN * (y3[:, 1] - y3[:, 0]) / (2.0 * sq)
-        zt = np.asarray(driver.g(t_j, a, c), dtype=float)
-        zt = np.broadcast_to(zt, a.shape)
-        back = np.asarray(h_inv(t_j, a, zt), dtype=float)
-        back = np.broadcast_to(back, a.shape)
+    sq = np.sqrt(grid.dt)
+    t_j = grid.time(j)
+    a = 0.5 * (y + y)
+    if stored is None:
+        c = FORWARD_SIGN * (y - y) / (2.0 * sq)
+        zt = np.broadcast_to(np.asarray(driver.g(t_j, a, c), dtype=float), a.shape)
+        back = np.broadcast_to(np.asarray(h_inv(t_j, a, zt), dtype=float), a.shape)
         err = np.abs(back - c)
         bad = float(np.max(err))
         if bad > 1e-8:
@@ -366,36 +338,94 @@ def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
                 witness={"step": j, "node": where,
                          "integrand": float(c[where]), "pullback": float(back[where])},
             )
-        fv = np.asarray(driver.f(t_j, a, zt), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise NumericError(f"non-finite drift value at step {j}")
-        base = a - dt * fv                       # (2**j, 2**(n-j-1), 2**n)
-        r_sign = _col_signs(n, j)[None, None, :]
-        drift_part = base - zt * r_sign * sq
-        mart = c * sq
-        shape4 = (2 ** j, 2, 2 ** (n - j - 1), 2 ** n)
-        y_next = np.empty(shape4)
-        y_next[:, 1] = drift_part + mart
-        y_next[:, 0] = drift_part - mart
-        ys.append(y_next.reshape(2 ** n, 2 ** n))
-        zts.append(np.broadcast_to(zt[:, None], shape4).reshape(2 ** n, 2 ** n))
-        dws.append(np.broadcast_to(c[:, None], shape4).reshape(2 ** n, 2 ** n))
-    dependence = None
-    if compute_dependence:
-        dependence = np.zeros((len(ys), 2, n))
-        for k, y in enumerate(ys):
-            for coord in range(n):
-                rows = y.reshape(2 ** coord, 2, 2 ** (n - coord - 1), 2 ** n)
-                dependence[k, 0, coord] = float(np.max(np.abs(rows[:, 1] - rows[:, 0])))
-                cols = y.reshape(2 ** n, 2 ** coord, 2, 2 ** (n - coord - 1))
-                dependence[k, 1, coord] = float(np.max(np.abs(cols[:, :, 1] - cols[:, :, 0])))
+    else:
+        zt, c, y_next = stored
+    fv = np.asarray(driver.f(t_j, a, zt), dtype=float)
+    # r_j on the columns r_{i0}..r_{N-1}: bit N-1-j of the column index
+    r_sign = np.where((np.arange(y.shape[1]) >> (n - 1 - j)) & 1, 1.0, -1.0)
+    drift_part = a - grid.dt * fv - zt * r_sign * sq
+    if stored is not None:
+        s_sign = np.array([-1.0, 1.0])[None, :, None]
+        rhs = drift_part[:, None] + FORWARD_SIGN * c[:, None] * s_sign * sq
+        return np.abs(y_next - rhs.reshape(y_next.shape))
+    if not np.all(np.isfinite(fv)):
+        raise NumericError(f"non-finite drift value at step {j}")
+    mart = c * sq
+    y_next = np.stack((drift_part - mart, drift_part + mart), axis=1)
+    return y_next.reshape(2 * y.shape[0], y.shape[1]), zt, c
+
+
+def _forward_defects(segment: ForwardSegment, driver: DriverSpec):
+    """(j, nodewise defect) of every forward step, replayed from the
+    stored arrays."""
+    for k, j in enumerate(range(segment.start_step, segment.grid.steps)):
+        stored = (segment.zt[k], segment.dw_integrands[k], segment.ys[k + 1])
+        yield j, _forward_step(driver, segment.grid, j, segment.ys[k],
+                               stored=stored)
+
+
+def forward_residual(segment: ForwardSegment, driver: DriverSpec) -> float:
+    """Replay the forward one-step identity from the stored arrays and
+    return the worst defect (round-off for solver output)."""
+    return max([0.0] + [float(np.max(defect))
+                        for _, defect in _forward_defects(segment, driver)])
+
+
+def _dependence(y: np.ndarray, j: int, i0: int, n: int) -> np.ndarray:
+    """Max absolute change of the step-j field under a flip of each
+    coordinate: row [0] s_0..s_{N-1}, row [1] r_0..r_{N-1}; the coordinates
+    the field does not store (s_j.., r_0..r_{i0-1}) read 0.0."""
+    dep = np.zeros((2, n))
+    for coord in range(j):
+        rows = y.reshape(2 ** coord, 2, -1, y.shape[1])
+        dep[0, coord] = float(np.max(np.abs(rows[:, 1] - rows[:, 0])))
+    for coord in range(i0, n):
+        cols = y.reshape(y.shape[0], 2 ** (coord - i0), 2, -1)
+        dep[1, coord] = float(np.max(np.abs(cols[:, :, 1] - cols[:, :, 0])))
+    return dep
+
+
+def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
+                          grid: TimeGrid, i0: int) -> ForwardSegment:
+    """Evolve the start field ``eta`` (given on the step-i0 node space)
+    forward to the horizon with the noise roles swapped.
+
+    ``h_inv(t, y, zt) -> z`` must invert the noise coefficient in z; the
+    extracted integrand is checked against it nodewise at 1e-8 and any
+    mismatch raises with a witness (step, and node of the stored step
+    array).  A coefficient without an inverse (e.g. identically zero g) is
+    rejected the same way.
+    """
+    n = grid.steps
+    if n > FORWARD_MAX_STEPS:
+        raise CapacityError(
+            f"steps={n} exceeds the forward-segment cap {FORWARD_MAX_STEPS} "
+            "(the glue's product-space means allocate 4**N values)"
+        )
+    if not 0 <= i0 <= n:
+        raise ValueError(f"start step {i0} out of range 0..{n}")
+    conv = _sign_convention_case()
+    if conv > 1e-10:
+        raise InvariantError(
+            f"forward sign convention self-check failed (residual {conv})"
+        )
+    eta = np.array(eta, dtype=float)
+    if eta.shape != (2 ** i0, 2 ** (n - i0)):
+        raise ValueError(
+            f"eta has shape {eta.shape}, expected {(2 ** i0, 2 ** (n - i0))}"
+        )
+    ys, zts, dws = [eta], [], []
+    for j in range(i0, n):
+        y_next, zt, c = _forward_step(driver, grid, j, ys[-1], h_inv=h_inv)
+        ys.append(y_next)
+        zts.append(zt)
+        dws.append(c)
+    dependence = np.array([_dependence(y, i0 + k, i0, n)
+                           for k, y in enumerate(ys)])
     segment = ForwardSegment(grid=grid, start_step=i0, ys=ys, zt=zts,
                              dw_integrands=dws, residual=0.0,
                              dependence=dependence)
-    return ForwardSegment(grid=grid, start_step=i0, ys=ys, zt=zts,
-                          dw_integrands=dws,
-                          residual=forward_residual(segment, driver),
-                          dependence=dependence)
+    return replace(segment, residual=forward_residual(segment, driver))
 
 
 # --------------------------------------------------------------------------

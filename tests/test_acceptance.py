@@ -11,7 +11,7 @@ import bdsde_lab as bl
 from bdsde_lab.errors import PremiseViolation
 from bdsde_lab.harness import ComparisonCase, randomized_ordered_cases
 from bdsde_lab.regularize import ConvGridSpec, sup_conv
-from bdsde_lab.tree import _expand_to_product, leaf_increments
+from bdsde_lab.tree import _expand, leaf_increments
 
 from conftest import catalog_driver_specs, catalog_terminals
 
@@ -265,7 +265,7 @@ def test_criterion_6_continuum(sqrt_driver, zero_terminal):
     ys, _ = glued.assembled_fields()
     scale = 1.0 + max(float(np.max(np.abs(y))) for y in ys)
     assert glued.residual_off_splice <= 1e-9 * scale
-    np.testing.assert_array_equal(ys[5], _expand_to_product(eta10, 5, 10))
+    np.testing.assert_array_equal(ys[5], _expand(eta10, (1024, 1024)))
     assert bl.sandwich_check(ys, env10).ok
     elapsed = time.time() - started
     assert elapsed <= 120.0

@@ -1,7 +1,15 @@
+import copy
 import json
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import bdsde_lab.cli as cli
+import bdsde_lab.envelope as envelope
+from bdsde_lab.errors import (CapacityError, CatalogError, ConfigError,
+                              ContractViolation)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -219,3 +227,92 @@ class TestMalformedConfigs:
             assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
             runs.append((out / "envelope_max.csv").read_bytes())
         assert runs[0] == runs[1]
+
+    def test_solve_keys_of_another_backend(self, tmp_path):
+        bad = [("tree", {"m_outer": 8}), ("tree", {"m_inner": 64}),
+               ("tree", {"basis_degree": 1}), ("mc", {"dump": True})]
+        bad += [("scalar", {key: 1}) for key in
+                ("m_outer", "m_inner", "basis_degree", "dump")]
+        for k, (backend, block) in enumerate(bad):
+            cfg = _base_cfg(backend=backend, solve=block)
+            out = tmp_path / f"o{k}"
+            assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2, cfg
+            assert not (out / "solve.csv").exists()
+
+    def test_fractional_step_counts_rejected(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "linear_convergence.json").read_text())
+        cfg["convergence"]["Ns"] = [64.5, 128]
+        out = tmp_path / "o"
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
+        assert not out.exists()
+        cfg["convergence"]["Ns"] = [64.0, 128]
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
+
+
+def test_invariant_failure_exits_4(tmp_path, monkeypatch):
+    # a negative tolerance makes the envelope's monotonicity and lower-bound
+    # checks fail on every iterate
+    monkeypatch.setattr(envelope, "MONOTONE_TOL", -1.0)
+    out = tmp_path / "o"
+    assert cli.run_scenario(_write(tmp_path, _envelope_cfg()), out=str(out)) == 4
+    assert not (out / "envelope_max.csv").exists()
+
+
+# --------------------------------------------------------------------------
+# config fuzzing
+# --------------------------------------------------------------------------
+
+def _leaf_paths(value, prefix=()):
+    """Paths of every key in a config, blocks included."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield prefix + (key,)
+            yield from _leaf_paths(sub, prefix + (key,))
+
+
+_FUZZ_BASES = [json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))]
+_FUZZ_BASES += [_base_cfg(), _envelope_cfg()]
+_FUZZ_PATHS = [(k, path) for k, cfg in enumerate(_FUZZ_BASES)
+               for path in _leaf_paths(cfg)]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+# the errors the runner maps to exit 2, plus CapacityError (exit 3) for a
+# well-formed grid beyond the documented step cap
+_CONFIG_ERRORS = (ConfigError, CatalogError, ContractViolation, ValueError,
+                  CapacityError)
+
+
+def _check_and_build(cfg):
+    cli._validate_config(cfg, {})
+    cli._build_grid(cfg["grid"])
+    cli._build_driver(cfg.get("driver", {}))
+    cli._build_terminal(cfg.get("terminal", {"name": "constant", "params": [0.0]}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_PATHS), _JSON)
+def test_fuzzed_config_values_raise_config_errors(target, value):
+    base, path = target
+    cfg = copy.deepcopy(_FUZZ_BASES[base])
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        _check_and_build(cfg)
+    except _CONFIG_ERRORS:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(_JSON)
+def test_fuzzed_config_root_raises_config_error(value):
+    if isinstance(value, dict):
+        with pytest.raises(_CONFIG_ERRORS):
+            _check_and_build(value)
+    else:
+        with pytest.raises(ConfigError):
+            cli._validate_config(value, {})

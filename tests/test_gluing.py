@@ -3,7 +3,7 @@ import pytest
 
 import bdsde_lab as bl
 from bdsde_lab.errors import InversionError
-from bdsde_lab.tree import _expand_to_product
+from bdsde_lab.tree import _expand
 
 
 def sqrt_setup(steps=4096, conv_tol=0.02, schedule=(2, 4, 8, 16, 32, 64, 128)):
@@ -211,7 +211,7 @@ class TestLatticeGlue:
                                  snap_tol=0.01, lam=0.5)
         ys, zs = glued.assembled_fields()
         # the spliced value at t0 is the target, bitwise
-        np.testing.assert_array_equal(ys[i0], _expand_to_product(eta, i0, 10))
+        np.testing.assert_array_equal(ys[i0], _expand(eta, (1024, 1024)))
         scale = 1.0 + max(float(np.max(np.abs(y))) for y in ys)
         assert glued.residual_off_splice <= 1e-9 * scale
         assert glued.splice_mismatch <= glued.snap_tol + 10.0 * grid.dt
@@ -232,13 +232,13 @@ class TestLatticeGlue:
             if j == n:
                 continue
             sel = glued.tau_index == j
-            y_j = glued.segment2.ys[j - i0][sel]
-            lo = _expand_to_product(np.asarray(env.y_min[j]), j, n)[sel]
-            hi = _expand_to_product(np.asarray(env.y_max[j]), j, n)[sel]
+            y_j = glued.segment2.y_at(j)[sel]
+            lo = _expand(np.asarray(env.y_min[j]), (2 ** n, 2 ** n))[sel]
+            hi = _expand(np.asarray(env.y_max[j]), (2 ** n, 2 ** n))[sel]
             near_max = y_j >= hi - glued.snap_tol
             near_min = y_j <= lo + glued.snap_tol
             assert np.all(near_max ^ near_min)
-            side = glued.side_is_max[sel]
+            side = _expand(glued.side_is_max, (2 ** n, 2 ** n))[sel]
             assert np.array_equal(side, near_max)
 
     def test_boundary_weight_reproduces_maximal(self, stochastic_case):
@@ -251,8 +251,8 @@ class TestLatticeGlue:
         ys, _ = glued.assembled_fields()
         worst = max(
             float(np.max(np.abs(ys[i]
-                                - _expand_to_product(np.asarray(env.y_max[i]),
-                                                     i, 10))))
+                                - _expand(np.asarray(env.y_max[i]),
+                                          (1024, 1024)))))
             for i in range(11)
         )
         assert worst <= 10.0 * grid.dt * (1.0 + float(np.max(np.abs(ys[0]))))

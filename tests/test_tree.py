@@ -3,7 +3,7 @@ import pytest
 
 import bdsde_lab as bl
 from bdsde_lab.errors import CapacityError, InversionError
-from bdsde_lab.tree import _expand_to_product, leaf_increments
+from bdsde_lab.tree import _expand, leaf_increments
 
 from conftest import catalog_driver_specs, catalog_terminals
 
@@ -219,7 +219,7 @@ class TestForwardSwapped:
         seg = bl.solve_forward_swapped(driver, lambda t, y, zt: 0.0 * zt,
                                        eta, grid, i0=2)
         sq = np.sqrt(grid.dt)
-        got = seg.ys[1]
+        got = seg.y_at(3)
         r2 = np.where((np.arange(16) >> 1) & 1, 1.0, -1.0)
         np.testing.assert_allclose(got, np.broadcast_to(-0.8 * sq * r2, (16, 16)),
                                    atol=1e-14)
@@ -236,8 +236,7 @@ class TestForwardSwapped:
         seg = bl.solve_forward_swapped(driver, lambda t, y, zt: zt / 0.5,
                                        eta, grid, i0=3)
         assert len(seg.ys) == 1
-        np.testing.assert_array_equal(seg.ys[0],
-                                      _expand_to_product(eta, 3, 3))
+        np.testing.assert_array_equal(seg.y_at(3), _expand(eta, (8, 8)))
         assert seg.residual == 0.0
 
     def test_inverse_inconsistency_raises_with_witness(self):
