@@ -17,19 +17,19 @@ import bdsde_lab as bl
 from bdsde_lab.regularize import ConvGridSpec, inf_conv, sup_conv
 
 driver = bl.builtin_driver("f_sqrt_pos", [2.0])
-spec = ConvGridSpec(radius=10.0, spacing=1e-4, probe_centered=False)
+spec = ConvGridSpec(radius=10.0, spacing=1e-4)
 
 print("sup-convolution values at the kink (analytic value 1/n):")
 for n in (2, 4, 8, 16):
-    op = sup_conv(driver.f, n, spec, z_independent=True, time_invariant=True)
+    op = sup_conv(driver.f, n, spec, z_independent=True)
     print(f"  n={n:3d}: f_n(0) = {op(0.0, 0.0, 0.0):.6f}   (1/n = {1 / n:.6f})")
 
 print("\ninf-convolution pins the origin exactly (minimiser at 0):")
-op = inf_conv(driver.f, 4.0, spec, z_independent=True, time_invariant=True)
+op = inf_conv(driver.f, 4.0, spec, z_independent=True)
 print(f"  f_4(0) = {op(0.0, 0.0, 0.0)!r}")
 
 print("\naway from the kink both operators reproduce the drift:")
-up = sup_conv(driver.f, 8.0, spec, z_independent=True, time_invariant=True)
+up = sup_conv(driver.f, 8.0, spec, z_independent=True)
 for y in (0.25, 1.0, 2.0):
     print(f"  y={y}: f(y) = {2 * np.sqrt(y):.6f}, f_8(y) = {up(0.0, y, 0.0):.6f}")
 
@@ -37,7 +37,7 @@ print("\nmonotonicity in the slope at a probe inside the regularized zone:")
 probe = 1e-4
 vals = []
 for n in (2, 4, 8, 16, 32):
-    op = sup_conv(driver.f, n, spec, z_independent=True, time_invariant=True)
+    op = sup_conv(driver.f, n, spec, z_independent=True)
     vals.append(op(0.0, probe, 0.0))
 print("  " + " >= ".join(f"{v:.5f}" for v in vals))
 

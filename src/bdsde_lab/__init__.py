@@ -16,7 +16,6 @@ from .core import (
     builtin_terminal,
     catalog_listing,
     check_driver_contract,
-    check_terminal_b_independence,
     driver_pair,
     make_grid,
     shifted_driver,

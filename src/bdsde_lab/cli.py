@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import platform
 import sys
 import time
@@ -191,14 +190,44 @@ def _fmt(x) -> str:
     return f"{x:.17g}"
 
 
-# solve-block keys each backend reads
+# keys each scenario block may hold, and those it must hold; a solve block
+# takes only the keys its backend reads
 _SOLVE_KEYS = {"tree": {"dump"}, "mc": {"m_outer", "m_inner", "basis_degree"},
                "scalar": set()}
+_BLOCK_KEYS = {
+    "envelope": {"schedule", "tol", "conv_tol", "conv_radius"},
+    "kneser": {"t0", "lambdas", "snap_tol", "schedule", "conv_tol",
+               "h_inv_slope"},
+    "compare": {"driver2", "terminal2", "mode", "tol", "eps_bar", "delta",
+                "schedule", "conv_tol"},
+    "convergence": {"case", "Ns", "m_inner"},
+}
+_NEEDED_KEYS = {"kneser": ("t0", "lambdas"), "compare": ("driver2", "terminal2"),
+                "convergence": ("case", "Ns")}
 
 
-def _run_solve(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
-    block = dict(cfg.get("solve", {}))
-    _check_keys(block, _SOLVE_KEYS[backend], f"solve (backend {backend})")
+def _scenario_block(cfg: dict, backend: str) -> dict:
+    """The checked scenario block, with the second driver and terminal of a
+    compare block built."""
+    scenario = cfg["scenario"]
+    block = dict(cfg.get(scenario, {}))
+    if scenario == "solve":
+        _check_keys(block, _SOLVE_KEYS[backend], f"solve (backend {backend})")
+        return block
+    _check_keys(block, _BLOCK_KEYS[scenario], scenario)
+    needed = _NEEDED_KEYS.get(scenario, ())
+    _require(all(key in block for key in needed),
+             f"{scenario} block needs {' and '.join(needed)}")
+    if scenario == "kneser" and backend == "tree":
+        _require(block.get("h_inv_slope") is not None,
+                 "tree-backend kneser needs h_inv_slope (linear inverse)")
+    if scenario == "compare":
+        block["driver2"] = _build_driver(block["driver2"])
+        block["terminal2"] = _build_terminal(block["terminal2"])
+    return block
+
+
+def _run_solve(block, grid, driver, terminal, backend, seed, outdir) -> int:
     if backend == "tree":
         sol = solve_tree(driver, terminal, grid)
         with open(outdir / "solve.csv", "w", newline="") as fh:
@@ -236,9 +265,7 @@ def _run_solve(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     return 0
 
 
-def _run_envelope(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
-    block = dict(cfg.get("envelope", {}))
-    _check_keys(block, {"schedule", "tol", "conv_tol", "conv_radius"}, "envelope")
+def _run_envelope(block, grid, driver, terminal, backend, seed, outdir) -> int:
     env = compute_envelope(
         driver, terminal, grid,
         schedule=block.get("schedule"),
@@ -252,20 +279,12 @@ def _run_envelope(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     return 0
 
 
-def _run_kneser(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
-    block = dict(cfg.get("kneser", {}))
-    _check_keys(block, {"t0", "lambdas", "snap_tol", "schedule", "conv_tol",
-                        "h_inv_slope"}, "kneser")
-    _require("t0" in block and "lambdas" in block,
-             "kneser block needs t0 and lambdas")
+def _run_kneser(block, grid, driver, terminal, backend, seed, outdir) -> int:
     inv_pair = None
     if backend == "tree":
         from .gluing import InvertiblePair
 
-        slope = block.get("h_inv_slope")
-        _require(slope is not None,
-                 "tree-backend kneser needs h_inv_slope (linear inverse)")
-        slope = float(slope)
+        slope = float(block["h_inv_slope"])
         inv_pair = InvertiblePair(
             driver=driver,
             h_inv=lambda t, y, zt: zt * slope,
@@ -285,17 +304,11 @@ def _run_kneser(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     return 0 if report.all_sandwich_ok else 1
 
 
-def _run_compare(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
-    block = dict(cfg.get("compare", {}))
-    _check_keys(block, {"driver2", "terminal2", "mode", "tol", "eps_bar",
-                        "delta", "schedule", "conv_tol"}, "compare")
-    _require("driver2" in block and "terminal2" in block,
-             "compare block needs driver2 and terminal2")
+def _run_compare(block, grid, driver, terminal, backend, seed, outdir) -> int:
     case = ComparisonCase(
         grid=grid,
         driver1=driver, terminal1=terminal,
-        driver2=_build_driver(block["driver2"]),
-        terminal2=_build_terminal(block["terminal2"]),
+        driver2=block["driver2"], terminal2=block["terminal2"],
         premise="config case",
         backend=backend if backend != "mc" else "tree",
         mode=block.get("mode", "direct"),
@@ -311,11 +324,7 @@ def _run_compare(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
     return 0 if report.ok else 1
 
 
-def _run_convergence(cfg, grid, driver, terminal, backend, seed, outdir) -> int:
-    block = dict(cfg.get("convergence", {}))
-    _check_keys(block, {"case", "Ns", "m_inner"}, "convergence")
-    _require("case" in block and "Ns" in block,
-             "convergence block needs case and Ns")
+def _run_convergence(block, grid, driver, terminal, backend, seed, outdir) -> int:
     table = convergence_study(
         block["case"], [int(n) for n in block["Ns"]],
         backend=backend, horizon=grid.horizon,
@@ -337,12 +346,15 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
         return 2
     try:
         _validate_config(cfg, {"seed": seed, "backend": backend, "out": out})
-        outdir = Path(cfg.get("out", "bdsde_out"))
-        outdir.mkdir(parents=True, exist_ok=True)
+        backend = cfg.get("backend", "tree")
         grid = _build_grid(cfg["grid"])
         driver = _build_driver(cfg.get("driver", {}))
         terminal = _build_terminal(cfg.get("terminal",
                                            {"name": "constant", "params": [0.0]}))
+        block = _scenario_block(cfg, backend)
+        # everything above refuses a bad config before the output exists
+        outdir = Path(cfg.get("out", "bdsde_out"))
+        outdir.mkdir(parents=True, exist_ok=True)
         runner = {
             "solve": _run_solve,
             "envelope": _run_envelope,
@@ -351,8 +363,8 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
             "convergence": _run_convergence,
         }[cfg["scenario"]]
         effective = {k: v for k, v in cfg.items() if k != "out"}
-        status = runner(cfg, grid, driver, terminal,
-                        cfg.get("backend", "tree"), cfg.get("seed", 0), outdir)
+        status = runner(block, grid, driver, terminal, backend,
+                        cfg.get("seed", 0), outdir)
         _write_manifest(outdir, effective)
         elapsed = time.monotonic() - started
         (outdir / "run.log").write_text(
@@ -384,18 +396,6 @@ def list_catalog() -> str:
     return "\n".join(lines)
 
 
-def _resolve_threads(flag_value: int | None) -> int:
-    env = os.environ.get("BDSDE_LAB_THREADS")
-    if flag_value is not None:
-        return max(1, flag_value)
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"BDSDE_LAB_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bdsde-lab",
@@ -413,8 +413,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--backend", default=None,
                        choices=["tree", "scalar", "mc"],
                        help="override the config backend")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (also BDSDE_LAB_THREADS; flag wins)")
     sub.add_parser("catalog", help="list drivers, terminals, and cases")
     args = parser.parse_args(argv)
     level = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -423,12 +421,6 @@ def main(argv=None) -> int:
     if args.command == "catalog":
         print(list_catalog())
         return 0
-    try:
-        threads = _resolve_threads(args.threads)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return 2
-    log.info("worker cap %d (computation is vectorised single-process)", threads)
     return run_scenario(args.config, seed=args.seed, out=args.out,
                         backend=args.backend)
 

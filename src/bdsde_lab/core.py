@@ -286,8 +286,7 @@ class TerminalSpec:
 
     ``evaluate`` maps an array whose last axis holds the per-step W
     increments to the terminal value; it is vectorised over leading axes.
-    By construction the value cannot depend on backward-noise coordinates;
-    :func:`check_terminal_b_independence` certifies that wiring.
+    By construction the value cannot depend on backward-noise coordinates.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -335,33 +334,6 @@ def builtin_terminal(name: str, params: Sequence[float] = ()) -> TerminalSpec:
             lambda w: np.maximum(np.asarray(w).sum(axis=-1), 0.0), "w_terminal_pos"
         )
     raise CatalogError(f"unknown terminal name {name!r}")
-
-
-def check_terminal_b_independence(terminal: TerminalSpec, n_steps: int,
-                                  probes: int = 100, seed: int = 0) -> float:
-    """Max change of xi under perturbations of backward-noise coordinates.
-
-    Terminal functionals take only the forward-noise increments, so the
-    probe wraps ``evaluate`` as xi(w, b) := evaluate(w) and finite-differences
-    over every b coordinate; the returned maximum is exactly 0.0 and the
-    check certifies the wiring (a terminal that smuggled in b-dependence
-    through shared state would be caught).
-    """
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((probes, n_steps))
-    b = rng.standard_normal((probes, n_steps))
-
-    def xi(w_inc, b_inc):
-        _ = b_inc
-        return terminal.evaluate(w_inc)
-
-    base = xi(w, b)
-    worst = 0.0
-    for j in range(n_steps):
-        bumped = b.copy()
-        bumped[:, j] += 1.0
-        worst = max(worst, float(np.max(np.abs(xi(w, bumped) - base))))
-    return worst
 
 
 # --------------------------------------------------------------------------

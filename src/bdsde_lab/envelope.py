@@ -15,9 +15,11 @@ Backends:
   recursion with Z == 0; grids up to 10**6 steps.
 * ``tree``: the exact lattice solver; N <= 12.
 
-All iterates of one schedule share a single fixed convolution grid, so the
-monotonicity of the regularized drifts in the slope carries to the solved
-fields exactly (the logged violations are pure round-off).
+All iterates of one schedule share a single fixed convolution grid centred
+at the origin, so the monotonicity of the regularized drifts in the slope
+carries to the solved fields exactly (the logged violations are pure
+round-off).  The convolution tables read the drift at t = 0, so the drift
+must be declared time-invariant.
 
 Convergence is declared in the sup-node distance between consecutive
 iterates.  The slope schedule cannot outrun the time grid: the explicit
@@ -169,8 +171,7 @@ def _conv_grid_for(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
         d = driver.growth_d or 0.0
         excursion = 2.0 * (k * bound + d) / max(n_max - k, 1.0)
         conv_radius = bound + excursion + 1.0
-    return ConvGridSpec.for_tolerance(n_max, conv_tol, radius=conv_radius,
-                                      probe_centered=False)
+    return ConvGridSpec.for_tolerance(n_max, conv_tol, radius=conv_radius)
 
 
 def _solve_one(spec: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,

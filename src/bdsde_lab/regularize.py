@@ -7,12 +7,14 @@ Two families of operators:
       inf-mode:  f_n(y, z) = min over (y', z') of f(y', z') + n(|y-y'| + |z-z'|)
       sup-mode:  f_n(y, z) = max over (y', z') of f(y', z') - n(|y-y'| + |z-z'|)
 
-  evaluated over a truncated candidate grid.  For n at least the linear
-  growth slope K of f these are n-Lipschitz, monotone in n, grow no faster
-  than f, and converge to f; when f is already L-Lipschitz with L <= n they
-  reproduce f up to grid error.  The truncated operator differs from the
-  exact convolution by at most ``2 n spacing`` wherever the optimizer lies
-  inside the candidate box; boundary hits are counted and reported.
+  evaluated over a truncated candidate grid centred at the origin, with the
+  base read at t = 0 (the drift must be time-invariant).  For n at least
+  the linear growth slope K of f these are n-Lipschitz, monotone in n, grow
+  no faster than f, and converge to f; when f is already L-Lipschitz with
+  L <= n they reproduce f up to grid error.  The truncated operator differs
+  from the exact convolution by at most ``2 n spacing`` wherever the
+  optimizer lies inside the candidate box; boundary hits are counted and
+  reported.
 
 * mollification by the compactly supported bump kernel
 
@@ -39,30 +41,23 @@ GRID_CAPACITY = 10_000_000
 
 @dataclass(frozen=True)
 class ConvGridSpec:
-    """Candidate grid for the truncated convolutions.
+    """Candidate grid for the truncated convolutions: the nodes
+    ``spacing * k`` for k = -m..m, m = ceil(radius / spacing), one fixed grid
+    centred at the origin along y and along z."""
 
-    ``radius`` is the half-width of the candidate box; ``None`` selects a
-    probe-adaptive radius 10 (1 + |y| + |z|).  ``probe_centered`` toggles
-    between offsets centered at each probe (exact at the probe itself) and
-    a fixed grid centered at the origin (the variant whose values are an
-    exactly n-Lipschitz function of the probe).
-    """
-
-    radius: float | None
+    radius: float
     spacing: float
-    probe_centered: bool = True
 
     def __post_init__(self):
         if self.spacing <= 0.0:
             raise ValueError("spacing must be positive")
-        if self.radius is not None:
-            if self.radius <= 0.0:
-                raise ValueError("radius must be positive")
-            if self.spacing > self.radius:
-                raise ValueError("spacing must not exceed radius")
+        if self.radius is None or self.radius <= 0.0:
+            raise ValueError("radius must be positive")
+        if self.spacing > self.radius:
+            raise ValueError("spacing must not exceed radius")
 
-    def half_count(self, radius: float, dims: int = 2) -> int:
-        m = int(np.ceil(radius / self.spacing))
+    def half_count(self, dims: int = 2) -> int:
+        m = int(np.ceil(self.radius / self.spacing))
         if (2 * m + 1) ** dims > GRID_CAPACITY:
             raise CapacityError(
                 f"convolution grid would hold {(2 * m + 1) ** dims} points, "
@@ -71,36 +66,33 @@ class ConvGridSpec:
         return m
 
     @staticmethod
-    def for_tolerance(n: float, tol: float, radius: float | None = None,
-                      probe_centered: bool = False) -> "ConvGridSpec":
+    def for_tolerance(n: float, tol: float, radius: float) -> "ConvGridSpec":
         """Spacing chosen so the induced value error 2 n spacing <= tol."""
-        return ConvGridSpec(radius=radius, spacing=tol / (2.0 * n),
-                            probe_centered=probe_centered)
+        return ConvGridSpec(radius=radius, spacing=tol / (2.0 * n))
 
 
 class ConvolvedPart:
-    """Callable (t, y, z) -> value computing the truncated convolution.
+    """Callable (t, y, z) -> value computing the truncated convolution of a
+    time-invariant base on the fixed grid.
 
-    Strategies, picked per call shape and metadata:
+    The base is read at t = 0 once, when the first probe builds a value
+    table; later probes interpolate that table whatever their t.  Two
+    tables, picked by ``z_independent``:
 
-    * fixed grid + z-independent + time-invariant base: a 1-d value table on
-      the grid is built once by the exact two-pass distance transform and
-      probes are evaluated by linear interpolation (which preserves both the
-      n-Lipschitz property and monotonicity in n exactly); a single 0-d
-      probe is interpolated in plain floats, bitwise as ``np.interp`` does;
-    * fixed grid, z-dependent, time-invariant: a separable two-stage table
-      (inner transform along z, outer scan along y) with the same exactness
-      properties;
-    * probe-centered (or time-varying base): direct scan of the offset grid,
-      chunked so memory stays bounded.
+    * z-independent base: a 1-d table on the grid, built by the exact
+      two-pass distance transform and evaluated by linear interpolation
+      (which preserves both the n-Lipschitz property and monotonicity in n
+      exactly); a single 0-d probe is interpolated in plain floats, bitwise
+      as ``np.interp`` does;
+    * z-dependent base: a separable two-stage table (inner transform along
+      z, outer scan along y) with the same exactness properties.
 
     ``boundary_hits`` counts evaluations whose optimizer landed on the edge
     of the candidate box, the failure signature of too small a radius.
     """
 
     def __init__(self, base: DriverPart, n: float, spec: ConvGridSpec,
-                 mode: str, z_independent: bool = False,
-                 time_invariant: bool = False):
+                 mode: str, z_independent: bool = False):
         if mode not in ("inf", "sup"):
             raise ValueError("mode must be 'inf' or 'sup'")
         self.base = base
@@ -108,7 +100,6 @@ class ConvolvedPart:
         self.spec = spec
         self.mode = mode
         self.z_independent = bool(z_independent)
-        self.time_invariant = bool(time_invariant)
         self.boundary_hits = 0
         self._table = None          # (grid, values) for the 1-d fixed path
         self._table2 = None         # (ygrid, zgrid, H) for the 2-d fixed path
@@ -154,7 +145,7 @@ class ConvolvedPart:
         return out
 
     def _fixed_grid(self, dims: int) -> np.ndarray:
-        m = self.spec.half_count(self.spec.radius, dims=dims)
+        m = self.spec.half_count(dims=dims)
         return self.spec.spacing * np.arange(-m, m + 1)
 
     def _build_table_1d(self):
@@ -180,18 +171,14 @@ class ConvolvedPart:
         scalar = y.ndim == 0
         yf = np.atleast_1d(y).ravel()
         zf = np.atleast_1d(z).ravel()
-        if self.spec.probe_centered or self.spec.radius is None:
-            out = self._eval_probe_centered(t, yf, zf)
-        elif self.z_independent and self.time_invariant:
+        if self.z_independent:
             if self._table is None:
                 self._build_table_1d()
             out = self._eval_table_1d(yf)
-        elif self.time_invariant:
+        else:
             if self._table2 is None:
                 self._build_table_2d()
             out = self._eval_table_2d(yf, zf)
-        else:
-            out = self._eval_fixed_scan(t, yf, zf)
         if scalar:
             return float(out[0])
         return out.reshape(y.shape)
@@ -245,103 +232,31 @@ class ConvolvedPart:
         self.boundary_hits += int(np.sum((arg == 0) | (arg == ygrid.size - 1)))
         return total[arg, np.arange(yf.size)]
 
-    def _offsets(self, radius, dims: int = 2):
-        m = self.spec.half_count(radius, dims=dims)
-        return self.spec.spacing * np.arange(-m, m + 1)
-
-    def _scan(self, t, yf, zf, y_cand, z_cand, pen):
-        """Reduce over candidate axes in chunks; exact min/max reduction."""
-        best = None
-        best_arg = None
-        chunk = max(1, GRID_CAPACITY // max(1, yf.size * 8))
-        ncand = y_cand.shape[0]
-        for lo in range(0, ncand, chunk):
-            hi = min(ncand, lo + chunk)
-            vals = np.asarray(self.base(t, y_cand[lo:hi], z_cand[lo:hi]),
-                              dtype=float)
-            total = vals - pen[lo:hi] if self.mode == "sup" else vals + pen[lo:hi]
-            if self.mode == "sup":
-                arg = np.argmax(total, axis=0)
-            else:
-                arg = np.argmin(total, axis=0)
-            cand = total[arg, np.arange(total.shape[1])]
-            if best is None:
-                best, best_arg = cand, arg + lo
-            else:
-                pick = cand > best if self.mode == "sup" else cand < best
-                best = np.where(pick, cand, best)
-                best_arg = np.where(pick, arg + lo, best_arg)
-        return best, best_arg
-
-    def _eval_probe_centered(self, t, yf, zf):
-        radius = self.spec.radius
-        out = np.empty_like(yf)
-        if radius is None:
-            # adaptive radius: group probes to keep the scan vectorised
-            for i in range(yf.size):
-                r = 10.0 * (1.0 + abs(yf[i]) + abs(zf[i]))
-                out[i] = self._eval_probe_block(t, yf[i:i + 1], zf[i:i + 1], r)[0]
-            return out
-        return self._eval_probe_block(t, yf, zf, radius)
-
-    def _eval_probe_block(self, t, yf, zf, radius):
-        if self.z_independent:
-            off = self._offsets(radius, dims=1)
-            y_cand = yf[None, :] + off[:, None]
-            z_cand = np.broadcast_to(zf[None, :], y_cand.shape)
-            pen = self.n * np.abs(off)[:, None] * np.ones_like(yf)[None, :]
-            best, arg = self._scan(t, yf, zf, y_cand, z_cand, pen)
-            edge = off.size - 1
-            self.boundary_hits += int(np.sum((arg == 0) | (arg == edge)))
-            return best
-        off = self._offsets(radius, dims=2)
-        oy = np.repeat(off, off.size)
-        oz = np.tile(off, off.size)
-        y_cand = yf[None, :] + oy[:, None]
-        z_cand = zf[None, :] + oz[:, None]
-        pen = (self.n * (np.abs(oy) + np.abs(oz)))[:, None] * np.ones_like(yf)
-        best, arg = self._scan(t, yf, zf, y_cand, z_cand, pen)
-        edge_mask = (np.abs(oy[arg]) >= off[-1]) | (np.abs(oz[arg]) >= off[-1])
-        self.boundary_hits += int(np.sum(edge_mask))
-        return best
-
-    def _eval_fixed_scan(self, t, yf, zf):
-        grid = self._fixed_grid(dims=2)
-        oy = np.repeat(grid, grid.size)
-        oz = np.tile(grid, grid.size)
-        y_cand = np.broadcast_to(oy[:, None], (oy.size, yf.size))
-        z_cand = np.broadcast_to(oz[:, None], (oz.size, yf.size))
-        pen = self.n * (np.abs(oy[:, None] - yf[None, :])
-                        + np.abs(oz[:, None] - zf[None, :]))
-        best, arg = self._scan(t, yf, zf, y_cand, z_cand, pen)
-        edge = grid[-1]
-        edge_mask = (np.abs(oy[arg]) >= edge) | (np.abs(oz[arg]) >= edge)
-        self.boundary_hits += int(np.sum(edge_mask))
-        return best
-
 
 def inf_conv(f: DriverPart, n: float, grid_spec: ConvGridSpec,
-             growth_k: float | None = None, z_independent: bool = False,
-             time_invariant: bool = False) -> ConvolvedPart:
-    """Inf-convolution of a drift part with l1 slope ``n``.
+             growth_k: float | None = None,
+             z_independent: bool = False) -> ConvolvedPart:
+    """Inf-convolution of a drift part with l1 slope ``n``, the base read
+    at t = 0.
 
     Lies below f (up to grid error) and is n-Lipschitz; nondecreasing in n.
     """
     if growth_k is not None and n < growth_k:
         raise ValueError(f"slope n={n} must be >= the growth constant {growth_k}")
-    return ConvolvedPart(f, n, grid_spec, "inf", z_independent, time_invariant)
+    return ConvolvedPart(f, n, grid_spec, "inf", z_independent)
 
 
 def sup_conv(f: DriverPart, n: float, grid_spec: ConvGridSpec,
-             growth_k: float | None = None, z_independent: bool = False,
-             time_invariant: bool = False) -> ConvolvedPart:
-    """Sup-convolution of a drift part with l1 slope ``n``.
+             growth_k: float | None = None,
+             z_independent: bool = False) -> ConvolvedPart:
+    """Sup-convolution of a drift part with l1 slope ``n``, the base read
+    at t = 0.
 
     Lies above f (up to grid error) and is n-Lipschitz; nonincreasing in n.
     """
     if growth_k is not None and n < growth_k:
         raise ValueError(f"slope n={n} must be >= the growth constant {growth_k}")
-    return ConvolvedPart(f, n, grid_spec, "sup", z_independent, time_invariant)
+    return ConvolvedPart(f, n, grid_spec, "sup", z_independent)
 
 
 @dataclass(frozen=True)
@@ -360,12 +275,16 @@ class RegularizedDriver:
 
 def regularized_driver(driver: DriverSpec, n: float, mode: str,
                        grid_spec: ConvGridSpec) -> RegularizedDriver:
+    """Replace the drift by its convolution with slope ``n``.  The tables
+    read the drift at t = 0, so a drift not declared time-invariant is
+    refused."""
     if driver.growth_k is None:
         raise ValueError("regularization needs the growth constant K")
+    if not driver.f_time_invariant:
+        raise ValueError("regularization needs a time-invariant drift")
     conv = (sup_conv if mode == "sup" else inf_conv)(
         driver.f, n, grid_spec, growth_k=driver.growth_k,
         z_independent=driver.f_z_independent,
-        time_invariant=driver.f_time_invariant,
     )
     spec = driver.with_f(
         conv,

@@ -51,16 +51,13 @@ def catalog_terminals():
     ]
 
 
-def brute_force_conv(f, n, t, y, z, mode, radius, spacing, probe_centered):
-    """Independent dense-scan oracle for the truncated convolutions."""
+def brute_force_conv(f, n, t, y, z, mode, radius, spacing):
+    """Independent dense-scan oracle for the truncated convolutions on the
+    fixed grid centred at the origin."""
     m = int(np.ceil(radius / spacing))
     off = spacing * np.arange(-m, m + 1)
-    if probe_centered:
-        yy = y + np.repeat(off, off.size)
-        zz = z + np.tile(off, off.size)
-    else:
-        yy = np.repeat(off, off.size)
-        zz = np.tile(off, off.size)
+    yy = np.repeat(off, off.size)
+    zz = np.tile(off, off.size)
     vals = np.asarray(f(t, yy, zz), dtype=float)
     pen = n * (np.abs(yy - y) + np.abs(zz - z))
     if mode == "sup":

@@ -90,7 +90,7 @@ def test_criterion_3_regularization_properties(sqrt_driver):
     rng = np.random.default_rng(101)
     probes_y = rng.uniform(-8.0, 8.0, size=10_000)
     probes_z = rng.uniform(-8.0, 8.0, size=10_000)
-    spec = ConvGridSpec(radius=30.0, spacing=0.05, probe_centered=False)
+    spec = ConvGridSpec(radius=30.0, spacing=0.05)
     f_entries, _ = catalog_driver_specs()
     drivers = [bl.builtin_driver(name, params) for name, params in f_entries]
     for driver in drivers:
@@ -124,13 +124,12 @@ def test_criterion_3_regularization_properties(sqrt_driver):
             assert np.all(gap <= n * l1 + 1e-12)
     # (iv) decreasing gap along the doubling schedule on the sqrt drift
     dg = 1e-5
-    fine = ConvGridSpec(radius=2.0, spacing=dg, probe_centered=False)
+    fine = ConvGridSpec(radius=2.0, spacing=dg)
     gaps = []
     for m in range(1, 6):
         n = 2.0 ** m
         y = 1.0 / (2.0 * n * n)
-        op = sup_conv(sqrt_driver.f, n, fine, z_independent=True,
-                      time_invariant=True)
+        op = sup_conv(sqrt_driver.f, n, fine, z_independent=True)
         gaps.append(abs(op(0.0, y, 0.0)
                         - float(sqrt_driver.f(0.0, np.asarray(y),
                                               np.asarray(0.0)))))
@@ -138,9 +137,8 @@ def test_criterion_3_regularization_properties(sqrt_driver):
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     # spot value: sup-convolution of the sqrt drift at the origin
     dg_spot = 0.001
-    spot_spec = ConvGridSpec(radius=10.0, spacing=dg_spot, probe_centered=True)
-    op = sup_conv(sqrt_driver.f, 4.0, spot_spec, z_independent=True,
-                  time_invariant=True)
+    spot_spec = ConvGridSpec(radius=10.0, spacing=dg_spot)
+    op = sup_conv(sqrt_driver.f, 4.0, spot_spec, z_independent=True)
     assert abs(op(0.0, 0.0, 0.0) - 0.25) <= 2.0 * 4.0 * dg_spot
     elapsed = time.time() - started
     assert elapsed <= 60.0

@@ -159,16 +159,6 @@ class TestMain:
                          str(CONFIG_DIR / "linear_convergence.json"),
                          "--out", str(tmp_path / "o")]) == 0
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BDSDE_LAB_THREADS", "junk")
-        assert cli.main(["run", "--config",
-                         str(CONFIG_DIR / "linear_convergence.json"),
-                         "--out", str(tmp_path / "o")]) == 2
-        monkeypatch.setenv("BDSDE_LAB_THREADS", "4")
-        assert cli.main(["run", "--config",
-                         str(CONFIG_DIR / "linear_convergence.json"),
-                         "--out", str(tmp_path / "o"), "--threads", "2"]) == 0
-
     def test_missing_config(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -249,6 +239,33 @@ class TestMalformedConfigs:
         assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
 
 
+_UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
+
+
+@pytest.mark.parametrize("cfg", [
+    _base_cfg(solve={"m_outer": 8}),
+    _base_cfg(scenario="kneser", kneser={"t0": 0.5, "lambdas": [0.0, 1.0]}),
+    _base_cfg(driver=_UNKNOWN_F),
+    _base_cfg(scenario="compare", compare={
+        "driver2": _UNKNOWN_F, "terminal2": {"name": "constant", "params": [1.0]}}),
+    _base_cfg(grid={"horizon": 1.0, "steps": 0}),
+], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
+        "unknown_driver", "unknown_driver2", "zero_steps"])
+def test_refused_config_writes_nothing(tmp_path, cfg):
+    out = tmp_path / "o"
+    assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
+    assert not out.exists()
+
+
+def test_refused_config_keeps_an_existing_directory(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept")
+    cfg = _base_cfg(grid={"horizon": 1.0, "steps": 0})
+    assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
 def test_invariant_failure_exits_4(tmp_path, monkeypatch):
     # a negative tolerance makes the envelope's monotonicity and lower-bound
     # checks fail on every iterate
@@ -290,6 +307,7 @@ def _check_and_build(cfg):
     cli._build_grid(cfg["grid"])
     cli._build_driver(cfg.get("driver", {}))
     cli._build_terminal(cfg.get("terminal", {"name": "constant", "params": [0.0]}))
+    cli._scenario_block(cfg, cfg.get("backend", "tree"))
 
 
 @settings(max_examples=300, deadline=None)

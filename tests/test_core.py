@@ -6,7 +6,7 @@ import pytest
 import bdsde_lab as bl
 from bdsde_lab.errors import CapacityError, CatalogError, ContractViolation
 
-from conftest import catalog_driver_specs, catalog_terminals
+from conftest import catalog_driver_specs
 
 
 class TestTimeGrid:
@@ -121,11 +121,6 @@ class TestTerminalCatalog:
     def test_unknown(self):
         with pytest.raises(CatalogError):
             bl.builtin_terminal("digital", [1.0])
-
-    @pytest.mark.parametrize("name,params", catalog_terminals())
-    def test_b_independence_is_exactly_zero(self, name, params):
-        spec = bl.builtin_terminal(name, params)
-        assert bl.check_terminal_b_independence(spec, n_steps=6) == 0.0
 
 
 class TestContractChecker:

@@ -23,8 +23,10 @@ class TestConvGridSpec:
             ConvGridSpec(radius=1.0, spacing=0.0)
         with pytest.raises(ValueError):
             ConvGridSpec(radius=0.5, spacing=1.0)
+        with pytest.raises(ValueError):
+            ConvGridSpec(radius=None, spacing=0.05)
         with pytest.raises(CapacityError):
-            ConvGridSpec(radius=100.0, spacing=1e-5).half_count(100.0)
+            ConvGridSpec(radius=100.0, spacing=1e-5).half_count()
 
     def test_for_tolerance(self):
         spec = ConvGridSpec.for_tolerance(n=8.0, tol=0.01, radius=4.0)
@@ -55,17 +57,14 @@ class TestConvolutionValues:
         op = sup_conv(fneg, 1.0, spec)
         rng = np.random.default_rng(5)
         for y in rng.uniform(-5, 5, size=20):
-            oracle = brute_force_conv(fneg, 1.0, 0.0, y, 0.0, "sup", 10.0,
-                                      0.01, probe_centered=True)
-            assert op(0.0, y, 0.0) == pytest.approx(oracle, abs=1e-12)
             assert abs(op(0.0, y, 0.0) - (-abs(y))) <= 2 * 1.0 * 0.01
 
     def test_sqrt_spot_values(self, sqrt_driver):
         spec = ConvGridSpec(radius=10.0, spacing=0.001)
         up = sup_conv(sqrt_driver.f, 4.0, spec, growth_k=2.0,
-                      z_independent=True, time_invariant=True)
+                      z_independent=True)
         lo = inf_conv(sqrt_driver.f, 4.0, spec, growth_k=2.0,
-                      z_independent=True, time_invariant=True)
+                      z_independent=True)
         # maximiser u = 1/16 gives 2/4 - 4/16 = 1/4; minimiser is the origin
         assert abs(up(0.0, 0.0, 0.0) - 0.25) <= 2 * 4.0 * 0.001
         assert lo(0.0, 0.0, 0.0) == 0.0
@@ -79,62 +78,30 @@ class TestConvolutionValues:
         flin = _f("f_linear", [0.6, 0.3])
         rng = np.random.default_rng(7)
         probes = rng.uniform(-3, 3, size=(12, 2))
-        for centered in (True, False):
-            spec = ConvGridSpec(radius=6.0, spacing=0.05, probe_centered=centered)
-            for mode, build in (("sup", sup_conv), ("inf", inf_conv)):
-                op = build(flin.f, 2.0, spec, time_invariant=True)
-                for y, z in probes:
-                    oracle = brute_force_conv(flin.f, 2.0, 0.0, y, z, mode,
-                                              6.0, 0.05, probe_centered=centered)
-                    got = op(0.0, y, z)
-                    tol = 1e-12 if centered else 2 * 2.0 * 0.05
-                    assert abs(got - oracle) <= tol
+        spec = ConvGridSpec(radius=6.0, spacing=0.05)
+        for mode, build in (("sup", sup_conv), ("inf", inf_conv)):
+            op = build(flin.f, 2.0, spec)
+            for y, z in probes:
+                oracle = brute_force_conv(flin.f, 2.0, 0.0, y, z, mode,
+                                          6.0, 0.05)
+                assert abs(op(0.0, y, z) - oracle) <= 2 * 2.0 * 0.05
 
     def test_fixed_1d_table_matches_brute_force(self, sqrt_driver):
-        spec = ConvGridSpec(radius=8.0, spacing=0.01, probe_centered=False)
-        op = sup_conv(sqrt_driver.f, 4.0, spec, z_independent=True,
-                      time_invariant=True)
+        spec = ConvGridSpec(radius=8.0, spacing=0.01)
+        op = sup_conv(sqrt_driver.f, 4.0, spec, z_independent=True)
         rng = np.random.default_rng(8)
         for y in rng.uniform(-3, 3, size=15):
             oracle = brute_force_conv(lambda t, yy, zz: sqrt_driver.f(t, yy, zz),
-                                      4.0, 0.0, y, 0.0, "sup", 8.0, 0.01,
-                                      probe_centered=False)
+                                      4.0, 0.0, y, 0.0, "sup", 8.0, 0.01)
             # table interpolation may only move values toward the exact
             # convolution, staying within one grid-error of the dense scan
             assert op(0.0, y, 0.0) >= oracle - 1e-12
             assert abs(op(0.0, y, 0.0) - oracle) <= 2 * 4.0 * 0.01
 
-    def test_adaptive_radius_default(self):
-        # radius None selects a probe-adaptive box 10 (1 + |y| + |z|)
-        flin = _f("f_linear", [0.6, 0.3])
-        spec = ConvGridSpec(radius=None, spacing=0.05)
-        op = sup_conv(flin.f, 2.0, spec)
-        for y, z in ((0.0, 0.0), (1.5, -0.5)):
-            oracle = brute_force_conv(flin.f, 2.0, 0.0, y, z, "sup",
-                                      10.0 * (1 + abs(y) + abs(z)), 0.05,
-                                      probe_centered=True)
-            assert op(0.0, y, z) == pytest.approx(oracle, abs=1e-12)
-
-    def test_scan_chunking_bit_identical(self, monkeypatch):
-        # exact min/max reductions: the chunk split cannot change any bit
-        import bdsde_lab.regularize as reg
-
-        flin = _f("f_linear", [0.6, 0.3])
-        spec = ConvGridSpec(radius=4.0, spacing=0.05, probe_centered=True)
-        rng = np.random.default_rng(31)
-        y = rng.uniform(-2, 2, size=64)
-        z = rng.uniform(-2, 2, size=64)
-        results = []
-        for cap in (10_000_000, 40_000):
-            monkeypatch.setattr(reg, "GRID_CAPACITY", cap)
-            op = sup_conv(flin.f, 2.0, spec)
-            results.append(op(0.0, y, z).copy())
-        np.testing.assert_array_equal(results[0], results[1])
-
     def test_boundary_hits_reported(self):
         flin = _f("f_linear", [1.0, 0.0])
-        spec = ConvGridSpec(radius=0.5, spacing=0.05, probe_centered=False)
-        op = sup_conv(flin.f, 2.0, spec, z_independent=True, time_invariant=True)
+        spec = ConvGridSpec(radius=0.5, spacing=0.05)
+        op = sup_conv(flin.f, 2.0, spec, z_independent=True)
         op(0.0, 5.0, 0.0)  # optimizer pinned at the box edge
         assert op.boundary_hits > 0
 
@@ -151,7 +118,7 @@ class TestRegularizedDriverProperties:
         rng = np.random.default_rng(11)
         y = rng.uniform(-8, 8, size=10_000)
         z = rng.uniform(-8, 8, size=10_000)
-        spec = ConvGridSpec(radius=30.0, spacing=0.05, probe_centered=False)
+        spec = ConvGridSpec(radius=30.0, spacing=0.05)
         for driver in self._drivers():
             k_base = max(driver.growth_k, 0.25)
             for mode in ("sup", "inf"):
@@ -168,7 +135,7 @@ class TestRegularizedDriverProperties:
         rng = np.random.default_rng(29)
         y = rng.uniform(-6, 6, size=2000)
         z = rng.uniform(-6, 6, size=2000)
-        spec = ConvGridSpec(radius=20.0, spacing=0.05, probe_centered=False)
+        spec = ConvGridSpec(radius=20.0, spacing=0.05)
         for driver in self._drivers():
             n = max(driver.growth_k, 0.25) * 2.0
             base = driver.f(0.0, y, z)
@@ -182,7 +149,7 @@ class TestRegularizedDriverProperties:
         rng = np.random.default_rng(12)
         y = rng.uniform(-6, 6, size=2000)
         z = rng.uniform(-6, 6, size=2000)
-        spec = ConvGridSpec(radius=20.0, spacing=0.05, probe_centered=False)
+        spec = ConvGridSpec(radius=20.0, spacing=0.05)
         for driver in self._drivers():
             k_base = max(driver.growth_k, 0.25)
             sup_prev = inf_prev = None
@@ -201,7 +168,7 @@ class TestRegularizedDriverProperties:
         rng = np.random.default_rng(13)
         p = rng.uniform(-6, 6, size=(10_000, 2))
         q = rng.uniform(-6, 6, size=(10_000, 2))
-        spec = ConvGridSpec(radius=20.0, spacing=0.05, probe_centered=False)
+        spec = ConvGridSpec(radius=20.0, spacing=0.05)
         for driver in self._drivers():
             n = max(driver.growth_k, 0.25) * 2.0
             for mode in ("sup", "inf"):
@@ -218,23 +185,48 @@ class TestRegularizedDriverProperties:
         # decreases and falls below the fixed tolerance schedule
         # tol_m = (1.5 - sqrt(2))/n_m + 10 * spacing * n_m
         dg = 1e-5
-        spec = ConvGridSpec(radius=2.0, spacing=dg, probe_centered=False)
+        spec = ConvGridSpec(radius=2.0, spacing=dg)
         gaps = []
         for m in range(1, 6):
             n = 2.0 ** m
             y = 1.0 / (2.0 * n * n)
-            op = sup_conv(sqrt_driver.f, n, spec, z_independent=True,
-                          time_invariant=True)
+            op = sup_conv(sqrt_driver.f, n, spec, z_independent=True)
             base = float(sqrt_driver.f(0.0, np.asarray(y), np.asarray(0.0)))
             gaps.append(abs(op(0.0, y, 0.0) - base))
             assert gaps[-1] <= (1.5 - np.sqrt(2.0)) / n + 10.0 * dg * n
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
         flin = bl.builtin_driver("f_linear", [0.7, 0.0])
-        op = sup_conv(flin.f, 2.0, spec, z_independent=True, time_invariant=True)
+        op = sup_conv(flin.f, 2.0, spec, z_independent=True)
         for y in (-1.5, 0.4, 1.2):
             base = 0.7 * y
             assert abs(op(0.0, y, 0.0) - base) <= (0.7 + 2.0) * spec.spacing
+
+
+class TestTimeVaryingDrift:
+    """The convolution tables read the drift at t = 0, so a drift not
+    declared time-invariant is refused instead of frozen at t = 0."""
+
+    @staticmethod
+    def _driver():
+        return bl.DriverSpec(
+            f=lambda t, y, z: (1.0 + t) * np.sqrt(np.maximum(y, 0.0)),
+            g=bl.builtin_driver("f_sqrt_pos", [2.0]).g,
+            growth_k=2.0, growth_d=2.0, f_z_independent=True)
+
+    def test_regularized_driver_refuses(self):
+        spec = ConvGridSpec(radius=5.0, spacing=0.05)
+        for mode in ("sup", "inf"):
+            with pytest.raises(ValueError, match="time-invariant"):
+                bl.regularized_driver(self._driver(), 4.0, mode, spec)
+
+    def test_compute_envelope_refuses(self):
+        grid = bl.make_grid(1.0, 8)
+        terminal = bl.builtin_terminal("constant", [0.0])
+        for backend in ("scalar", "tree"):
+            with pytest.raises(ValueError, match="time-invariant"):
+                bl.compute_envelope(self._driver(), terminal, grid,
+                                    schedule=[2.0, 4.0], backend=backend)
 
 
 class TestMollifier:

@@ -40,9 +40,9 @@ TABLES = [  # (catalog drift, params, slope, spacing)
 @functools.lru_cache(maxsize=None)
 def _operator(table: int, mode: str) -> ConvolvedPart:
     name, params, n, spacing = TABLES[table]
-    spec = ConvGridSpec(radius=RADIUS, spacing=spacing, probe_centered=False)
+    spec = ConvGridSpec(radius=RADIUS, spacing=spacing)
     op = ConvolvedPart(bl.builtin_driver(name, params).f, n, spec, mode,
-                       z_independent=True, time_invariant=True)
+                       z_independent=True)
     op(0.0, np.zeros(2), np.zeros(2))       # build the table
     return op
 
