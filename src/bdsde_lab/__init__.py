@@ -27,7 +27,6 @@ from .envelope import (
     maximal_solution,
     minimal_solution,
     sandwich_check,
-    write_envelope_csv,
 )
 from .gluing import (
     ContinuumReport,
@@ -39,7 +38,6 @@ from .gluing import (
     glue_solution,
     interpolate_target,
     validate_inverse,
-    write_continuum_csv,
 )
 from .harness import (
     ComparisonCase,

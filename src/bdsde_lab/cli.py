@@ -1,15 +1,17 @@
 """Scenario runner and catalog browser.
 
 A scenario is a JSON config naming a grid, a driver pair, a terminal, a
-backend, and one scenario block; the runner executes it and writes CSV
-artifacts plus a manifest into the output directory.  Exit codes: 0 success,
-1 property-suite failure, 2 configuration error, 3 numeric/capacity error,
-4 failed internal invariant.
+backend, and one scenario block.  The scenario computes first; only then
+is the output directory created and are its artifacts, the manifest and
+``run.log`` written, so a run that raises writes nothing.  Exit codes:
+0 success, 1 property-suite failure, 2 configuration error,
+3 numeric/capacity error, 4 failed internal invariant.
 
 Determinism contract: with the same config and seed, every CSV and the
 manifest are byte-identical across runs; wall-clock timing goes to
-``run.log`` only.  Numbers are printed with 17 significant digits so the
-CSVs round-trip to the exact binary values.
+``run.log`` only.  This module formats every CSV cell (``_cell``): numbers
+with 17 significant digits, so the CSVs round-trip to the exact binary
+values.  Binary dumps are written by the module that loads them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     driver_pair,
     make_grid,
 )
-from .envelope import compute_envelope, write_envelope_csv
+from .envelope import _check_scalar_applicable, _scalar_solve, compute_envelope
 from .errors import (
     CapacityError,
     ConfigError,
@@ -45,14 +47,12 @@ from .errors import (
     RegressionError,
     StabilityError,
 )
-from .gluing import continuum_sample, write_continuum_csv
+from .gluing import InvertiblePair, continuum_sample
 from .harness import (
     CLOSED_FORM_CASE_NAMES,
     ComparisonCase,
     compare_solutions,
     convergence_study,
-    write_comparison_csv,
-    write_error_table_csv,
 )
 from .lsmc import BasisSpec, sample_paths, solve_lsmc
 from .tree import expectation_at, save_tree_solution, solve_tree
@@ -174,7 +174,7 @@ def _validate_config(cfg, overrides: dict) -> None:
 
 def _write_manifest(outdir: Path, cfg: dict) -> None:
     manifest = {
-        "config": cfg,
+        "config": {k: v for k, v in cfg.items() if k != "out"},
         "versions": {
             "bdsde_lab": __version__,
             "numpy": np.__version__,
@@ -184,10 +184,6 @@ def _write_manifest(outdir: Path, cfg: dict) -> None:
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-
-
-def _fmt(x) -> str:
-    return f"{x:.17g}"
 
 
 # keys each scenario block may hold, and those it must hold; a solve block
@@ -227,45 +223,59 @@ def _scenario_block(cfg: dict, backend: str) -> dict:
     return block
 
 
-def _run_solve(block, grid, driver, terminal, backend, seed, outdir) -> int:
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    return f"{value:.17g}"
+
+
+def _csv(header: list, rows: list):
+    """Writer of one CSV artifact; every cell is formatted by ``_cell``."""
+    def write(path: Path) -> None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in row] for row in rows)
+    return write
+
+
+# a runner only computes; it returns (exit status, {file name: writer})
+
+def _run_solve(block, grid, driver, terminal, backend, seed):
     if backend == "tree":
         sol = solve_tree(driver, terminal, grid)
-        with open(outdir / "solve.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "t", "mean", "min", "max", "mean_square"])
-            for i in range(grid.steps + 1):
-                summary = expectation_at(sol, i)
-                writer.writerow([i, _fmt(grid.time(i)), _fmt(summary["mean"]),
-                                 _fmt(summary["min"]), _fmt(summary["max"]),
-                                 _fmt(summary["mean_square"])])
+        # the columns after step and t are the keys of expectation_at
+        header = ["step", "t", "mean", "min", "max", "mean_square"]
+        rows = [[i, grid.time(i), *map(expectation_at(sol, i).get, header[2:])]
+                for i in range(grid.steps + 1)]
+        artifacts = {"solve.csv": _csv(header, rows)}
         if block.get("dump"):
-            save_tree_solution(outdir / "solution.bin", sol)
-        return 0
+            artifacts["solution.bin"] = lambda path: save_tree_solution(path, sol)
+        return 0, artifacts
     if backend == "mc":
         m_outer = int(block.get("m_outer", 16))
         m_inner = int(block.get("m_inner", 4096))
         degree = int(block.get("basis_degree", 2))
         paths = sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, BasisSpec("poly", degree), paths)
-        with open(outdir / "solve.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outer_path", "y0"])
-            for k, y0 in enumerate(sol.y0):
-                writer.writerow([k, _fmt(y0)])
-        return 0
-    from .envelope import _check_scalar_applicable, _scalar_solve
-
+        return 0, {"solve.csv": _csv(["outer_path", "y0"],
+                                     list(enumerate(sol.y0)))}
     xi = _check_scalar_applicable(driver, terminal, grid)
     y = _scalar_solve(driver.f, grid, xi)
-    with open(outdir / "solve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "y"])
-        for i in range(grid.steps + 1):
-            writer.writerow([i, _fmt(grid.time(i)), _fmt(y[i])])
-    return 0
+    rows = [[i, grid.time(i), y[i]] for i in range(grid.steps + 1)]
+    return 0, {"solve.csv": _csv(["step", "t", "y"], rows)}
 
 
-def _run_envelope(block, grid, driver, terminal, backend, seed, outdir) -> int:
+def _envelope_rows(side) -> list:
+    last = len(side.iterates) - 1
+    return [[k, rec.n, rec.sup_dist_prev, rec.y0_mean,
+             side.converged and k == last]
+            for k, rec in enumerate(side.iterates)]
+
+
+def _run_envelope(block, grid, driver, terminal, backend, seed):
     env = compute_envelope(
         driver, terminal, grid,
         schedule=block.get("schedule"),
@@ -274,16 +284,14 @@ def _run_envelope(block, grid, driver, terminal, backend, seed, outdir) -> int:
         conv_tol=block.get("conv_tol"),
         conv_radius=block.get("conv_radius"),
     )
-    write_envelope_csv(outdir / "envelope_max.csv", env.maximal)
-    write_envelope_csv(outdir / "envelope_min.csv", env.minimal)
-    return 0
+    header = ["k", "n_k", "supDistPrev", "Y0_mean", "converged"]
+    return 0, {"envelope_max.csv": _csv(header, _envelope_rows(env.maximal)),
+               "envelope_min.csv": _csv(header, _envelope_rows(env.minimal))}
 
 
-def _run_kneser(block, grid, driver, terminal, backend, seed, outdir) -> int:
+def _run_kneser(block, grid, driver, terminal, backend, seed):
     inv_pair = None
     if backend == "tree":
-        from .gluing import InvertiblePair
-
         slope = float(block["h_inv_slope"])
         inv_pair = InvertiblePair(
             driver=driver,
@@ -300,11 +308,14 @@ def _run_kneser(block, grid, driver, terminal, backend, seed, outdir) -> int:
         schedule=block.get("schedule"),
         conv_tol=block.get("conv_tol"),
     )
-    write_continuum_csv(outdir / "continuum.csv", report)
-    return 0 if report.all_sandwich_ok else 1
+    rows = [[r.lam, r.y0, r.tau_mean, r.residual_off_splice,
+             r.splice_mismatch, r.sandwich_ok] for r in report.records]
+    return (0 if report.all_sandwich_ok else 1), {"continuum.csv": _csv(
+        ["lambda", "Y0", "tauMean", "residualOffSplice", "spliceMismatch",
+         "sandwichPass"], rows)}
 
 
-def _run_compare(block, grid, driver, terminal, backend, seed, outdir) -> int:
+def _run_compare(block, grid, driver, terminal, backend, seed):
     case = ComparisonCase(
         grid=grid,
         driver1=driver, terminal1=terminal,
@@ -320,18 +331,21 @@ def _run_compare(block, grid, driver, terminal, backend, seed, outdir) -> int:
         conv_tol=block.get("conv_tol"),
     )
     report = compare_solutions(case)
-    write_comparison_csv(outdir / "compare.csv", [report])
-    return 0 if report.ok else 1
+    row = [report.case_premise, report.premise_ok, report.dominance_ok,
+           report.worst_margin, report.tol,
+           report.details.get("stability_margin", float("nan"))]
+    return (0 if report.ok else 1), {"compare.csv": _csv(
+        ["case", "premise_ok", "dominance_ok", "worst_margin", "tol",
+         "stability_margin"], [row])}
 
 
-def _run_convergence(block, grid, driver, terminal, backend, seed, outdir) -> int:
+def _run_convergence(block, grid, driver, terminal, backend, seed):
     table = convergence_study(
         block["case"], [int(n) for n in block["Ns"]],
         backend=backend, horizon=grid.horizon,
         m_inner=int(block.get("m_inner", 2000)), seed=seed,
     )
-    write_error_table_csv(outdir / "convergence.csv", table)
-    return 0
+    return 0, {"convergence.csv": _csv(["N", "error", "ratio"], table.rows)}
 
 
 def run_scenario(config_path, seed: int | None = None, out: str | None = None,
@@ -352,9 +366,6 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
         terminal = _build_terminal(cfg.get("terminal",
                                            {"name": "constant", "params": [0.0]}))
         block = _scenario_block(cfg, backend)
-        # everything above refuses a bad config before the output exists
-        outdir = Path(cfg.get("out", "bdsde_out"))
-        outdir.mkdir(parents=True, exist_ok=True)
         runner = {
             "solve": _run_solve,
             "envelope": _run_envelope,
@@ -362,10 +373,13 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
             "compare": _run_compare,
             "convergence": _run_convergence,
         }[cfg["scenario"]]
-        effective = {k: v for k, v in cfg.items() if k != "out"}
-        status = runner(block, grid, driver, terminal, backend,
-                        cfg.get("seed", 0), outdir)
-        _write_manifest(outdir, effective)
+        status, artifacts = runner(block, grid, driver, terminal, backend,
+                                   cfg.get("seed", 0))
+        outdir = Path(cfg.get("out", "bdsde_out"))
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, write in artifacts.items():
+            write(outdir / name)
+        _write_manifest(outdir, cfg)
         elapsed = time.monotonic() - started
         (outdir / "run.log").write_text(
             f"scenario={cfg['scenario']} status={status} "

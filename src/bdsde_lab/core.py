@@ -226,18 +226,10 @@ def builtin_driver(name: str, params: Sequence[float] = ()) -> DriverSpec:
     Noise names: g_zero, g_constant(gamma), g_linear(beta), g_sine(beta, amp).
     Use :func:`driver_pair` to combine a drift part with a noise part.
     """
-    params = tuple(float(p) for p in params)
     if name in _F_CATALOG:
-        _check_arity(name, params, _F_CATALOG)
-        meta = _build_f(name, params)
-        return DriverSpec(g=_zero, f_time_invariant=True,
-                          descriptor=_describe(name, params, "g_zero", ()), **meta)
+        return driver_pair(name, params)
     if name in _G_CATALOG:
-        _check_arity(name, params, _G_CATALOG)
-        meta = _build_g(name, params)
-        return DriverSpec(f=_zero, growth_k=0.0, growth_d=0.0, f_lipschitz=0.0,
-                          f_time_invariant=True, f_z_independent=True,
-                          descriptor=_describe("zero", (), name, params), **meta)
+        return driver_pair("zero", (), name, params)
     raise CatalogError(f"unknown catalog name {name!r}")
 
 

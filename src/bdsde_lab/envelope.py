@@ -29,7 +29,6 @@ instructing a finer grid.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,9 +63,6 @@ class EnvelopeSide:
     boundary_hits: int = 0
     final_reg_spec: DriverSpec | None = None   # driver of the last iterate
 
-    def y0_summary(self) -> float:
-        return float(np.mean(fld.step_values(self.y, 0)))
-
 
 @dataclass(frozen=True)
 class EnvelopeResult:
@@ -86,11 +82,11 @@ class EnvelopeResult:
         return (fld.step_values(self.y_min, i), fld.step_values(self.y_max, i))
 
 
-def default_schedule(driver: DriverSpec, grid: TimeGrid, doublings: int = 7) -> list:
-    """Slopes K * 2**k for k = 0..doublings, dropping entries that violate
-    the step-size guard dt * n <= 0.5."""
+def default_schedule(driver: DriverSpec, grid: TimeGrid) -> list:
+    """Slopes K * 2**k for k = 0..7, dropping entries that violate the
+    step-size guard dt * n <= 0.5."""
     k = max(driver.growth_k or 0.0, 1e-12)
-    raw = [k * 2.0 ** j for j in range(doublings + 1)]
+    raw = [k * 2.0 ** j for j in range(8)]
     kept = [n for n in raw if grid.dt * n <= 0.5]
     return kept or [raw[0]]
 
@@ -384,16 +380,3 @@ def sandwich_check(candidate, envelope: EnvelopeResult,
     for i in range(envelope.grid.steps + 1):
         scan.add(i, fld.step_values(candidate, i))
     return scan.report(tol)
-
-
-def write_envelope_csv(path, side: EnvelopeSide) -> None:
-    """Iterate log as CSV: (k, n_k, supDistPrev, Y0_mean, converged)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n_k", "supDistPrev", "Y0_mean", "converged"])
-        for k, rec in enumerate(side.iterates):
-            writer.writerow([
-                k, f"{rec.n:.17g}", f"{rec.sup_dist_prev:.17g}",
-                f"{rec.y0_mean:.17g}",
-                str(side.converged and k == len(side.iterates) - 1).lower(),
-            ])

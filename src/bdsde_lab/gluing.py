@@ -32,7 +32,7 @@ snap tolerance, which the callers of the deterministic case use.
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,9 +74,10 @@ class InverseReport:
 
 
 def validate_inverse(g_part, h_inv, probe_count: int = 1000, seed: int = 0,
-                     radius: float = 5.0, t_range=(0.0, 1.0)) -> InverseReport:
+                     radius: float = 5.0) -> InverseReport:
     """Probe both composition directions of a declared inverse and estimate
-    the inverse's squared slope in its last argument.
+    the inverse's squared slope in its last argument, at four times drawn
+    from [0, 1].
 
     Report-only; downstream constructions require ``report.ok``.  A squared
     slope >= 1 is flagged but not rejected: for a strictly monotone scalar
@@ -87,7 +88,7 @@ def validate_inverse(g_part, h_inv, probe_count: int = 1000, seed: int = 0,
     if probe_count < 1:
         raise ValueError("probe_count must be >= 1")
     rng = np.random.default_rng(seed)
-    ts = rng.uniform(t_range[0], t_range[1], size=4)
+    ts = rng.uniform(0.0, 1.0, size=4)
     fwd = bwd = 0.0
     h_slope = 0.0
     for t in ts:
@@ -121,10 +122,8 @@ class InvertiblePair:
     h_lip_z_sq: float | None = None
     validation: InverseReport | None = None
 
-    def validated(self, probe_count: int = 1000, seed: int = 0,
-                  radius: float = 5.0) -> "InvertiblePair":
-        report = validate_inverse(self.driver.g, self.h_inv, probe_count,
-                                  seed, radius)
+    def validated(self) -> "InvertiblePair":
+        report = validate_inverse(self.driver.g, self.h_inv)
         declared = self.h_lip_z_sq if self.h_lip_z_sq is not None \
             else report.estimated_h_lip_z_sq
         return InvertiblePair(self.driver, self.h_inv, declared, report)
@@ -367,6 +366,15 @@ class ScalarGlued:
         return float(self.y[0])
 
 
+def _t0_step(grid: TimeGrid, t0: float) -> int:
+    """Step index of the glue time ``t0``, a finite grid node in [0, T]."""
+    i0 = int(round(t0 / grid.dt)) if math.isfinite(t0) else -1
+    on_node = abs(i0 * grid.dt - t0) <= 1e-9 * max(1.0, abs(t0))
+    if not (0 <= i0 <= grid.steps and on_node):
+        raise ValueError(f"t0={t0} is not a grid node in [0, {grid.horizon}]")
+    return i0
+
+
 def glue_deterministic(driver: DriverSpec, terminal: TerminalSpec,
                        grid: TimeGrid, t0: float,
                        eta: float | None = None, lam: float | None = None,
@@ -385,9 +393,7 @@ def glue_deterministic(driver: DriverSpec, terminal: TerminalSpec,
     """
     if (eta is None) == (lam is None):
         raise ValueError("give exactly one of eta and lam")
-    i0 = int(round(t0 / grid.dt))
-    if abs(i0 * grid.dt - t0) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"t0={t0} is not a grid node")
+    i0 = _t0_step(grid, t0)
     if envelope is None:
         envelope = compute_envelope(driver, terminal, grid, schedule=schedule,
                                     tol=tol, backend="scalar", conv_tol=conv_tol)
@@ -522,10 +528,10 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
         raise ValueError("interpolation weights must be distinct")
     if any(not 0.0 <= l <= 1.0 for l in lambdas):
         raise ValueError("interpolation weights must lie in [0, 1]")
+    i0 = _t0_step(grid, t0)
     if envelope is None:
         envelope = compute_envelope(driver, terminal, grid, schedule=schedule,
                                     tol=tol, backend=backend, conv_tol=conv_tol)
-    i0 = int(round(t0 / grid.dt))
     if sandwich_tol is None:
         sandwich_tol = _sandwich_tol(envelope)
     m = len(lambdas)
@@ -569,18 +575,3 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
                            distinct_pairs=distinct,
                            distinct_threshold=threshold,
                            solutions=solutions)
-
-
-def write_continuum_csv(path, report: ContinuumReport) -> None:
-    """CSV columns: (lambda, Y0, tauMean, residualOffSplice, spliceMismatch,
-    sandwichPass)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "Y0", "tauMean", "residualOffSplice",
-                         "spliceMismatch", "sandwichPass"])
-        for r in report.records:
-            writer.writerow([
-                f"{r.lam:.17g}", f"{r.y0:.17g}", f"{r.tau_mean:.17g}",
-                f"{r.residual_off_splice:.17g}", f"{r.splice_mismatch:.17g}",
-                str(r.sandwich_ok).lower(),
-            ])

@@ -11,7 +11,6 @@ conclusion; it raises with a witness instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -68,7 +67,6 @@ class ComparisonCase:
     mode: str = "direct"
     tol: float | None = None
     probe_count: int = 10_000
-    probe_radius: float = 5.0
     seed: int = 0
     eps_bar: float | None = None
     delta: float = 0.1
@@ -109,8 +107,9 @@ def _check_premise(case: ComparisonCase) -> None:
             witness={"w_increments": w_probe[i].tolist(),
                      "xi1": float(xi1[i]), "xi2": float(xi2[i])},
         )
-    y = rng.uniform(-case.probe_radius, case.probe_radius, size=case.probe_count)
-    z = rng.uniform(-case.probe_radius, case.probe_radius, size=case.probe_count)
+    # the drift premise is probed at (y, z) drawn from [-5, 5]^2
+    y = rng.uniform(-5.0, 5.0, size=case.probe_count)
+    z = rng.uniform(-5.0, 5.0, size=case.probe_count)
     for t in rng.uniform(0.0, case.grid.horizon, size=4):
         f1 = np.asarray(case.driver1.f(t, y, z), dtype=float)
         f2 = np.asarray(case.driver2.f(t, y, z), dtype=float)
@@ -384,29 +383,3 @@ def closedness_check(solutions, driver: DriverSpec, terminal: TerminalSpec,
     return ClosednessReport(residual=residual,
                             terminal_mismatch=terminal_mismatch,
                             tol=tol, ok=ok, worst_step=worst_step)
-
-
-# --------------------------------------------------------------------------
-# CSV reports
-# --------------------------------------------------------------------------
-
-def write_comparison_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "premise_ok", "dominance_ok", "worst_margin",
-                         "tol", "stability_margin"])
-        for rep in reports:
-            writer.writerow([
-                rep.case_premise, str(rep.premise_ok).lower(),
-                str(rep.dominance_ok).lower(), f"{rep.worst_margin:.17g}",
-                f"{rep.tol:.17g}",
-                f"{rep.details.get('stability_margin', float('nan')):.17g}",
-            ])
-
-
-def write_error_table_csv(path, table: ErrorTable) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "error", "ratio"])
-        for n, err, ratio in table.rows:
-            writer.writerow([n, f"{err:.17g}", f"{ratio:.17g}"])

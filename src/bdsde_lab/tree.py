@@ -98,17 +98,16 @@ class TreeSolution:
 
 
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
-                    start_y: np.ndarray, start_z: np.ndarray | None = None):
+                    start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
-    to step 0.  The z field at the start step defaults to zero."""
+    to step 0.  The z field at the start step is zero."""
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
     ys = [None] * (start_step + 1)
     zs = [None] * (start_step + 1)
     ys[start_step] = np.asarray(start_y, dtype=float)
-    zs[start_step] = (np.zeros_like(ys[start_step]) if start_z is None
-                      else np.asarray(start_z, dtype=float))
+    zs[start_step] = np.zeros_like(ys[start_step])
     if ys[start_step].shape != (2 ** start_step, 2 ** (n - start_step)):
         raise ValueError(
             f"start field has shape {ys[start_step].shape}, expected "

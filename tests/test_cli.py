@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -84,7 +85,9 @@ class TestRunScenario:
                                  "g": {"name": "g_zero", "params": []}},
                      "terminal2": {"name": "constant", "params": [0.0]}},
         )
-        assert cli.run_scenario(_write(tmp_path, cfg), out=str(tmp_path / "o")) == 1
+        out = tmp_path / "o"
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 1
+        assert not out.exists()
 
     def test_solve_dump_and_outputs_contained(self, tmp_path):
         out = tmp_path / "only_here"
@@ -239,6 +242,54 @@ class TestMalformedConfigs:
         assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
 
 
+# every CSV artifact of each bundled config: (header line, data rows)
+_ENVELOPE_CSV = ("k,n_k,supDistPrev,Y0_mean,converged", 7)
+_DEMO_CSVS = {
+    "linear_convergence": {"convergence.csv": ("N,error,ratio", 4)},
+    "ordered_pair_compare": {"compare.csv": (
+        "case,premise_ok,dominance_ok,worst_margin,tol,stability_margin", 1)},
+    "sqrt_continuum": {"continuum.csv": (
+        "lambda,Y0,tauMean,residualOffSplice,spliceMismatch,sandwichPass", 11)},
+    "sqrt_envelope": {"envelope_max.csv": _ENVELOPE_CSV,
+                      "envelope_min.csv": _ENVELOPE_CSV},
+    "tree_solve": {"solve.csv": ("step,t,mean,min,max,mean_square", 9)},
+}
+_DEMO_DUMPS = {"tree_solve": {"solution.bin"}}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_demo_config_artifacts(tmp_path, name):
+    out = tmp_path / "o"
+    assert cli.run_scenario(CONFIG_DIR / f"{name}.json", out=str(out)) == 0
+    csvs = _DEMO_CSVS[name]
+    assert {p.name for p in out.iterdir()} == {
+        *csvs, *_DEMO_DUMPS.get(name, ()), "manifest.json", "run.log"}
+    for file, (header, rows) in csvs.items():
+        lines = (out / file).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == rows + 1
+
+
+def _demo_cfg(name, **block):
+    """A bundled config with keys of its scenario block replaced."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg[cfg["scenario"]].update(block)
+    return cfg
+
+
+def _kneser_cfg(backend, t0):
+    """sqrt_continuum.json glued at ``t0``: at 256 scalar steps, or at 8 tree
+    steps with an invertible noise coefficient."""
+    cfg = _demo_cfg("sqrt_continuum", t0=t0)
+    if backend == "scalar":
+        cfg["grid"]["steps"] = 256
+    else:
+        cfg.update(backend="tree", grid={"horizon": 1.0, "steps": 8})
+        cfg["driver"]["g"] = {"name": "g_linear", "params": [0.5]}
+        cfg["kneser"].update(schedule=[2, 4], snap_tol=None, h_inv_slope=2.0)
+    return cfg
+
+
 _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
 
 
@@ -249,8 +300,20 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     _base_cfg(scenario="compare", compare={
         "driver2": _UNKNOWN_F, "terminal2": {"name": "constant", "params": [1.0]}}),
     _base_cfg(grid={"horizon": 1.0, "steps": 0}),
+    # refused while the scenario runs
+    _demo_cfg("sqrt_envelope", schedule=[4, 2]),
+    _demo_cfg("linear_convergence", case="no_such_case"),
+    _demo_cfg("sqrt_continuum", t0=0.50001),
+    _kneser_cfg("scalar", 2.0),
+    _kneser_cfg("scalar", -0.5),
+    _kneser_cfg("tree", 0.51),
+    _kneser_cfg("scalar", math.inf),
+    _kneser_cfg("tree", math.inf),
 ], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
-        "unknown_driver", "unknown_driver2", "zero_steps"])
+        "unknown_driver", "unknown_driver2", "zero_steps",
+        "decreasing_schedule", "unknown_convergence_case", "t0_off_grid",
+        "scalar_t0_past_horizon", "scalar_t0_negative", "tree_t0_off_grid",
+        "scalar_t0_infinite", "tree_t0_infinite"])
 def test_refused_config_writes_nothing(tmp_path, cfg):
     out = tmp_path / "o"
     assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
@@ -261,9 +324,19 @@ def test_refused_config_keeps_an_existing_directory(tmp_path):
     out = tmp_path / "o"
     out.mkdir()
     (out / "keep.txt").write_text("kept")
-    cfg = _base_cfg(grid={"horizon": 1.0, "steps": 0})
-    assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
-    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    for cfg in (_base_cfg(grid={"horizon": 1.0, "steps": 0}),
+                _demo_cfg("linear_convergence", case="no_such_case")):
+        assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+@pytest.mark.parametrize("backend", ["scalar", "tree"])
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_glue_at_both_ends_of_the_horizon(tmp_path, backend, t0):
+    out = tmp_path / "o"
+    assert cli.run_scenario(_write(tmp_path, _kneser_cfg(backend, t0)),
+                            out=str(out)) == 0
+    assert (out / "continuum.csv").exists()
 
 
 def test_invariant_failure_exits_4(tmp_path, monkeypatch):

@@ -205,16 +205,3 @@ class TestComparisonAcrossEnvelopes:
         tol = 10.0 * grid.dt
         assert np.all(np.asarray(e1.y_min) >= np.asarray(e2.y_min) - tol)
         assert np.all(np.asarray(e1.y_max) >= np.asarray(e2.y_max) - tol)
-
-
-def test_envelope_csv(tmp_path):
-    driver, terminal, grid = sqrt_problem(128)
-    mx = bl.maximal_solution(driver, terminal, grid, schedule=[2, 4, 8],
-                             tol=0.0, backend="scalar", conv_tol=0.05)
-    path = tmp_path / "env.csv"
-    bl.write_envelope_csv(path, mx)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,n_k,supDistPrev,Y0_mean,converged"
-    assert len(lines) == 4
-    y0s = [float(line.split(",")[3]) for line in lines[1:]]
-    assert all(b <= a + 1e-9 for a, b in zip(y0s, y0s[1:]))

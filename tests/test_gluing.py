@@ -70,7 +70,7 @@ class TestInterpolateTarget:
         assert mid == pytest.approx(0.5 * (env.y_min[i0] + env.y_max[i0]),
                                     abs=1e-15)
 
-    def test_range_validation(self, sqrt_case):
+    def test_weight_outside_unit_interval_rejected(self, sqrt_case):
         _, _, grid, env = sqrt_case
         with pytest.raises(ValueError):
             bl.interpolate_target(env, 4, -0.1)
@@ -175,17 +175,6 @@ class TestContinuum:
         with pytest.raises(ValueError):
             bl.continuum_sample(driver, terminal, grid, 0.5, [0.2, 0.2],
                                 backend="scalar", envelope=env)
-
-    def test_csv(self, tmp_path, sqrt_case):
-        driver, terminal, grid, env = sqrt_case
-        report = bl.continuum_sample(driver, terminal, grid, 0.5, [0.0, 1.0],
-                                     backend="scalar", envelope=env)
-        path = tmp_path / "continuum.csv"
-        bl.write_continuum_csv(path, report)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == ("lambda,Y0,tauMean,residualOffSplice,"
-                            "spliceMismatch,sandwichPass")
-        assert len(lines) == 3
 
 
 @pytest.fixture(scope="module")

@@ -192,19 +192,3 @@ class TestClosedness:
         driver, terminal, grid, paths = self._glued_family([0.5])
         with pytest.raises(ValueError):
             bl.closedness_check(paths, driver, terminal, grid)
-
-
-def test_csv_writers(tmp_path):
-    d = bl.driver_pair("f_linear", [0.3, 0.1], "g_linear", [0.4])
-    t = bl.builtin_terminal("w_terminal")
-    report = bl.compare_solutions(_case(bl.shifted_driver(d, 0.1), t, d, t,
-                                        steps=4))
-    p1 = tmp_path / "cmp.csv"
-    bl.harness.write_comparison_csv(p1, [report])
-    assert p1.read_text().startswith("case,premise_ok,dominance_ok")
-    table = bl.convergence_study("linear_ode", [16, 32], backend="scalar")
-    p2 = tmp_path / "conv.csv"
-    bl.harness.write_error_table_csv(p2, table)
-    lines = p2.read_text().strip().splitlines()
-    assert lines[0] == "N,error,ratio"
-    assert len(lines) == 3
