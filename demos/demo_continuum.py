@@ -54,7 +54,7 @@ print(f"  inverse validated: {pair.validation.ok}; expansion flag "
 eta = bl.interpolate_target(env10, 5, 0.5)
 glued10 = bl.glue_solution(driver_s, pair, terminal, 5, eta, env10, grid10,
                            snap_tol=0.01, lam=0.5)
-print(f"  exit steps: {sorted(set(glued10.tau_index.ravel().tolist()))}, "
+print(f"  exit steps: {sorted(set(glued10.tau.ravel().tolist()))}, "
       f"sides: {'max' if glued10.side_is_max.all() else 'min'}")
 print(f"  off-splice residual = {glued10.residual_off_splice:.2e}, "
       f"splice jump = {glued10.splice_mismatch:.4f} (snap tol 0.01)")

@@ -4,8 +4,9 @@ A scenario is a JSON config naming a grid, a driver pair, a terminal, a
 backend, and one scenario block.  The scenario computes first; only then
 is the output directory created and are its artifacts, the manifest and
 ``run.log`` written, so a run that raises writes nothing.  Exit codes:
-0 success, 1 property-suite failure, 2 configuration error,
-3 numeric/capacity error, 4 failed internal invariant.
+0 success, 1 property-suite failure, 2 configuration error (an output
+path that cannot be created or written included), 3 numeric/capacity
+error, 4 failed internal invariant.
 
 Determinism contract: with the same config and seed, every CSV and the
 manifest are byte-identical across runs; wall-clock timing goes to
@@ -376,15 +377,19 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
         status, artifacts = runner(block, grid, driver, terminal, backend,
                                    cfg.get("seed", 0))
         outdir = Path(cfg.get("out", "bdsde_out"))
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, write in artifacts.items():
-            write(outdir / name)
-        _write_manifest(outdir, cfg)
-        elapsed = time.monotonic() - started
-        (outdir / "run.log").write_text(
-            f"scenario={cfg['scenario']} status={status} "
-            f"wall_time_s={elapsed:.3f}\n"
-        )
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, write in artifacts.items():
+                write(outdir / name)
+            _write_manifest(outdir, cfg)
+            elapsed = time.monotonic() - started
+            (outdir / "run.log").write_text(
+                f"scenario={cfg['scenario']} status={status} "
+                f"wall_time_s={elapsed:.3f}\n"
+            )
+        except OSError as exc:
+            log.error("cannot write the output directory: %s", exc)
+            return 2
         log.info("scenario %s finished with status %d in %.3fs",
                  cfg["scenario"], status, elapsed)
         return status

@@ -13,7 +13,7 @@ Backends:
 * ``scalar``: the deterministic specialisation (zero noise coefficient,
   deterministic terminal, drift free of z) collapses to a scalar backward
   recursion with Z == 0; grids up to 10**6 steps.
-* ``tree``: the exact lattice solver; N <= 12.
+* ``tree``: the exact lattice solver; N <= 20.
 
 All iterates of one schedule share a single fixed convolution grid centred
 at the origin, so the monotonicity of the regularized drifts in the slope
@@ -339,9 +339,9 @@ class SandwichScan:
     """Worst excesses of a lattice candidate over Ymax and under Ymin, fed
     one step at a time.  Each side keeps the first step attaining its
     maximum and, within it, the first node of that step's array.  A step
-    array on a larger node space than the envelope's step (the product
-    space, or the node space of a glued solution's later steps) is compared
-    with the band expanded to its shape."""
+    array on a larger node space than the envelope's step (a glued
+    solution's steps from i0 on, stored on D = (2**N, 2**(N-i0))) is
+    compared with the band expanded to its shape."""
 
     def __init__(self, envelope: EnvelopeResult):
         self.envelope = envelope
@@ -363,8 +363,9 @@ def sandwich_check(candidate, envelope: EnvelopeResult,
                    tol: float | None = None) -> SandwichReport:
     """Assert Ymin - tol <= candidate <= Ymax + tol nodewise.
 
-    Candidate steps may live on the full product node space (glued
-    solutions); envelope steps are expanded to match."""
+    Candidate steps may live on a larger node space than the envelope's
+    (a glued solution's steps from i0 on); envelope steps are expanded to
+    match, and a report's node indexes the candidate's step array."""
     if len(candidate) != len(envelope.y_max):
         raise ValueError("candidate field lives on a different grid")
     if tol is None:

@@ -33,7 +33,8 @@ snap tolerance, which the callers of the deterministic case use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -165,9 +166,8 @@ class GluedSolution:
     From ``i0`` on, the forward piece and the envelope tail depend only on
     the s coordinates and on r_{i0}..r_{N-1}, so a path is a node of
     D = ``(2**N, 2**(N-i0))``; ``tau`` (exit step) and ``side_is_max`` (tail
-    side) live on D.  ``assembled_y(i)``, ``assembled_z(i)``, ``tau_index``
-    and ``tau_times()`` give product-space arrays ``(2**N, 2**N)``, built
-    one at a time on demand.
+    side) live on D.  ``step_field(i, which)`` gives step i on the node
+    space it is stored on; no array of the solution is larger than D.
     """
 
     grid: TimeGrid
@@ -189,13 +189,6 @@ class GluedSolution:
     def steps(self) -> int:
         return self.grid.steps
 
-    @property
-    def tau_index(self) -> np.ndarray:
-        return _expand(self.tau, (2 ** self.steps,) * 2)
-
-    def tau_times(self) -> np.ndarray:
-        return _expand(self.tau * self.grid.dt, (2 ** self.steps,) * 2)
-
     def step_field(self, i: int, which: str = "y") -> np.ndarray:
         """Y (``which`` "y") or Z at step i on the node space it is stored
         on: the lattice node space before ``i0``, D from ``i0`` on."""
@@ -212,16 +205,10 @@ class GluedSolution:
                   else self.segment2.dw_integrands)[i - self.i0]
         return np.where(self.tau <= i, tail, _expand(middle, self.tau.shape))
 
-    def assembled_y(self, i: int) -> np.ndarray:
-        return _expand(self.step_field(i, "y"), (2 ** self.steps,) * 2)
-
-    def assembled_z(self, i: int) -> np.ndarray:
-        return _expand(self.step_field(i, "z"), (2 ** self.steps,) * 2)
-
     def assembled_fields(self):
-        """Every step on the product space: 2 (N + 1) arrays of 4**N values."""
-        ys = [self.assembled_y(i) for i in range(self.steps + 1)]
-        zs = [self.assembled_z(i) for i in range(self.steps + 1)]
+        """Every step of Y and of Z, each on its stored node space."""
+        ys = [self.step_field(i, "y") for i in range(self.steps + 1)]
+        zs = [self.step_field(i, "z") for i in range(self.steps + 1)]
         return ys, zs
 
 
@@ -305,7 +292,8 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
         near_min[sel] = y_j[sel] <= (lo + snap_tol)[sel]
         tail = np.where(side_is_max, hi, lo)
         splice = max(splice, float(np.max(np.abs(tail - y_j)[sel])))
-    # counted over product-space paths: a node of D stands for 2**i0 of them
+    # counted over whole paths (s_0..s_{N-1}, r_0..r_{N-1}): a node of D
+    # stands for the 2**i0 values of r_0..r_{i0-1}, which it does not store
     ambiguous = int(np.sum(side_is_max & near_min & (tau < n))) * 2 ** i0
 
     # off-splice residual, each segment against its own recursion: the
@@ -461,7 +449,7 @@ class ContinuumRecord:
     tau_mean: float
     residual_off_splice: float
     splice_mismatch: float
-    sandwich: SandwichReport    # lattice nodes in product-space coordinates
+    sandwich: SandwichReport    # node on the stored space of its step
 
     @property
     def sandwich_ok(self) -> bool:
@@ -482,13 +470,19 @@ class ContinuumReport:
         return all(r.sandwich_ok for r in self.records)
 
 
+def _mean(arr: np.ndarray, scale: float = 1.0) -> float:
+    """Mean of ``scale * arr`` as its correctly rounded sum (``math.fsum``)
+    over the element count.  Repeating every value 2**k times scales the
+    exact sum by 2**k, so the mean is the same on any node space the values
+    are expanded to.  Rows are converted to Python floats one at a time."""
+    return math.fsum(chain.from_iterable(
+        (row * scale).tolist() for row in arr)) / arr.size
+
+
 def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
     """Sandwich reports and pairwise sup-node distances of glued lattice
     solutions from one pass over the steps, each step on the node space it
-    is stored on.  Report nodes are given in product-space coordinates, the
-    first occurrence there: a row of a step before i0 stands for the block
-    of product rows that starts at row * 2**(N-i), and a D node is its own
-    product node."""
+    is stored on; a report's node indexes the stored array of its step."""
     n = envelope.grid.steps
     m = len(solutions)
     scans = [SandwichScan(envelope) for _ in solutions]
@@ -501,14 +495,7 @@ def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
             for b in range(a + 1, m):
                 d = max(distances[a, b], float(np.max(np.abs(steps[a] - steps[b]))))
                 distances[a, b] = distances[b, a] = d
-    checks = []
-    for glued, scan in zip(solutions, scans):
-        check = scan.report(tol)
-        if 0 <= check.step < glued.i0:
-            row, col = check.node
-            check = replace(check, node=(row * 2 ** (n - check.step), col))
-        checks.append(check)
-    return checks, distances
+    return [scan.report(tol) for scan in scans], distances
 
 
 def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
@@ -556,10 +543,8 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
             envelope, grid, snap_tol=snap_tol, lam=lam,
         ) for lam in lambdas]
         checks, distances = _lattice_scan(solutions, envelope, sandwich_tol)
-        # means over the product space (their rounding follows its
-        # summation order), one 4**N array at a time
-        y0s = [float(np.mean(glued.assembled_y(0))) for glued in solutions]
-        tau_means = [float(np.mean(glued.tau_times())) for glued in solutions]
+        y0s = [_mean(glued.step_field(0)) for glued in solutions]
+        tau_means = [_mean(glued.tau, grid.dt) for glued in solutions]
     records = [ContinuumRecord(
         lam=lam, y0=y0, tau_mean=tau_mean,
         residual_off_splice=glued.residual_off_splice,

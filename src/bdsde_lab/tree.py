@@ -51,10 +51,9 @@ from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, InversionError, InvariantError, NumericError
 
 TREE_MAX_STEPS = 20
-# The forward segment stores fewer than 4 * 2**N * 2**(N-i0) values, but the
-# glue's product-space means (Y0, mean exit time) allocate one 4**N array
-# at a time, and at i0 = 0 the segment itself lives on the product space.
-FORWARD_MAX_STEPS = 12
+# Bytes of one float64 array over D = (2**N, 2**(N-i0)), the largest node
+# space of a forward segment and of the glue (N = 12 at i0 = 0).
+FORWARD_MAX_BYTES = 8 * 2 ** 24
 FORWARD_SIGN = 1.0     # orientation of the extracted forward-noise integrand
 
 
@@ -236,8 +235,9 @@ def _expand(arr: np.ndarray, shape) -> np.ndarray:
     """``arr`` copied onto the larger node space ``shape``: rows repeat for
     the trailing forward-noise coordinates, the block of columns tiles for
     the leading backward-noise coordinates; a step-i lattice field expands
-    to the product space (2**N, 2**N) this way.  The result is C-contiguous,
-    so reductions over it sum in the same order as over any other copy."""
+    to a glue's node space D = (2**N, 2**(N-i0)), i <= i0, this way.  The
+    result is C-contiguous, so reductions over it sum in the same order as
+    over any other copy."""
     rows, cols = arr.shape
     block = (rows, shape[0] // rows, shape[1] // cols, cols)
     return np.ascontiguousarray(
@@ -254,11 +254,11 @@ class ForwardSegment:
     (a step-i0 start field; each step adds an s_j branch pair and an r_j
     term), so ``ys[k]``, step j = i0 + k, has shape ``(2**j, 2**(N-i0))``:
     rows as on the lattice, columns r_{i0}..r_{N-1} (r_{i0} in the most
-    significant bit); ``y_at(j)`` expands it to the product node space
-    ``(2**N, 2**N)``.  ``dw_integrands`` holds the realized forward-noise
-    integrand per step (the z-field of the original equation on this
-    segment), ``zt`` its image under g, the backward-noise integrand; both
-    have the shape of ``ys[k]``.
+    significant bit).  The last step lives on D = ``(2**N, 2**(N-i0))``,
+    the largest array of the segment.  ``dw_integrands`` holds the
+    realized forward-noise integrand per step (the z-field of the original
+    equation on this segment), ``zt`` its image under g, the backward-noise
+    integrand; both have the shape of ``ys[k]``.
 
     Step convention (left endpoint): with a_j the s_j-average of the current
     field and c_j the extracted integrand,
@@ -283,10 +283,6 @@ class ForwardSegment:
     dw_integrands: list
     residual: float
     dependence: np.ndarray = field(repr=False, default=None)
-
-    def y_at(self, j: int) -> np.ndarray:
-        """The field at step j on the product node space."""
-        return _expand(self.ys[j - self.start_step], (2 ** self.grid.steps,) * 2)
 
 
 def _sign_convention_case() -> float:
@@ -393,16 +389,19 @@ def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
     extracted integrand is checked against it nodewise at 1e-8 and any
     mismatch raises with a witness (step, and node of the stored step
     array).  A coefficient without an inverse (e.g. identically zero g) is
-    rejected the same way.
+    rejected the same way.  A float64 array over D above
+    ``FORWARD_MAX_BYTES`` raises ``CapacityError`` before any allocation.
     """
     n = grid.steps
-    if n > FORWARD_MAX_STEPS:
-        raise CapacityError(
-            f"steps={n} exceeds the forward-segment cap {FORWARD_MAX_STEPS} "
-            "(the glue's product-space means allocate 4**N values)"
-        )
     if not 0 <= i0 <= n:
         raise ValueError(f"start step {i0} out of range 0..{n}")
+    d_bytes = 8 * 2 ** n * 2 ** (n - i0)
+    if d_bytes > FORWARD_MAX_BYTES:
+        raise CapacityError(
+            f"a float64 array over D = {2 ** n} x {2 ** (n - i0)} nodes "
+            f"(N = {n}, i0 = {i0}) takes {d_bytes} bytes, cap is "
+            f"{FORWARD_MAX_BYTES}"
+        )
     conv = _sign_convention_case()
     if conv > 1e-10:
         raise InvariantError(

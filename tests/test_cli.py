@@ -330,6 +330,24 @@ def test_refused_config_keeps_an_existing_directory(tmp_path):
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+def test_out_naming_an_existing_file_exits_2(tmp_path):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert cli.run_scenario(CONFIG_DIR / "linear_convergence.json",
+                            out=str(out)) == 2
+    assert out.read_text() == "kept"
+
+
+def test_glue_above_the_byte_cap_exits_3(tmp_path):
+    # at N = 13 and t0 = 0 one float64 array over the glue nodes takes
+    # 512 MiB, above the 128 MiB cap
+    cfg = _kneser_cfg("tree", 0.0)
+    cfg["grid"]["steps"] = 13
+    out = tmp_path / "o"
+    assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 3
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("backend", ["scalar", "tree"])
 @pytest.mark.parametrize("t0", [0.0, 1.0])
 def test_glue_at_both_ends_of_the_horizon(tmp_path, backend, t0):

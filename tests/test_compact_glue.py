@@ -2,7 +2,10 @@
 depends on; a plain product-space implementation, kept here as the
 reference, must give the same numbers bitwise."""
 
+import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +177,18 @@ def glue_cases(draw):
             draw(st.floats(0.05, 0.95)), draw(st.sampled_from([0.0, 0.001, 0.01])))
 
 
+def stored_node(check, n, i0):
+    """A sandwich report on the product space with its node moved to the
+    stored space of its step: the node that expands onto it.  A step
+    before i0 is stored on (2**i, 2**(N-i)), a later one on
+    D = (2**N, 2**(N-i0)); rows repeat and columns tile on expansion, so
+    the first product-space occurrence maps to the first stored one."""
+    i = check.step
+    rows, cols = (2 ** i, 2 ** (n - i)) if i < i0 else (2 ** n, 2 ** (n - i0))
+    row, col = check.node
+    return replace(check, node=(row // (2 ** n // rows), col % cols))
+
+
 def _same(a, b):
     """Bitwise equality: shape, dtype and every byte (signed zeros too)."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
@@ -193,18 +208,19 @@ def test_compact_glue_matches_product_reference(case):
     ref = reference_glue(driver, eta, env, grid, i0, snap_tol)
     seg = glued.segment2
     for j in range(i0, n + 1):
-        _same(seg.y_at(j), ref["ys"][j - i0])
+        _same(product(seg.ys[j - i0], n), ref["ys"][j - i0])
     for k in range(n - i0):
         _same(product(seg.zt[k], n), ref["zt"][k])
         _same(product(seg.dw_integrands[k], n), ref["dw"][k])
     _same(seg.dependence, ref["dependence"])
     assert seg.residual == ref["segment_residual"]
-    _same(glued.tau_index, ref["tau"])
+    _same(product(glued.tau, n), ref["tau"])
     _same(product(glued.side_is_max, n), ref["side_is_max"])
+    ys, zs = glued.assembled_fields()
     for i in range(n + 1):
-        _same(glued.assembled_y(i), ref["assembled_y"][i])
-        _same(glued.assembled_z(i), ref["assembled_z"][i])
-    _same(glued.tau_times(), ref["tau"] * grid.dt)
+        _same(product(ys[i], n), ref["assembled_y"][i])
+        _same(product(zs[i], n), ref["assembled_z"][i])
+    _same(product(glued.tau * grid.dt, n), ref["tau"] * grid.dt)
     assert glued.residual_off_splice == ref["residual"]
     assert glued.splice_mismatch == ref["splice"]
     assert glued.ambiguous_exits == ref["ambiguous"]
@@ -216,27 +232,30 @@ def test_compact_glue_matches_product_reference(case):
                               unique=True),
        st.sampled_from([None, 0.0, 1e-3]))
 def test_continuum_scan_matches_product_fields(case, lambdas, sandwich_tol):
-    # one pass over the stored steps gives the sandwich reports (step and
-    # node by first occurrence on the product space), the pairwise
-    # distances and the means of the product-space fields
+    # one pass over the stored steps gives the sandwich reports (step, and
+    # node on the stored space of that step), the pairwise distances and
+    # the correctly rounded means of the product-space reference fields
     n, i0, _, terminal_name, beta, snap_tol = case
     driver, terminal, grid, env, pair = lattice_case(n, terminal_name, beta)
     report = bl.continuum_sample(driver, terminal, grid, i0 / n, lambdas,
                                  backend="tree", inv_pair=pair, envelope=env,
                                  snap_tol=snap_tol, sandwich_tol=sandwich_tol)
-    fields = [glued.assembled_fields()[0] for glued in report.solutions]
-    for rec, glued, ys in zip(report.records, report.solutions, fields):
-        assert rec.sandwich == bl.sandwich_check(ys, env, tol=sandwich_tol)
-        assert rec.y0 == float(np.mean(ys[0]))
-        assert rec.tau_mean == float(np.mean(glued.tau_index * grid.dt))
+    refs = [reference_glue(driver, bl.interpolate_target(env, i0, lam), env,
+                           grid, i0, snap_tol) for lam in lambdas]
+    fields = [ref["assembled_y"] for ref in refs]
+    for rec, ref, ys in zip(report.records, refs, fields):
+        expected = bl.sandwich_check(ys, env, tol=sandwich_tol)
+        assert rec.sandwich == stored_node(expected, n, i0)
+        assert rec.y0 == math.fsum(ys[0].ravel().tolist()) / 4 ** n
+        assert rec.tau_mean == \
+            math.fsum((ref["tau"] * grid.dt).ravel().tolist()) / 4 ** n
     for a in range(len(fields)):
         for b in range(len(fields)):
             expected = 0.0 if a == b else bl.fields.sup_distance(fields[a], fields[b])
             assert report.pairwise_distances[a, b] == expected
 
 
-def test_glue_at_the_forward_cap_stores_steps_on_their_nodes():
-    n, i0 = bl.tree.FORWARD_MAX_STEPS, 6
+def _glue_stores_steps_on_their_nodes(n, i0):
     driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_linear", [0.9])
     terminal = bl.builtin_terminal("constant", [0.0])
     grid = bl.make_grid(1.0, n)
@@ -254,3 +273,29 @@ def test_glue_at_the_forward_cap_stores_steps_on_their_nodes():
     assert glued.tau.shape == glued.side_is_max.shape == (2 ** n, 2 ** (n - i0))
     assert glued.residual_off_splice <= 1e-9 * (1.0 + glued.step_field(0).max())
     assert glued.splice_mismatch <= glued.snap_tol + 10.0 * grid.dt
+
+
+def test_glue_at_the_forward_cap_stores_steps_on_their_nodes():
+    # N = 12 was the step cap; at i0 = 0 its D is exactly the byte cap
+    _glue_stores_steps_on_their_nodes(12, 6)
+
+
+def test_glue_above_the_old_step_cap_under_the_byte_cap():
+    # D = 2**14 x 2**2 nodes, far under the byte cap
+    _glue_stores_steps_on_their_nodes(14, 12)
+
+
+def test_continuum_sample_holds_no_product_space_array():
+    # one float64 array over the 4**N product space is 32 MiB at N = 11;
+    # D = (2**11, 2**5) is 512 KiB
+    n, i0 = 11, 6
+    driver, terminal, grid, env, pair = lattice_case(n, ("call", (0.1,)), 0.9)
+    tracemalloc.start()
+    try:
+        bl.continuum_sample(driver, terminal, grid, i0 / n, [0.25, 0.75],
+                            backend="tree", inv_pair=pair, envelope=env,
+                            snap_tol=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20

@@ -200,15 +200,15 @@ class TestLatticeGlue:
                                  snap_tol=0.01, lam=0.5)
         ys, zs = glued.assembled_fields()
         # the spliced value at t0 is the target, bitwise
-        np.testing.assert_array_equal(ys[i0], _expand(eta, (1024, 1024)))
+        np.testing.assert_array_equal(ys[i0], _expand(eta, (1024, 32)))
         scale = 1.0 + max(float(np.max(np.abs(y))) for y in ys)
         assert glued.residual_off_splice <= 1e-9 * scale
         assert glued.splice_mismatch <= glued.snap_tol + 10.0 * grid.dt
         assert glued.ambiguous_exits == 0
-        assert np.all(glued.tau_index >= i0) and np.all(glued.tau_index <= 10)
+        assert np.all(glued.tau >= i0) and np.all(glued.tau <= 10)
         assert bl.sandwich_check(ys, env).ok
         # terminal is pinned by the envelope tail
-        np.testing.assert_array_equal(ys[10], np.zeros((1024, 1024)))
+        np.testing.assert_array_equal(ys[10], np.zeros((1024, 32)))
 
     def test_exit_dichotomy(self, stochastic_case):
         driver, terminal, grid, env, pair = stochastic_case
@@ -217,18 +217,18 @@ class TestLatticeGlue:
         glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
                                  snap_tol=0.01)
         n = grid.steps
-        for j in np.unique(glued.tau_index):
+        d_shape = (2 ** n, 2 ** (n - i0))
+        for j in np.unique(glued.tau):
             if j == n:
                 continue
-            sel = glued.tau_index == j
-            y_j = glued.segment2.y_at(j)[sel]
-            lo = _expand(np.asarray(env.y_min[j]), (2 ** n, 2 ** n))[sel]
-            hi = _expand(np.asarray(env.y_max[j]), (2 ** n, 2 ** n))[sel]
+            sel = glued.tau == j
+            y_j = _expand(glued.segment2.ys[j - i0], d_shape)[sel]
+            lo = _expand(np.asarray(env.y_min[j]), d_shape)[sel]
+            hi = _expand(np.asarray(env.y_max[j]), d_shape)[sel]
             near_max = y_j >= hi - glued.snap_tol
             near_min = y_j <= lo + glued.snap_tol
             assert np.all(near_max ^ near_min)
-            side = _expand(glued.side_is_max, (2 ** n, 2 ** n))[sel]
-            assert np.array_equal(side, near_max)
+            assert np.array_equal(glued.side_is_max[sel], near_max)
 
     def test_boundary_weight_reproduces_maximal(self, stochastic_case):
         driver, terminal, grid, env, pair = stochastic_case
@@ -236,12 +236,12 @@ class TestLatticeGlue:
         eta = bl.interpolate_target(env, i0, 0.0)
         glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
                                  snap_tol=0.01, lam=0.0)
-        assert np.all(glued.tau_index == i0)
+        assert np.all(glued.tau == i0)
         ys, _ = glued.assembled_fields()
         worst = max(
             float(np.max(np.abs(ys[i]
                                 - _expand(np.asarray(env.y_max[i]),
-                                          (1024, 1024)))))
+                                          ys[i].shape))))
             for i in range(11)
         )
         assert worst <= 10.0 * grid.dt * (1.0 + float(np.max(np.abs(ys[0]))))

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
 from bdsde_lab.errors import CapacityError, InversionError
-from bdsde_lab.tree import _expand, leaf_increments
+from bdsde_lab.tree import leaf_increments
 
 from conftest import catalog_driver_specs, catalog_terminals
 
@@ -219,9 +221,9 @@ class TestForwardSwapped:
         seg = bl.solve_forward_swapped(driver, lambda t, y, zt: 0.0 * zt,
                                        eta, grid, i0=2)
         sq = np.sqrt(grid.dt)
-        got = seg.y_at(3)
-        r2 = np.where((np.arange(16) >> 1) & 1, 1.0, -1.0)
-        np.testing.assert_allclose(got, np.broadcast_to(-0.8 * sq * r2, (16, 16)),
+        got = seg.ys[1]           # step 3: rows s_0..s_2, columns r_2, r_3
+        r2 = np.where((np.arange(4) >> 1) & 1, 1.0, -1.0)
+        np.testing.assert_allclose(got, np.broadcast_to(-0.8 * sq * r2, (8, 4)),
                                    atol=1e-14)
         assert seg.residual <= 1e-12
         # dependence diagnostic sees the backward-noise coordinate only
@@ -236,7 +238,7 @@ class TestForwardSwapped:
         seg = bl.solve_forward_swapped(driver, lambda t, y, zt: zt / 0.5,
                                        eta, grid, i0=3)
         assert len(seg.ys) == 1
-        np.testing.assert_array_equal(seg.y_at(3), _expand(eta, (8, 8)))
+        np.testing.assert_array_equal(seg.ys[0], eta)
         assert seg.residual == 0.0
 
     def test_inverse_inconsistency_raises_with_witness(self):
@@ -260,11 +262,20 @@ class TestForwardSwapped:
         assert seg.dependence[0, 1, 1] == pytest.approx(1.0)
 
     def test_capacity(self):
+        # D = (2**13, 2**13) takes 512 MiB per float64 array, above the
+        # 128 MiB cap; refused before anything of that size is allocated
         grid = bl.make_grid(1.0, 13)
         driver = bl.driver_pair("zero", [], "g_linear", [0.5])
-        with pytest.raises(CapacityError):
-            bl.solve_forward_swapped(driver, lambda t, y, zt: zt / 0.5,
-                                     np.zeros((2 ** 13, 1)), grid, i0=13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError,
+                               match=f"{2 ** 29} bytes, cap is {2 ** 27}"):
+                bl.solve_forward_swapped(driver, lambda t, y, zt: zt / 0.5,
+                                         np.zeros((1, 2 ** 13)), grid, i0=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestBinaryDump:
