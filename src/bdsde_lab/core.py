@@ -129,6 +129,37 @@ def _zero(t, y, z):
     return np.zeros_like(np.asarray(y, dtype=float))
 
 
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
+
+
+def scalar_drift(part: DriverPart) -> Callable[[float, float], float]:
+    """The plain-float step function ``(t, y) -> f(t, y, 0)`` of a drift
+    part, bitwise equal to ``float(part(t, y, 0.0))`` on a 0-d y: the
+    part's own ``scalar_drift()`` when it gives one (catalog drifts carry
+    a ``math`` twin, a 1-d convolution table its probe), else a wrapper
+    around the numpy call."""
+    own = getattr(part, "scalar_drift", None)
+    step = own() if own is not None else None
+    if step is None:
+        def step(t, y):
+            return float(part(t, np.asarray(y), _ZERO))
+
+    return step
+
+
+def _with_twin(part: DriverPart, twin: Callable[[float, float], float]) -> DriverPart:
+    """Attach the plain-float twin that :func:`scalar_drift` hands out.
+    ``math.sqrt`` and ``np.sqrt`` are both correctly rounded, so a twin
+    written with the numpy part's operations in the same order keeps
+    every bit."""
+    part.scalar_drift = lambda: twin
+    return part
+
+
+_with_twin(_zero, lambda t, y: 0.0)
+
+
 _F_CATALOG = {
     "zero": 0,
     "f_constant": 1,
@@ -149,17 +180,18 @@ def _build_f(name: str, params: Sequence[float]) -> dict:
                     f_z_independent=True)
     if name == "f_constant":
         (c,) = params
-        return dict(f=_const(c), growth_k=0.0, growth_d=abs(c), f_lipschitz=0.0,
-                    f_z_independent=True)
+        return dict(f=_with_twin(_const(c), lambda t, y: c), growth_k=0.0,
+                    growth_d=abs(c), f_lipschitz=0.0, f_z_independent=True)
     if name == "f_linear":
         a_y, a_z = params
+        a_z0 = a_z * 0.0
 
         def f(t, y, z):
             return a_y * np.asarray(y, dtype=float) + a_z * np.asarray(z, dtype=float)
 
         lip = max(abs(a_y), abs(a_z))
-        return dict(f=f, growth_k=lip, growth_d=0.0, f_lipschitz=lip,
-                    f_z_independent=(a_z == 0.0))
+        return dict(f=_with_twin(f, lambda t, y: a_y * y + a_z0), growth_k=lip,
+                    growth_d=0.0, f_lipschitz=lip, f_z_independent=(a_z == 0.0))
     if name == "f_sqrt_pos":
         (c,) = params
         if c < 0:
@@ -168,10 +200,14 @@ def _build_f(name: str, params: Sequence[float]) -> dict:
         def f(t, y, z):
             return c * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
 
+        def twin(t, y):
+            # np.maximum(y, 0.0) keeps a NaN and turns -0.0 into +0.0
+            return c * math.sqrt(y if y > 0.0 or y != y else 0.0)
+
         # c*sqrt(y+) <= c + c|y|: continuous with linear growth, but the
         # slope blows up at the origin so no Lipschitz constant is declared.
-        return dict(f=f, growth_k=c, growth_d=c, f_lipschitz=None,
-                    f_z_independent=True)
+        return dict(f=_with_twin(f, twin), growth_k=c, growth_d=c,
+                    f_lipschitz=None, f_z_independent=True)
     raise CatalogError(f"unknown drift part {name!r}")
 
 

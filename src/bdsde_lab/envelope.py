@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields as fld
-from .core import DriverSpec, TerminalSpec, TimeGrid
+from .core import DriverSpec, TerminalSpec, TimeGrid, scalar_drift
 from .errors import InvariantError, StabilityError
 from .regularize import ConvGridSpec, lower_bound_driver, regularized_driver
 from .tree import _expand, solve_tree
@@ -112,29 +112,21 @@ def _check_scalar_applicable(driver: DriverSpec, terminal: TerminalSpec,
     return _terminal_constant(terminal, grid.steps)
 
 
-_ZERO = np.zeros(())
-_ZERO.setflags(write=False)
-
-
-def scalar_step(f_part, grid: TimeGrid, y, i: int, sign: float):
-    """One explicit step over [t_i, t_{i+1}] of the deterministic recursion
-    (Z == 0).  Sign +1 predicts y[i] = y[i+1] + dt f(t_{i+1}, y[i+1]), the
-    backward right-endpoint step; sign -1 predicts y[i+1] = y[i] -
-    dt f(t_i, y[i]), the forward left-endpoint step."""
-    k = i + 1 if sign > 0 else i
-    fv = float(f_part(grid.time(k), np.asarray(y[k]), _ZERO))
-    return y[k] + sign * grid.dt * fv
-
-
 def _scalar_solve(f_part, grid: TimeGrid, xi: float,
                   start: int | None = None) -> np.ndarray:
-    """Backward recursion from y[start] = xi (default: the horizon) down to
-    step 0; entries after ``start`` are left unset."""
+    """Backward recursion y_i = y_{i+1} + dt f(t_{i+1}, y_{i+1}) (Z == 0,
+    the right-endpoint step) from y[start] = xi (default: the horizon)
+    down to step 0, in plain floats through the drift's step function;
+    entries after ``start`` are left unset."""
     start = grid.steps if start is None else start
+    step = scalar_drift(f_part)
+    dt, t = grid.dt, memoryview(grid.nodes)
     y = np.empty(grid.steps + 1)
-    y[start] = xi
-    for i in range(start - 1, -1, -1):
-        y[i] = scalar_step(f_part, grid, y, i, 1.0)
+    out = memoryview(y)
+    v = out[start] = float(xi)
+    for i in range(start, 0, -1):
+        v += dt * step(t[i], v)
+        out[i - 1] = v
     return y
 
 
@@ -179,9 +171,22 @@ def _solve_one(spec: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     return sol.ys, sol.zs
 
 
+def _lower_bound_field(driver: DriverSpec, terminal: TerminalSpec,
+                       grid: TimeGrid, backend: str, xi_const: float | None):
+    """Y of the companion problem driven by the linear lower bound."""
+    if backend == "scalar":
+        return _scalar_solve(lower_bound_driver(driver), grid, xi_const)
+    u_spec = driver.with_f(lower_bound_driver(driver),
+                           f_lipschitz=driver.growth_k,
+                           descriptor=f"lower bound of [{driver.descriptor}]")
+    return solve_tree(u_spec, terminal, grid).ys
+
+
 def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
                    grid: TimeGrid, schedule, tol, backend,
-                   conv_tol, conv_radius) -> EnvelopeSide:
+                   conv_tol, conv_radius, u_field=None) -> EnvelopeSide:
+    """One envelope side; ``u_field`` is the companion's solved field when
+    the other side already has it."""
     if driver.growth_k is None or driver.growth_d is None:
         raise ValueError("envelope computation needs the growth constants K, D")
     if backend not in ("scalar", "tree"):
@@ -207,14 +212,8 @@ def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
     if backend == "scalar":
         xi_const = _check_scalar_applicable(driver, terminal, grid)
 
-    u_field = _scalar_solve(lower_bound_driver(driver), grid, xi_const) \
-        if backend == "scalar" else None
-    if backend == "tree":
-        u_spec = driver.with_f(lower_bound_driver(driver),
-                               f_lipschitz=driver.growth_k,
-                               descriptor=f"lower bound of [{driver.descriptor}]")
-        u_sol = solve_tree(u_spec, terminal, grid)
-        u_field = u_sol.ys
+    if u_field is None:
+        u_field = _lower_bound_field(driver, terminal, grid, backend, xi_const)
 
     iterates: list[IterateRecord] = []
     prev_y = None
@@ -287,11 +286,12 @@ def compute_envelope(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                      schedule=None, tol: float = 1e-3, backend: str = "scalar",
                      conv_tol: float | None = None,
                      conv_radius: float | None = None) -> EnvelopeResult:
-    """Both envelope sides on a common grid and convolution resolution."""
+    """Both envelope sides on a common grid and convolution resolution,
+    sharing one solve of the lower-bound companion."""
     mx = maximal_solution(driver, terminal, grid, schedule, tol, backend,
                           conv_tol, conv_radius)
-    mn = minimal_solution(driver, terminal, grid, schedule, tol, backend,
-                          conv_tol, conv_radius)
+    mn = _envelope_side("inf", driver, terminal, grid, schedule, tol, backend,
+                        conv_tol, conv_radius, u_field=mx.u)
     ok, worst, where = fld.nodewise_leq(mn.y, mx.y, 10.0 * grid.dt * (1.0 + fld.max_abs(mx.y)))
     if not ok:
         raise InvariantError(

@@ -39,11 +39,11 @@ from itertools import chain
 import numpy as np
 
 from . import fields as fld
-from .core import DriverSpec, TerminalSpec, TimeGrid
+from .core import DriverSpec, TerminalSpec, TimeGrid, scalar_drift
 from .envelope import (EnvelopeResult, SandwichReport, SandwichScan,
                        _sandwich_tol, _scalar_solve, compute_envelope,
-                       sandwich_check, scalar_step)
-from .errors import InversionError
+                       sandwich_check)
+from .errors import CapacityError, InversionError
 from .tree import (
     ForwardSegment,
     _backward_defect,
@@ -55,6 +55,14 @@ from .tree import (
 )
 
 INVERSE_TOL = 1e-8
+# Bytes a lattice continuum run may need at once: every retained glued
+# solution plus one glue's working arrays over D, checked before the
+# envelope is computed.
+GLUE_MAX_BYTES = 2 ** 31
+# float64 arrays over D that one glue and the continuum scan hold at their
+# peak besides the retained solutions (tracemalloc measured 13.6 at N = 10,
+# i0 = 0 and 5)
+GLUE_WORK_ARRAYS = 14
 
 
 # --------------------------------------------------------------------------
@@ -395,12 +403,16 @@ def glue_deterministic(driver: DriverSpec, terminal: TerminalSpec,
 
     n = grid.steps
     y = _scalar_solve(driver.f, grid, eta, start=i0)
+    step, dt, t = scalar_drift(driver.f), grid.dt, memoryview(grid.nodes)
+    lo, hi, out = memoryview(y_min), memoryview(y_max), memoryview(y)
     tau_index = n
+    v = out[i0]
     for j in range(i0, n):
-        if not (y_min[j] + snap_tol < y[j] < y_max[j] - snap_tol):
+        if not (lo[j] + snap_tol < v < hi[j] - snap_tol):
             tau_index = j
             break
-        y[j + 1] = scalar_step(driver.f, grid, y, j, -1.0)
+        v -= dt * step(t[j], v)
+        out[j + 1] = v
     mid_at_tau = y[tau_index]
     side_is_max = bool(mid_at_tau >= y_max[tau_index] - snap_tol)
     tail = y_max if side_is_max else y_min
@@ -420,21 +432,23 @@ def _scalar_glued_residual(driver, envelope, grid, y, i0, tau_index,
     """Worst off-splice defect of the scalar glued path, each regime against
     its own recursion (tail against the envelope's regularized drift)."""
     side = envelope.maximal if side_is_max else envelope.minimal
-    reg_f = side.final_reg_spec.f
+    dt, t, at = grid.dt, memoryview(grid.nodes), memoryview(y)
     worst = 0.0
-    for i in range(grid.steps):
-        if tau_index == i0 and i == i0 - 1:
-            continue       # immediate exit: the splice sits below t0
-        if i < i0:
-            pred = scalar_step(driver.f, grid, y, i, 1.0)
-            worst = max(worst, abs(y[i] - pred))
-        elif i + 1 < tau_index:
-            pred = scalar_step(driver.f, grid, y, i, -1.0)
-            worst = max(worst, abs(y[i + 1] - pred))
-        elif i >= tau_index:
-            pred = scalar_step(reg_f, grid, y, i, 1.0)
-            worst = max(worst, abs(y[i] - pred))
-        # the single step entering tau_index is the splice
+    # backward piece (an immediate exit splices at i0 - 1), then the
+    # forward piece up to the step entering tau_index, which is the
+    # splice, then the tail
+    regimes = ((driver.f, range(i0 - 1 if tau_index == i0 else i0), 1),
+               (driver.f, range(i0, tau_index - 1), -1),
+               (side.final_reg_spec.f, range(tau_index, grid.steps), 1))
+    for part, steps, sign in regimes:
+        step = scalar_drift(part)
+        for i in steps:
+            if sign > 0:
+                pred = at[i + 1] + dt * step(t[i + 1], at[i + 1])
+                worst = max(worst, abs(at[i] - pred))
+            else:
+                pred = at[i] - dt * step(t[i], at[i])
+                worst = max(worst, abs(at[i + 1] - pred))
     return worst
 
 
@@ -479,6 +493,28 @@ def _mean(arr: np.ndarray, scale: float = 1.0) -> float:
         (row * scale).tolist() for row in arr)) / arr.size
 
 
+def _check_glue_bytes(n: int, i0: int, count: int) -> None:
+    """Raise ``CapacityError`` unless ``count`` retained glued lattice
+    solutions plus one glue's working arrays fit in ``GLUE_MAX_BYTES``,
+    counted from the shapes they are stored on: per solution, eta and the
+    backward piece (2 i0 + 2 lattice steps of 2**N values), the forward
+    steps i0..N and the two integrands of steps i0..N-1 (2**j rows of
+    2**(N-i0) each), ``tau`` (int64) and ``side_is_max`` (bool) on D."""
+    cols = 2 ** (n - i0)
+    d = 2 ** n * cols
+    floats = ((2 * i0 + 2) * 2 ** n + (2 ** (n + 1) - 2 ** i0) * cols
+              + 2 * (2 ** n - 2 ** i0) * cols)
+    kept = 8 * floats + (8 + 1) * d       # tau int64, side_is_max bool
+    work = 8 * GLUE_WORK_ARRAYS * d
+    need = count * kept + work
+    if need > GLUE_MAX_BYTES:
+        raise CapacityError(
+            f"{count} glued solutions at N = {n}, i0 = {i0} keep {count * kept} "
+            f"bytes and one glue works on {work} more: {need} bytes, cap is "
+            f"{GLUE_MAX_BYTES}"
+        )
+
+
 def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
     """Sandwich reports and pairwise sup-node distances of glued lattice
     solutions from one pass over the steps, each step on the node space it
@@ -509,13 +545,17 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
                      sandwich_tol: float | None = None) -> ContinuumReport:
     """Glue one solution per interpolation weight and report pairwise
     distinctness (sup-node distance beyond 10 dt) plus per-solution
-    diagnostics."""
+    diagnostics.  On the lattice, a run whose glued solutions and working
+    arrays would exceed ``GLUE_MAX_BYTES`` raises ``CapacityError`` before
+    anything is computed."""
     lambdas = [float(l) for l in lambdas]
     if len(set(lambdas)) != len(lambdas):
         raise ValueError("interpolation weights must be distinct")
     if any(not 0.0 <= l <= 1.0 for l in lambdas):
         raise ValueError("interpolation weights must lie in [0, 1]")
     i0 = _t0_step(grid, t0)
+    if backend != "scalar":
+        _check_glue_bytes(grid.steps, i0, len(lambdas))
     if envelope is None:
         envelope = compute_envelope(driver, terminal, grid, schedule=schedule,
                                     tol=tol, backend=backend, conv_tol=conv_tol)

@@ -24,9 +24,10 @@ from .core import (
     builtin_terminal,
     driver_pair,
     make_grid,
+    scalar_drift,
     shifted_driver,
 )
-from .envelope import _scalar_solve, compute_envelope, scalar_step
+from .envelope import _scalar_solve, compute_envelope
 from .errors import PremiseViolation
 from .lsmc import BasisSpec, sample_paths, solve_lsmc
 from .regularize import separating_mollified_driver
@@ -370,10 +371,12 @@ def closedness_check(solutions, driver: DriverSpec, terminal: TerminalSpec,
     n = grid.steps
     xi = float(np.asarray(terminal.evaluate(np.zeros((1, n)))).ravel()[0])
     terminal_mismatch = abs(y[n] - xi)
+    step, dt, ys = scalar_drift(driver.f), grid.dt, y.tolist()
+    fv = [step(t, v) for t, v in zip(grid.nodes.tolist(), ys)]
     defects = np.empty(n)
     for i in range(n):
-        defects[i] = min(abs(y[i] - scalar_step(driver.f, grid, y, i, 1.0)),
-                         abs(y[i + 1] - scalar_step(driver.f, grid, y, i, -1.0)))
+        defects[i] = min(abs(ys[i] - (ys[i + 1] + dt * fv[i + 1])),
+                         abs(ys[i + 1] - (ys[i] - dt * fv[i])))
     order = np.argsort(defects)
     residual = float(defects[order[-2]]) if n >= 2 else float(defects[order[-1]])
     worst_step = int(order[-2]) if n >= 2 else int(order[-1])

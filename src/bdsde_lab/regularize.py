@@ -27,13 +27,13 @@ Two families of operators:
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import DriverPart, DriverSpec
+from .core import DriverPart, DriverSpec, _with_twin
 from .errors import CapacityError
 
 GRID_CAPACITY = 10_000_000
@@ -82,8 +82,8 @@ class ConvolvedPart:
     * z-independent base: a 1-d table on the grid, built by the exact
       two-pass distance transform and evaluated by linear interpolation
       (which preserves both the n-Lipschitz property and monotonicity in n
-      exactly); a single 0-d probe is interpolated in plain floats, bitwise
-      as ``np.interp`` does;
+      exactly); :meth:`scalar_drift` hands the scalar recursion a
+      plain-float probe of it, bitwise as ``np.interp``;
     * z-dependent base: a separable two-stage table (inner transform along
       z, outer scan along y) with the same exactness properties.
 
@@ -104,32 +104,39 @@ class ConvolvedPart:
         self._table = None          # (grid, values) for the 1-d fixed path
         self._table2 = None         # (ygrid, zgrid, H) for the 2-d fixed path
 
-    # -- exact two-sweep distance transform on a grid, O(m) ------------------
+    # -- exact two-pass distance transform on a grid -------------------------
     @staticmethod
     def _transform_1d(values: np.ndarray, step_cost: float, mode: str) -> np.ndarray:
-        # plain-float sweeps: rounding stays local, so consecutive table
-        # differences keep the slope bound tight
-        out = values.tolist()
-        m = len(out)
-        if mode == "sup":
-            for i in range(1, m):
-                v = out[i - 1] - step_cost
-                if v > out[i]:
-                    out[i] = v
-            for i in range(m - 2, -1, -1):
-                v = out[i + 1] - step_cost
-                if v > out[i]:
-                    out[i] = v
-        else:
-            for i in range(1, m):
-                v = out[i - 1] + step_cost
-                if v < out[i]:
-                    out[i] = v
-            for i in range(m - 2, -1, -1):
-                v = out[i + 1] + step_cost
-                if v < out[i]:
-                    out[i] = v
-        return np.asarray(out)
+        """The two-pass l1 distance transform (Felzenszwalb & Huttenlocher),
+        bitwise as the sequential sweeps ``out[i] = best(out[i], out[i -+ 1]
+        -+ step_cost)``, visiting only the nodes a pass changes.
+
+        In a pass, node i changes only if its neighbour's final value,
+        moved by the step cost, beats it; so every run of changed nodes
+        starts next to a node the pass leaves alone, where the test holds
+        on the pass's input.  numpy finds those starts; each run is walked
+        in plain floats until the test fails.  One rounding per node keeps
+        consecutive table differences within the slope bound."""
+        out = np.array(values, dtype=float)
+        delta = -step_cost if mode == "sup" else step_cost
+        beats, beats_all = ((operator.gt, np.greater) if mode == "sup"
+                            else (operator.lt, np.less))
+        m = out.size
+        # the backward pass is the forward pass over the reversed view
+        for view in (out, out[::-1]):
+            item = view.item
+            end = 0
+            # runs start at i where view[i - 1] + delta beats view[i]
+            for i in (np.flatnonzero(beats_all(view[:-1] + delta, view[1:])) + 1).tolist():
+                if i < end:
+                    continue            # inside the previous run
+                v = item(i - 1) + delta
+                while i < m and beats(v, item(i)):
+                    view[i] = v
+                    v += delta
+                    i += 1
+                end = i
+        return out
 
     @staticmethod
     def _transform_rows(values: np.ndarray, step_cost: float, mode: str) -> np.ndarray:
@@ -164,8 +171,6 @@ class ConvolvedPart:
         self._table2 = (grid, grid, h)
 
     def __call__(self, t, y, z):
-        if self._table is not None and np.ndim(y) == 0 and np.ndim(z) == 0:
-            return self._eval_table_scalar(float(y))
         y = np.asarray(y, dtype=float)
         z = np.broadcast_to(np.asarray(z, dtype=float), y.shape)
         scalar = y.ndim == 0
@@ -189,35 +194,50 @@ class ConvolvedPart:
             self.boundary_hits += int(np.sum((yf < grid[0]) | (yf > grid[-1])))
         return np.interp(yf, grid, tab)
 
-    def _eval_table_scalar(self, x: float) -> float:
-        """One probe of the 1-d table in plain floats, with the operations
-        of ``np.interp`` in the same order, so the value is bitwise the one
-        of :meth:`_eval_table_1d`."""
+    def scalar_drift(self):
+        """The plain-float step function ``(t, y) -> value`` of a 1-d
+        table: one probe with the operations of ``np.interp`` in the same
+        order, so the value is bitwise the one of :meth:`_eval_table_1d`,
+        and the same boundary-hit count.  The first probe builds the table
+        as any first evaluation does; the probe reads it through a
+        memoryview, not a copy.  A 2-d table has none (``None``)."""
+        if not self.z_independent:
+            return None
+        if self._table is None:
+            self(0.0, 0.0, 0.0)
         grid, tab = self._table
         last = grid.size - 1
+        half = last // 2
+        h = self.spec.spacing
         lo, hi = grid.item(0), grid.item(last)
-        if x != x:
-            return x
-        if x < lo or x > hi:
-            self.boundary_hits += 1
-            return tab.item(0) if x < lo else tab.item(last)
-        # the node at or below x: arithmetic guess, then a one-node fix-up
-        j = min(max(math.floor((x - lo) / self.spec.spacing), 0), last)
-        while grid.item(j) > x:
-            j -= 1
-        while j < last and grid.item(j + 1) <= x:
-            j += 1
-        xj, fj = grid.item(j), tab.item(j)
-        if j == last or xj == x:
-            return fj
-        xk, fk = grid.item(j + 1), tab.item(j + 1)
-        slope = (fk - fj) / (xk - xj)
-        out = slope * (x - xj) + fj
-        if out != out:
-            out = slope * (x - xk) + fk
-            if out != out and fj == fk:
-                out = fj
-        return out
+        value = memoryview(tab)
+
+        def probe(t, x):
+            if x != x:
+                return x
+            if x < lo or x > hi:
+                self.boundary_hits += 1
+                return value[0] if x < lo else value[last]
+            # the node at or below x: arithmetic guess, then a one-node
+            # fix-up; node j is h * (j - half), as ``_fixed_grid`` forms it
+            j = int((x - lo) / h)
+            while h * (j - half) > x:
+                j -= 1
+            while j < last and h * (j + 1 - half) <= x:
+                j += 1
+            xj, fj = h * (j - half), value[j]
+            if j == last or xj == x:
+                return fj
+            xk, fk = h * (j + 1 - half), value[j + 1]
+            slope = (fk - fj) / (xk - xj)
+            out = slope * (x - xj) + fj
+            if out != out:
+                out = slope * (x - xk) + fk
+                if out != out and fj == fk:
+                    out = fj
+            return out
+
+        return probe
 
     def _eval_table_2d(self, yf, zf):
         ygrid, zgrid, h = self._table2
@@ -354,21 +374,30 @@ def lower_bound_driver(driver: DriverSpec) -> DriverPart:
 
     K-Lipschitz, and below f everywhere when the declared linear-growth
     bound holds; the backward solve driven by it bounds every regularized
-    iterate from below.
+    iterate from below.  A time-invariant f is read at (0, 0, 0) once, and
+    the part then carries a plain-float twin for the scalar recursion.
     """
     if driver.growth_k is None or driver.growth_d is None:
         raise ValueError("lower bound needs the growth constants K and D")
     k = driver.growth_k
     base_f = driver.f
+    zero = np.zeros(1)
+
+    def f00_at(t):
+        return np.abs(np.asarray(base_f(t, zero, zero), dtype=float))[0]
+
+    f00 = f00_at(0.0) if driver.f_time_invariant else None
 
     def part(t, y, z):
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        zero = np.zeros(1)
-        f00 = np.abs(np.asarray(base_f(t, zero, zero), dtype=float))[0]
-        return -f00 - k * np.abs(y) - k * np.abs(z)
+        base = f00_at(t) if f00 is None else f00
+        return -base - k * np.abs(y) - k * np.abs(z)
 
-    return part
+    if f00 is None:
+        return part
+    f00_float, k_z0 = float(f00), k * 0.0
+    return _with_twin(part, lambda t, y: -f00_float - k * abs(y) - k_z0)
 
 
 def separating_mollified_driver(f2: DriverPart, eps_bar: float, delta: float,

@@ -63,3 +63,30 @@ def brute_force_conv(f, n, t, y, z, mode, radius, spacing):
     if mode == "sup":
         return float(np.max(vals - pen))
     return float(np.min(vals + pen))
+
+
+def sequential_transform_1d(values, step_cost, mode):
+    """Oracle for ``ConvolvedPart._transform_1d``: the two sequential
+    plain-float sweeps over every node, ``out[i] = best(out[i], out[i -+ 1]
+    -+ step_cost)``."""
+    out = np.asarray(values, dtype=float).tolist()
+    m = len(out)
+    if mode == "sup":
+        for i in range(1, m):
+            v = out[i - 1] - step_cost
+            if v > out[i]:
+                out[i] = v
+        for i in range(m - 2, -1, -1):
+            v = out[i + 1] - step_cost
+            if v > out[i]:
+                out[i] = v
+    else:
+        for i in range(1, m):
+            v = out[i - 1] + step_cost
+            if v < out[i]:
+                out[i] = v
+        for i in range(m - 2, -1, -1):
+            v = out[i + 1] + step_cost
+            if v < out[i]:
+                out[i] = v
+    return np.asarray(out, dtype=float)

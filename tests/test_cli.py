@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import bdsde_lab.cli as cli
 import bdsde_lab.envelope as envelope
+import bdsde_lab.gluing as gluing
 from bdsde_lab.errors import (CapacityError, CatalogError, ConfigError,
                               ContractViolation)
 
@@ -340,12 +343,45 @@ def test_out_naming_an_existing_file_exits_2(tmp_path):
 
 def test_glue_above_the_byte_cap_exits_3(tmp_path):
     # at N = 13 and t0 = 0 one float64 array over the glue nodes takes
-    # 512 MiB, above the 128 MiB cap
+    # 512 MiB; the run's arrays would take 10 GB, above the 2 GiB cap
     cfg = _kneser_cfg("tree", 0.0)
     cfg["grid"]["steps"] = 13
     out = tmp_path / "o"
     assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 3
     assert not out.exists()
+
+
+def test_glue_run_above_the_memory_cap_is_refused_before_computing(tmp_path):
+    # N = 12, t0 = 0, two weights: each glued solution keeps about 0.65 GiB
+    # and a glue works on 14 arrays of 128 MiB, 3.25 GB in all
+    cfg = _kneser_cfg("tree", 0.0)
+    cfg["grid"]["steps"] = 12
+    cfg["kneser"]["lambdas"] = [0.25, 0.75]
+    path, out = _write(tmp_path, cfg), tmp_path / "o"
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code = cli.run_scenario(path, out=str(out))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
+    assert not out.exists()
+    with pytest.raises(CapacityError, match="3254714368 bytes, cap is 2147483648"):
+        gluing._check_glue_bytes(12, 0, 2)
+
+
+def test_glue_at_twelve_steps_and_half_horizon_runs(tmp_path):
+    # the lattice_glue benchmark config at N = 12 (t0 = 0.5, five weights)
+    cfg = _kneser_cfg("tree", 0.5)
+    cfg["grid"]["steps"] = 12
+    cfg["kneser"]["lambdas"] = [0.06, 0.23, 0.52, 0.83, 0.95]
+    out = tmp_path / "o"
+    assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 0
+    assert (out / "continuum.csv").exists()
 
 
 @pytest.mark.parametrize("backend", ["scalar", "tree"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,47 @@ class TestScalarBackend:
         sched = default_schedule(driver, grid)
         assert sched[0] == driver.growth_k
         assert all(grid.dt * n <= 0.5 for n in sched)
+
+
+class TestLowerBoundCompanion:
+    def test_solved_once_per_envelope_and_bitwise_unchanged(self):
+        driver, terminal, grid = sqrt_problem(256)
+        shapes = []
+
+        def counted(t, y, z):
+            shapes.append(np.shape(y))
+            return driver.f(t, y, z)
+
+        env = bl.compute_envelope(dataclasses.replace(driver, f=counted),
+                                  terminal, grid, schedule=[2, 4, 8], tol=0.0,
+                                  backend="scalar", conv_tol=0.05)
+        # the companion base f(0, 0, 0) is read once; every other call is
+        # one convolution table build over the whole grid
+        assert shapes.count((1,)) == 1
+        assert len(shapes) == 1 + len(env.maximal.iterates) + len(env.minimal.iterates)
+        assert env.minimal.u is env.maximal.u
+        # the per-step companion, reading f(t, 0, 0) through numpy each step
+        k, zero = driver.growth_k, np.zeros(1)
+        u = np.empty(grid.steps + 1)
+        u[-1] = 0.0
+        for i in range(grid.steps - 1, -1, -1):
+            t = grid.time(i + 1)
+            f00 = np.abs(np.asarray(driver.f(t, zero, zero), dtype=float))[0]
+            fv = float(-f00 - k * np.abs(np.asarray(u[i + 1])) - k * np.abs(np.zeros(())))
+            u[i] = u[i + 1] + grid.dt * fv
+        assert env.maximal.u.tobytes() == u.tobytes()
+
+    def test_tree_backend_shares_the_companion(self):
+        driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_linear", [0.5])
+        terminal = bl.builtin_terminal("constant", [0.0])
+        grid = bl.make_grid(1.0, 8)
+        env = bl.compute_envelope(driver, terminal, grid, schedule=[2, 4],
+                                  tol=0.0, backend="tree", conv_tol=0.05)
+        assert env.minimal.u is env.maximal.u
+        side = bl.minimal_solution(driver, terminal, grid, schedule=[2, 4],
+                                   tol=0.0, backend="tree", conv_tol=0.05)
+        for a, b in zip(side.u, env.maximal.u):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTreeBackend:
