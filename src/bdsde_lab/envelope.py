@@ -92,11 +92,17 @@ def default_schedule(driver: DriverSpec, grid: TimeGrid) -> list:
 
 
 def _terminal_constant(terminal: TerminalSpec, n_steps: int) -> float:
-    probe = np.random.default_rng(0).standard_normal((16, n_steps))
-    vals = np.asarray(terminal.evaluate(probe), dtype=float)
-    if float(np.max(np.abs(vals - vals.ravel()[0]))) > 0.0:
+    # 16 probe rows drawn one at a time equal one (16, n_steps) block draw,
+    # and only one row of 8 * n_steps bytes is alive at a time
+    rng = np.random.default_rng(0)
+    vals = np.concatenate([
+        np.asarray(terminal.evaluate(rng.standard_normal((1, n_steps))),
+                   dtype=float).ravel()
+        for _ in range(16)
+    ])
+    if float(np.max(np.abs(vals - vals[0]))) > 0.0:
         raise ValueError("the scalar backend needs a deterministic terminal")
-    return float(vals.ravel()[0])
+    return float(vals[0])
 
 
 def _check_scalar_applicable(driver: DriverSpec, terminal: TerminalSpec,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
-from .tree import _check_dump_size, _read_header
+from .tree import _check_dump_size, _read_array, _read_header
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 
@@ -287,8 +287,8 @@ def save_path_batch(path, batch: PathBatch) -> None:
                              -1 if batch.seed is None else batch.seed,
                              batch.m_outer, batch.dim_l,
                              batch.m_inner, batch.dim_d))
-        fh.write(np.ascontiguousarray(batch.b_increments, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(batch.w_increments, dtype="<f8").tobytes())
+        for a in (batch.b_increments, batch.w_increments):
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_path_batch(path) -> PathBatch:
@@ -302,12 +302,12 @@ def load_path_batch(path) -> PathBatch:
             "<qIIII", _read_header(fh, 24))
         n_b, n_w = m_outer * steps * dim_l, m_inner * steps * dim_d
         _check_dump_size(fh, 8 * (n_b + n_w))
-        b = np.frombuffer(fh.read(8 * n_b), dtype="<f8")
-        w = np.frombuffer(fh.read(8 * n_w), dtype="<f8")
+        b = _read_array(fh, (m_outer, steps, dim_l))
+        w = _read_array(fh, (m_inner, steps, dim_d))
     return PathBatch(
         grid=make_grid(horizon, steps),
-        b_increments=b.reshape(m_outer, steps, dim_l).copy(),
-        w_increments=w.reshape(m_inner, steps, dim_d).copy(),
+        b_increments=b,
+        w_increments=w,
         seed=None if seed < 0 else int(seed),
         antithetic=bool(anti),
     )

@@ -65,13 +65,13 @@ def stability_margin(driver: DriverSpec, dt: float) -> float:
 
 
 def leaf_increments(grid: TimeGrid) -> np.ndarray:
-    """Signed forward-noise increments per leaf, shape (2**N, N)."""
+    """Signed forward-noise increments per leaf, shape (2**N, N): entry
+    (k, j) is +sqrt(dt) exactly when bit N-1-j of the leaf index k is 1."""
     n = grid.steps
-    idx = np.arange(2 ** n)
-    signs = np.empty((2 ** n, n))
-    for j in range(n):
-        signs[:, j] = np.where((idx >> (n - 1 - j)) & 1, 1.0, -1.0)
-    return signs * np.sqrt(grid.dt)
+    sq = np.sqrt(grid.dt)
+    idx = np.arange(2 ** n, dtype=">u4")
+    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
+    return np.array([-sq, sq])[bits]
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,17 @@ class TreeSolution:
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
                     start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
-    to step 0.  The z field at the start step is zero."""
+    to step 0.  The z field at the start step is zero.
+
+    Each step writes through ``out=`` into three work buffers allocated once
+    (``y + dt f`` over 2**N nodes, the branch mean and difference over
+    2**(N-1)) and into the new step's own arrays; the driver's values and
+    the stored fields are only read, since a driver may return its own
+    argument."""
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
+    two_sq = 2.0 * sq
     ys = [None] * (start_step + 1)
     zs = [None] * (start_step + 1)
     ys[start_step] = np.asarray(start_y, dtype=float)
@@ -112,6 +119,9 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
             f"start field has shape {ys[start_step].shape}, expected "
             f"{(2 ** start_step, 2 ** (n - start_step))}"
         )
+    work = np.empty(2 ** n)
+    half_mean = np.empty(2 ** (n - 1))
+    half_diff = np.empty(2 ** (n - 1))
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
         y_next, z_next = ys[i + 1], zs[i + 1]
@@ -125,19 +135,32 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
             raise NumericError(
                 f"non-finite driver value at step {i + 1}", where=tuple(bad)
             )
-        a = (y_next + dt * fv).reshape(2 ** i, 2, -1)
-        g3 = gv.reshape(2 ** i, 2, -1)
-        a_mean = 0.5 * (a[:, 1, :] + a[:, 0, :])
-        a_diff = a[:, 1, :] - a[:, 0, :]
-        g_mean = 0.5 * (g3[:, 1, :] + g3[:, 0, :])
-        g_diff = g3[:, 1, :] - g3[:, 0, :]
-        m = a.shape[2]
-        y_new = np.empty((2 ** i, 2, m))
-        z_new = np.empty((2 ** i, 2, m))
-        y_new[:, 1, :] = a_mean + g_mean * sq
-        y_new[:, 0, :] = a_mean - g_mean * sq
-        z_new[:, 1, :] = (a_diff + g_diff * sq) / (2.0 * sq)
-        z_new[:, 0, :] = (a_diff - g_diff * sq) / (2.0 * sq)
+        a = work.reshape(y_next.shape)
+        np.multiply(fv, dt, out=a)
+        np.add(a, y_next, out=a)
+        shape3 = (2 ** i, 2, 2 ** (n - i - 1))
+        a = a.reshape(shape3)
+        g3 = gv.reshape(shape3)
+        a_mean = half_mean.reshape(2 ** i, -1)
+        a_diff = half_diff.reshape(2 ** i, -1)
+        np.add(a[:, 1, :], a[:, 0, :], out=a_mean)
+        np.multiply(a_mean, 0.5, out=a_mean)
+        np.subtract(a[:, 1, :], a[:, 0, :], out=a_diff)
+        y_new = np.empty(shape3)
+        z_new = np.empty(shape3)
+        # g_mean sq and g_diff sq first go to the + branch of y and z
+        g_mean_sq, g_diff_sq = y_new[:, 1, :], z_new[:, 1, :]
+        np.add(g3[:, 1, :], g3[:, 0, :], out=g_mean_sq)
+        np.multiply(g_mean_sq, 0.5, out=g_mean_sq)
+        np.multiply(g_mean_sq, sq, out=g_mean_sq)
+        np.subtract(g3[:, 1, :], g3[:, 0, :], out=g_diff_sq)
+        np.multiply(g_diff_sq, sq, out=g_diff_sq)
+        np.subtract(a_mean, g_mean_sq, out=y_new[:, 0, :])
+        np.add(a_mean, g_mean_sq, out=y_new[:, 1, :])
+        np.subtract(a_diff, g_diff_sq, out=z_new[:, 0, :])
+        np.divide(z_new[:, 0, :], two_sq, out=z_new[:, 0, :])
+        np.add(a_diff, g_diff_sq, out=z_new[:, 1, :])
+        np.divide(z_new[:, 1, :], two_sq, out=z_new[:, 1, :])
         ys[i] = y_new.reshape(2 ** i, 2 ** (n - i))
         zs[i] = z_new.reshape(2 ** i, 2 ** (n - i))
     return ys, zs
@@ -453,8 +476,8 @@ def save_tree_solution(path, sol: TreeSolution) -> None:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         for i in range(sol.steps + 1):
-            fh.write(np.ascontiguousarray(sol.ys[i], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(sol.zs[i], dtype="<f8").tobytes())
+            for a in (sol.ys[i], sol.zs[i]):
+                fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def _read_header(fh, count: int) -> bytes:
@@ -476,6 +499,18 @@ def _check_dump_size(fh, payload: int) -> None:
                          f"{fh.tell() + payload}")
 
 
+def _read_array(fh, shape) -> np.ndarray:
+    """The next little-endian float64 array of ``shape``, read straight into
+    its buffer; a file that ends first raises ValueError with the byte
+    counts read and needed."""
+    arr = np.empty(shape, dtype="<f8")
+    got = fh.readinto(arr)
+    if got != arr.nbytes:
+        raise ValueError(f"dump ended after {got} of {arr.nbytes} bytes of "
+                         f"an array")
+    return arr
+
+
 def load_tree_solution(path) -> TreeSolution:
     from .core import make_grid
 
@@ -494,9 +529,8 @@ def load_tree_solution(path) -> TreeSolution:
         ys, zs = [], []
         for i in range(n + 1):
             shape = (2 ** i, 2 ** (n - i))
-            for target in (ys, zs):
-                raw = fh.read(8 * 2 ** n)
-                target.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
+            ys.append(_read_array(fh, shape))
+            zs.append(_read_array(fh, shape))
     grid = make_grid(horizon, n)
     if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
         raise ValueError("dump header dt inconsistent with horizon/steps")

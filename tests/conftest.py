@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
+from bdsde_lab.errors import NumericError
 
 
 @pytest.fixture
@@ -90,3 +93,77 @@ def sequential_transform_1d(values, step_cost, mode):
             if v < out[i]:
                 out[i] = v
     return np.asarray(out, dtype=float)
+
+
+def reference_leaf_increments(grid):
+    """Oracle for ``tree.leaf_increments``: one strided column per step,
+    then the whole array times sqrt(dt)."""
+    n = grid.steps
+    idx = np.arange(2 ** n)
+    signs = np.empty((2 ** n, n))
+    for j in range(n):
+        signs[:, j] = np.where((idx >> (n - 1 - j)) & 1, 1.0, -1.0)
+    return signs * np.sqrt(grid.dt)
+
+
+def reference_backward_sweep(driver, grid, start_step, start_y):
+    """Oracle for ``tree._backward_sweep``: the backward recursion with a
+    fresh temporary for every intermediate of every step."""
+    n = grid.steps
+    dt = grid.dt
+    sq = np.sqrt(dt)
+    ys = [None] * (start_step + 1)
+    zs = [None] * (start_step + 1)
+    ys[start_step] = np.asarray(start_y, dtype=float)
+    zs[start_step] = np.zeros_like(ys[start_step])
+    if ys[start_step].shape != (2 ** start_step, 2 ** (n - start_step)):
+        raise ValueError(
+            f"start field has shape {ys[start_step].shape}, expected "
+            f"{(2 ** start_step, 2 ** (n - start_step))}"
+        )
+    for i in range(start_step - 1, -1, -1):
+        t_next = grid.time(i + 1)
+        y_next, z_next = ys[i + 1], zs[i + 1]
+        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
+        gv = np.broadcast_to(
+            np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
+            y_next.shape,
+        )
+        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+            bad = np.argwhere(~(np.isfinite(fv) & np.isfinite(gv)))[0]
+            raise NumericError(
+                f"non-finite driver value at step {i + 1}", where=tuple(bad)
+            )
+        a = (y_next + dt * fv).reshape(2 ** i, 2, -1)
+        g3 = gv.reshape(2 ** i, 2, -1)
+        a_mean = 0.5 * (a[:, 1, :] + a[:, 0, :])
+        a_diff = a[:, 1, :] - a[:, 0, :]
+        g_mean = 0.5 * (g3[:, 1, :] + g3[:, 0, :])
+        g_diff = g3[:, 1, :] - g3[:, 0, :]
+        m = a.shape[2]
+        y_new = np.empty((2 ** i, 2, m))
+        z_new = np.empty((2 ** i, 2, m))
+        y_new[:, 1, :] = a_mean + g_mean * sq
+        y_new[:, 0, :] = a_mean - g_mean * sq
+        z_new[:, 1, :] = (a_diff + g_diff * sq) / (2.0 * sq)
+        z_new[:, 0, :] = (a_diff - g_diff * sq) / (2.0 * sq)
+        ys[i] = y_new.reshape(2 ** i, 2 ** (n - i))
+        zs[i] = z_new.reshape(2 ** i, 2 ** (n - i))
+    return ys, zs
+
+
+def reference_save_tree_solution(path, sol):
+    """Oracle for ``tree.save_tree_solution``: each array written through a
+    ``tobytes()`` copy."""
+    with open(path, "wb") as fh:
+        fh.write(b"BDLTREE1")
+        fh.write(struct.pack("<I", sol.steps))
+        fh.write(struct.pack("<d", sol.grid.dt))
+        fh.write(struct.pack("<d", sol.grid.horizon))
+        for text in (sol.driver_descriptor, sol.terminal_descriptor):
+            raw = text.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+        for i in range(sol.steps + 1):
+            fh.write(np.ascontiguousarray(sol.ys[i], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(sol.zs[i], dtype="<f8").tobytes())

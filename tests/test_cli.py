@@ -312,11 +312,13 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     _kneser_cfg("tree", 0.51),
     _kneser_cfg("scalar", math.inf),
     _kneser_cfg("tree", math.inf),
+    _base_cfg(backend="scalar", terminal={"name": "w_terminal", "params": []}),
 ], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
         "unknown_driver", "unknown_driver2", "zero_steps",
         "decreasing_schedule", "unknown_convergence_case", "t0_off_grid",
         "scalar_t0_past_horizon", "scalar_t0_negative", "tree_t0_off_grid",
-        "scalar_t0_infinite", "tree_t0_infinite"])
+        "scalar_t0_infinite", "tree_t0_infinite",
+        "scalar_solve_stochastic_terminal"])
 def test_refused_config_writes_nothing(tmp_path, cfg):
     out = tmp_path / "o"
     assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2

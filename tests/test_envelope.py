@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
-from bdsde_lab.envelope import default_schedule
+from bdsde_lab.envelope import (_check_scalar_applicable, _terminal_constant,
+                                default_schedule)
 from bdsde_lab.errors import StabilityError
 
 
@@ -119,6 +121,37 @@ class TestScalarBackend:
         with pytest.raises(ValueError, match="zero noise"):
             bl.maximal_solution(noisy, bl.builtin_terminal("constant", [0.0]),
                                 grid, schedule=[1], backend="scalar")
+
+    def test_terminal_probe_at_the_grid_cap_stays_small(self):
+        # one (1, steps) probe row at a time: a (16, steps) block would take
+        # 128 MiB at 2**20 steps
+        driver, terminal, grid = sqrt_problem(2 ** 20)
+        tracemalloc.start()
+        try:
+            xi = _check_scalar_applicable(driver, terminal, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xi == 0.0
+        assert peak < 24 * 2 ** 20
+
+    @pytest.mark.parametrize("name,params", [
+        ("constant", [-1.25]), ("w_terminal", []), ("w_terminal_sq", []),
+        ("call", [0.5]), ("w_terminal_pos", []),
+    ])
+    def test_terminal_probe_rows_equal_the_block_draw(self, name, params):
+        steps = 1000
+        block = np.random.default_rng(0).standard_normal((16, steps))
+        rng = np.random.default_rng(0)
+        rows = np.vstack([rng.standard_normal((1, steps)) for _ in range(16)])
+        assert rows.tobytes() == block.tobytes()
+        terminal = bl.builtin_terminal(name, params)
+        vals = np.asarray(terminal.evaluate(block), dtype=float)
+        if float(np.max(np.abs(vals - vals.ravel()[0]))) > 0.0:
+            with pytest.raises(ValueError, match="deterministic terminal"):
+                _terminal_constant(terminal, steps)
+        else:
+            assert _terminal_constant(terminal, steps) == params[0]
 
     def test_stability_guard(self):
         driver, terminal, _ = sqrt_problem()
