@@ -55,7 +55,7 @@ from .harness import (
     compare_solutions,
     convergence_study,
 )
-from .lsmc import BasisSpec, sample_paths, solve_lsmc
+from .lsmc import BasisSpec, check_regression_bytes, sample_paths, solve_lsmc
 from .tree import expectation_at, save_tree_solution, solve_tree
 
 log = logging.getLogger("bdsde_lab")
@@ -258,9 +258,10 @@ def _run_solve(block, grid, driver, terminal, backend, seed):
     if backend == "mc":
         m_outer = int(block.get("m_outer", 16))
         m_inner = int(block.get("m_inner", 4096))
-        degree = int(block.get("basis_degree", 2))
+        basis = BasisSpec("poly", int(block.get("basis_degree", 2)))
+        check_regression_bytes(grid.steps, m_inner, basis)   # before sampling
         paths = sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
-        sol = solve_lsmc(driver, terminal, grid, BasisSpec("poly", degree), paths)
+        sol = solve_lsmc(driver, terminal, grid, basis, paths)
         return 0, {"solve.csv": _csv(["outer_path", "y0"],
                                      list(enumerate(sol.y0)))}
     xi = _check_scalar_applicable(driver, terminal, grid)

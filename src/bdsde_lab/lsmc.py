@@ -18,15 +18,23 @@ dt^(3/2) and the convergence suite covers the simplification.  At i = 0 the
 basis degenerates to the intercept (W_0 = 0) and Y_0 is the inner-sample
 mean of the y target.
 
+The sweep reads the inner increments step-major: one (N, m_inner) copy whose
+row i is dW_i for every inner path, and whose running row sum gives the
+design states W_{t_i}.  The targets are formed in three m_inner buffers
+that are allocated once per solve.
+
 Randomness is counter-based: each path owns a Philox key derived from
 (seed, stream, path index), so any sub-batch reproduces identically no
-matter how generation is scheduled or chunked.
+matter how generation is scheduled or chunked.  One generator is re-keyed
+per path, its counter reset to 0 and its buffer emptied, which draws what a
+fresh generator with that key would.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -38,13 +46,6 @@ BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 
 _STREAM_OUTER = 0
 _STREAM_INNER = 1
-
-
-def _philox_normals(seed: int, stream: int, path: int, count: int) -> np.ndarray:
-    key = np.array([np.uint64(seed), np.uint64((stream << 48) | path)],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal(count)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,12 @@ def sample_paths(grid: TimeGrid, dims: tuple[int, int],
                  antithetic: bool = False) -> PathBatch:
     """Draw (m_outer, m_inner) = ``counts`` paths of dimensions (d, l) =
     ``dims``; same seed gives byte-identical batches.  With ``antithetic``
-    paths pair up as (2i, 2i+1) with negated increments."""
+    paths pair up as (2i, 2i+1) with negated increments.
+
+    Raises ``CapacityError`` before drawing when the increments would take
+    more than ``BATCH_MEMORY_CAP`` bytes.  ``solve_lsmc`` holds its
+    regression designs to the same cap (``check_regression_bytes``), which
+    a caller can check before sampling."""
     d, l = dims
     m_outer, m_inner = counts
     if d < 1 or l < 1:
@@ -113,17 +119,21 @@ def sample_paths(grid: TimeGrid, dims: tuple[int, int],
             f"batch would allocate {total_bytes} bytes of increments, "
             f"cap is {BATCH_MEMORY_CAP}"
         )
-    sq = np.sqrt(grid.dt)
+    key = np.array([seed, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state          # counter 0, empty buffer
+    fresh["state"]["key"] = key
 
     def draw(stream, m, dim):
         out = np.empty((m, grid.steps, dim))
-        for p in range(m):
-            if antithetic and p % 2 == 1:
-                out[p] = -out[p - 1]
-            else:
-                out[p] = sq * _philox_normals(
-                    seed, stream, p, grid.steps * dim
-                ).reshape(grid.steps, dim)
+        for p in range(0, m, 2 if antithetic else 1):
+            key[1] = (stream << 48) | p
+            bitgen.state = fresh
+            gen.standard_normal(out=out[p])
+        if antithetic:
+            np.negative(out[0:m - 1:2], out=out[1::2])
+        out *= np.sqrt(grid.dt)
         return out
 
     return PathBatch(
@@ -194,10 +204,29 @@ def _regress(x: np.ndarray, gram: np.ndarray, target: np.ndarray, step: int):
         ) from exc
 
 
+def check_regression_bytes(steps: int, m_inner: int, basis: BasisSpec) -> None:
+    """Raise ``CapacityError`` unless the ``steps`` design matrices of
+    ``solve_lsmc`` (m_inner rows of ``basis.width(steps)`` floats each) plus
+    its step-major copy of the inner increments fit in
+    ``BATCH_MEMORY_CAP`` bytes."""
+    designs = 8 * steps * m_inner * basis.width(steps)
+    copy = 8 * steps * m_inner
+    if designs + copy > BATCH_MEMORY_CAP:
+        raise CapacityError(
+            f"regression designs would allocate {designs} bytes and the "
+            f"step-major increments {copy} more: {designs + copy} bytes, "
+            f"cap is {BATCH_MEMORY_CAP}"
+        )
+
+
 def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                basis: BasisSpec, paths: PathBatch,
                ridge: float = 1e-8) -> MCSolution:
-    """Backward regression sweep over every outer path in the batch."""
+    """Backward regression sweep over every outer path in the batch.
+
+    Raises ``CapacityError`` before allocating when the design matrices
+    plus the step-major increments would take more than
+    ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``)."""
     if paths.dim_d != 1 or paths.dim_l != 1:
         raise ValueError("the regression solver handles scalar noise only")
     if paths.grid.steps != grid.steps or abs(paths.grid.dt - grid.dt) > 1e-15:
@@ -210,31 +239,44 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             f"m_inner={m_in} too small for degree {basis.degree}; "
             f"need more than {10 * (basis.degree + 1)} inner paths"
         )
+    check_regression_bytes(n, m_in, basis)
     w_inc = paths.w_increments[:, :, 0]
-    w_state = np.concatenate(
-        [np.zeros((m_in, 1)), np.cumsum(w_inc, axis=1)], axis=1
-    )
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
+    w_steps = np.ascontiguousarray(w_inc.T)     # row i: dW_i of every path
+
+    # W_{t_i}: W_0 = 0, then a running sum over the rows that starts from
+    # the first row itself, the additions a cumsum makes
+    states = chain([np.zeros(m_in)], accumulate(w_steps[:-1]))
+    designs = [basis.design(w, grid.time(i), dt) for i, w in enumerate(states)]
+    grams = [x.T @ x + ridge * np.eye(x.shape[1]) for x in designs]
+    conds_step = np.array([np.linalg.cond(g) for g in grams])
+    conds = np.broadcast_to(conds_step, (paths.m_outer, n)).copy()
 
     y0 = np.empty(paths.m_outer)
     final_se = np.empty(paths.m_outer)
     y_coeffs_all, z_coeffs_all = [], []
-    designs = [basis.design(w_state[:, i], grid.time(i), dt) for i in range(n)]
-    grams = [x.T @ x + ridge * np.eye(x.shape[1]) for x in designs]
-    conds_step = np.array([np.linalg.cond(g) for g in grams])
-    conds = np.broadcast_to(conds_step, (paths.m_outer, n)).copy()
+    g_b = np.empty(m_in)
+    z_target = np.empty(m_in)
+    y_target = np.empty(m_in)
     for k in range(paths.m_outer):
         b_inc = paths.b_increments[k, :, 0]
-        y = xi.copy()
-        z = np.zeros(m_in)
+        # y, z and the driver's outputs are only read: a driver may return
+        # its own argument, and y starts as the terminal values themselves
+        y, z = xi, np.zeros(m_in)
         yc, zc = [None] * n, [None] * n
         for i in range(n - 1, -1, -1):
             t_next = grid.time(i + 1)
             gv = np.asarray(driver.g(t_next, y, z), dtype=float)
             gv = np.broadcast_to(gv, y.shape)
             fv = np.asarray(driver.f(t_next, y, z), dtype=float)
-            z_target = (y + gv * b_inc[i]) * w_inc[:, i] / dt
-            y_target = y + dt * fv + gv * b_inc[i]
+            np.multiply(gv, b_inc[i], out=g_b)
+            # (y + g dB) dW / dt and y + dt f + g dB
+            np.add(y, g_b, out=z_target)
+            np.multiply(z_target, w_steps[i], out=z_target)
+            np.divide(z_target, dt, out=z_target)
+            np.multiply(dt, fv, out=y_target)
+            np.add(y, y_target, out=y_target)
+            np.add(y_target, g_b, out=y_target)
             if not (np.all(np.isfinite(z_target)) and np.all(np.isfinite(y_target))):
                 raise NumericError(f"non-finite regression target at step {i}")
             x = designs[i]

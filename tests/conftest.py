@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
+import bdsde_lab.lsmc as lsmc
 from bdsde_lab.errors import NumericError
 
 
@@ -52,6 +54,59 @@ def catalog_terminals():
         ("call", [0.5]),
         ("w_terminal_pos", []),
     ]
+
+
+def _g_python_float(t, y, z):
+    return 0.3
+
+
+def _f_own_argument(t, y, z):
+    return y
+
+
+def custom_drivers():
+    """Drivers whose outputs a buffered step must only read: g hands back a
+    Python float, f hands back its own y argument."""
+    return {
+        "g returns a Python float": bl.DriverSpec(
+            f=bl.builtin_driver("f_sqrt_pos", [2.0]).f, g=_g_python_float,
+            growth_k=2.0, growth_d=2.0),
+        "f returns its own y": bl.DriverSpec(
+            f=_f_own_argument,
+            g=bl.driver_pair("zero", [], "g_sine", [0.5, 0.3]).g,
+            g_lip_z_sq=0.64, f_lipschitz=1.0),
+    }
+
+
+def nan_driver(part, step, node):
+    """Catalog f_linear + g_linear whose ``part`` reads NaN at ``node`` of
+    its output when evaluated at the time of ``step`` on a 6-step grid."""
+    base = bl.driver_pair("f_linear", [0.6, 0.3], "g_linear", [0.8])
+    t_step = bl.make_grid(1.0, 6).time(step)
+
+    def poisoned(inner):
+        def call(t, y, z):
+            out = np.array(inner(t, y, z), dtype=float)
+            if t == t_step:
+                out[node] = np.nan
+            return out
+        return call
+
+    if part == "f":
+        return bl.DriverSpec(f=poisoned(base.f), g=base.g, g_lip_z_sq=0.64,
+                             f_lipschitz=0.6)
+    return bl.DriverSpec(f=base.f, g=poisoned(base.g), g_lip_z_sq=0.64,
+                         f_lipschitz=0.6)
+
+
+def traced_peak(fn):
+    """``fn()`` and the tracemalloc peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_conv(f, n, t, y, z, mode, radius, spacing):
@@ -167,3 +222,84 @@ def reference_save_tree_solution(path, sol):
         for i in range(sol.steps + 1):
             fh.write(np.ascontiguousarray(sol.ys[i], dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(sol.zs[i], dtype="<f8").tobytes())
+
+
+def philox_normals(seed, stream, path, count):
+    """Standard normals from a fresh generator keyed (seed, stream << 48 |
+    path), the per-path key of ``lsmc.sample_paths``."""
+    key = np.array([np.uint64(seed), np.uint64((stream << 48) | path)],
+                   dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal(count)
+
+
+def reference_sample_paths(grid, dims, counts, seed, antithetic=False):
+    """Oracle for ``lsmc.sample_paths``: one fresh generator per path, each
+    path's draw scaled by sqrt(dt) on its own."""
+    d, l = dims
+    m_outer, m_inner = counts
+    sq = np.sqrt(grid.dt)
+
+    def draw(stream, m, dim):
+        out = np.empty((m, grid.steps, dim))
+        for p in range(m):
+            if antithetic and p % 2 == 1:
+                out[p] = -out[p - 1]
+            else:
+                out[p] = sq * philox_normals(
+                    seed, stream, p, grid.steps * dim
+                ).reshape(grid.steps, dim)
+        return out
+
+    return bl.PathBatch(grid=grid, b_increments=draw(0, m_outer, l),
+                        w_increments=draw(1, m_inner, d), seed=seed,
+                        antithetic=antithetic)
+
+
+def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
+    """Oracle for ``lsmc.solve_lsmc``: design states from a cumsum over the
+    path-major increments and fresh temporaries for every target."""
+    n = grid.steps
+    dt = grid.dt
+    m_in = paths.m_inner
+    w_inc = paths.w_increments[:, :, 0]
+    w_state = np.concatenate(
+        [np.zeros((m_in, 1)), np.cumsum(w_inc, axis=1)], axis=1
+    )
+    xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
+    y0 = np.empty(paths.m_outer)
+    final_se = np.empty(paths.m_outer)
+    y_coeffs_all, z_coeffs_all = [], []
+    designs = [basis.design(w_state[:, i], grid.time(i), dt) for i in range(n)]
+    grams = [x.T @ x + ridge * np.eye(x.shape[1]) for x in designs]
+    conds_step = np.array([np.linalg.cond(g) for g in grams])
+    conds = np.broadcast_to(conds_step, (paths.m_outer, n)).copy()
+    for k in range(paths.m_outer):
+        b_inc = paths.b_increments[k, :, 0]
+        y = xi.copy()
+        z = np.zeros(m_in)
+        yc, zc = [None] * n, [None] * n
+        for i in range(n - 1, -1, -1):
+            t_next = grid.time(i + 1)
+            gv = np.asarray(driver.g(t_next, y, z), dtype=float)
+            gv = np.broadcast_to(gv, y.shape)
+            fv = np.asarray(driver.f(t_next, y, z), dtype=float)
+            z_target = (y + gv * b_inc[i]) * w_inc[:, i] / dt
+            y_target = y + dt * fv + gv * b_inc[i]
+            if not (np.all(np.isfinite(z_target))
+                    and np.all(np.isfinite(y_target))):
+                raise NumericError(f"non-finite regression target at step {i}")
+            x = designs[i]
+            z_c = lsmc._regress(x, grams[i], z_target, i)
+            y_c = lsmc._regress(x, grams[i], y_target, i)
+            z = x @ z_c
+            y = x @ y_c
+            yc[i], zc[i] = y_c, z_c
+            if i == 0:
+                final_se[k] = float(np.std(y_target) / np.sqrt(m_in))
+        y0[k] = float(np.mean(y))
+        y_coeffs_all.append(yc)
+        z_coeffs_all.append(zc)
+    return lsmc.MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
+                           y_coeffs=y_coeffs_all, z_coeffs=z_coeffs_all,
+                           cond_numbers=conds, final_se=final_se)

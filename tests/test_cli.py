@@ -376,6 +376,26 @@ def test_glue_run_above_the_memory_cap_is_refused_before_computing(tmp_path):
         gluing._check_glue_bytes(12, 0, 2)
 
 
+def test_regression_above_the_byte_cap_is_refused_before_sampling(tmp_path):
+    # 64 design matrices of 20,000 x 1,001 floats take 10.3 GB; the check
+    # runs before the 10 MB of increments are drawn
+    cfg = _base_cfg(backend="mc", grid={"horizon": 1, "steps": 64},
+                    solve={"m_outer": 2, "m_inner": 20000, "basis_degree": 1000})
+    path, out = _write(tmp_path, cfg), tmp_path / "o"
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        code = cli.run_scenario(path, out=str(out))
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
 def test_glue_at_twelve_steps_and_half_horizon_runs(tmp_path):
     # the lattice_glue benchmark config at N = 12 (t0 = 0.5, five weights)
     cfg = _kneser_cfg("tree", 0.5)

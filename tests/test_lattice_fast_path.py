@@ -2,8 +2,6 @@
 reader and writer against the reference implementations in ``conftest``:
 every field bitwise equal, every dump byte the same."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +13,10 @@ import bdsde_lab.lsmc as lsmc
 import bdsde_lab.tree as tree
 from bdsde_lab.errors import NumericError
 
-from conftest import (catalog_driver_specs, catalog_terminals,
-                      reference_backward_sweep, reference_leaf_increments,
-                      reference_save_tree_solution)
+from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
+                      nan_driver, reference_backward_sweep,
+                      reference_leaf_increments, reference_save_tree_solution,
+                      traced_peak)
 
 F_ENTRIES, G_ENTRIES = catalog_driver_specs()
 PAIRS = [(f, g) for f in F_ENTRIES for g in G_ENTRIES]
@@ -79,22 +78,7 @@ def test_leaf_increments_match_reference(n):
     assert got.tobytes() == want.tobytes()
 
 
-def _g_python_float(t, y, z):
-    return 0.3
-
-
-def _f_own_argument(t, y, z):
-    return y
-
-
-CUSTOM = {
-    "g returns a Python float": bl.DriverSpec(
-        f=bl.builtin_driver("f_sqrt_pos", [2.0]).f, g=_g_python_float,
-        growth_k=2.0, growth_d=2.0),
-    "f returns its own y": bl.DriverSpec(
-        f=_f_own_argument, g=bl.driver_pair("zero", [], "g_sine", [0.5, 0.3]).g,
-        g_lip_z_sq=0.64, f_lipschitz=1.0),
-}
+CUSTOM = custom_drivers()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -112,32 +96,11 @@ def test_custom_driver_matches_reference(name, n, data):
     _assert_bitwise(got_z, want_z)
 
 
-def _nan_driver(part, step, node):
-    """Catalog f_linear + g_linear whose ``part`` reads NaN at ``node`` of
-    the step-``step`` field only."""
-    base = bl.driver_pair("f_linear", [0.6, 0.3], "g_linear", [0.8])
-    grid_t = bl.make_grid(1.0, 6).time(step)
-
-    def poisoned(inner):
-        def call(t, y, z):
-            out = np.array(inner(t, y, z), dtype=float)
-            if t == grid_t:
-                out[node] = np.nan
-            return out
-        return call
-
-    if part == "f":
-        return bl.DriverSpec(f=poisoned(base.f), g=base.g, g_lip_z_sq=0.64,
-                             f_lipschitz=0.6)
-    return bl.DriverSpec(f=base.f, g=poisoned(base.g), g_lip_z_sq=0.64,
-                         f_lipschitz=0.6)
-
-
 @pytest.mark.parametrize("part", ["f", "g"])
 @pytest.mark.parametrize("step,node", [(6, (37, 0)), (4, (3, 2)), (1, (1, 17))])
 def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     grid = bl.make_grid(1.0, 6)
-    driver = _nan_driver(part, step, node)
+    driver = nan_driver(part, step, node)
     terminal = bl.builtin_terminal("w_terminal_sq")
     with pytest.raises(NumericError) as got:
         bl.solve_tree(driver, terminal, grid)
@@ -188,24 +151,15 @@ def test_writer_matches_reference_and_round_trips(tmp_path, layout):
         assert a.tobytes() == np.asarray(b, dtype="<f8").tobytes()
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_dump_writer_and_reader_copy_no_array(tmp_path):
     n = 14
     sol = bl.solve_tree(bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3]),
                         bl.builtin_terminal("call", [0.0]), bl.make_grid(1.0, n))
     path = tmp_path / "sol.bin"
     one_array = 8 * 2 ** n
-    _, peak = _traced_peak(lambda: bl.save_tree_solution(path, sol))
+    _, peak = traced_peak(lambda: bl.save_tree_solution(path, sol))
     assert peak < one_array // 2
-    loaded, peak = _traced_peak(lambda: bl.load_tree_solution(path))
+    loaded, peak = traced_peak(lambda: bl.load_tree_solution(path))
     arrays = 2 * (n + 1) * one_array
     assert arrays <= peak < arrays + one_array // 2
     _assert_bitwise(loaded.ys, sol.ys)

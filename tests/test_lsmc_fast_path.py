@@ -1,0 +1,227 @@
+"""The regression sweep's step-major increments and buffered targets, and the
+re-keyed path generator, against the reference implementations in
+``conftest``: every estimate and every increment bitwise equal."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bdsde_lab as bl
+import bdsde_lab.cli as cli
+import bdsde_lab.harness as harness
+import bdsde_lab.lsmc as lsmc
+from bdsde_lab.errors import CapacityError, NumericError, RegressionError
+from bdsde_lab.tree import leaf_increments
+
+from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
+                      nan_driver, reference_sample_paths, reference_solve_lsmc,
+                      traced_peak)
+
+F_ENTRIES, G_ENTRIES = catalog_driver_specs()
+
+# increment arrays as a caller may hand them to ``PathBatch.from_arrays``
+LAYOUTS = {
+    "C": lambda a: a,
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+}
+
+
+def _solve_both(driver, terminal, grid, basis, paths, ridge=1e-8):
+    """Both sweeps' solutions, or both sweeps' ``RegressionError`` texts."""
+    try:
+        got = bl.solve_lsmc(driver, terminal, grid, basis, paths, ridge=ridge)
+    except RegressionError as exc:
+        with pytest.raises(RegressionError) as want:
+            reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge)
+        return str(exc), str(want.value)
+    return got, reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge)
+
+
+def _assert_same_solution(got, want):
+    if isinstance(got, str):
+        assert got == want
+        return
+    for name in ("y0", "cond_numbers", "final_se"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("y_coeffs", "z_coeffs"):
+        for row_a, row_b in zip(getattr(got, name), getattr(want, name),
+                                strict=True):
+            assert [c.tobytes() for c in row_a] == [c.tobytes() for c in row_b]
+
+
+def _lattice_batch(grid, m_outer, layout, rng):
+    """Every forward lattice path as the inner sample and ``m_outer``
+    random lattice paths of the backward noise."""
+    sq = np.sqrt(grid.dt)
+    bits = rng.integers(0, 2, size=(m_outer, grid.steps))
+    b = (2.0 * bits - 1.0) * sq
+    return bl.PathBatch.from_arrays(grid, LAYOUTS[layout](b),
+                                    LAYOUTS[layout](leaf_increments(grid)))
+
+
+def _sampled_batch(grid, m_outer, m_inner, layout, seed):
+    batch = bl.sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
+    return bl.PathBatch.from_arrays(
+        grid, LAYOUTS[layout](batch.b_increments[:, :, 0]),
+        LAYOUTS[layout](batch.w_increments[:, :, 0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 12), f=st.sampled_from(F_ENTRIES),
+       g=st.sampled_from(G_ENTRIES), terminal=st.sampled_from(catalog_terminals()),
+       basis=st.sampled_from([("poly", d) for d in range(4)] + [("indicator", 0)]),
+       ridge=st.sampled_from([0.0, 1e-8]), layout=st.sampled_from(sorted(LAYOUTS)),
+       m_outer=st.integers(2, 3), seed=st.integers(0, 2 ** 32))
+def test_catalog_solve_matches_reference(n, f, g, terminal, basis, ridge,
+                                         layout, m_outer, seed):
+    grid = bl.make_grid(1.0, n)
+    spec = bl.BasisSpec(*basis)
+    if spec.kind == "indicator":
+        paths = _lattice_batch(grid, m_outer, layout, np.random.default_rng(seed))
+    else:
+        paths = _sampled_batch(grid, m_outer, 10 * (spec.degree + 1) + 1 + seed % 64,
+                               layout, seed)
+    got, want = _solve_both(bl.driver_pair(*f, *g), bl.builtin_terminal(*terminal),
+                            grid, spec, paths, ridge)
+    _assert_same_solution(got, want)
+
+
+CUSTOM = custom_drivers()
+
+
+@pytest.mark.parametrize("basis", ["poly", "indicator"])
+@pytest.mark.parametrize("name", sorted(CUSTOM))
+def test_custom_driver_matches_reference(name, basis):
+    grid = bl.make_grid(1.0, 7)
+    if basis == "poly":
+        paths = bl.sample_paths(grid, (1, 1), (3, 300), seed=8)
+    else:
+        paths = _lattice_batch(grid, 3, "C", np.random.default_rng(8))
+    xi = np.random.default_rng(1).normal(size=paths.m_inner)
+    kept = xi.copy()
+    # the terminal hands out the same array on every call; f returning y
+    # hands it back as the drift, so a step writing into either breaks this
+    terminal = bl.TerminalSpec(lambda w: xi, "held")
+    got, want = _solve_both(CUSTOM[name], terminal, grid, bl.BasisSpec(basis),
+                            paths, ridge=0.0 if basis == "indicator" else 1e-8)
+    _assert_same_solution(got, want)
+    assert xi.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("part", ["f", "g"])
+@pytest.mark.parametrize("step,node", [(6, 37), (4, 3), (1, 199)])
+def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
+    grid = bl.make_grid(1.0, 6)
+    paths = bl.sample_paths(grid, (1, 1), (2, 200), seed=4)
+    args = (nan_driver(part, step, node), bl.builtin_terminal("w_terminal_sq"),
+            grid, bl.BasisSpec("poly", 2), paths)
+    with pytest.raises(NumericError) as got:
+        bl.solve_lsmc(*args)
+    with pytest.raises(NumericError) as want:
+        reference_solve_lsmc(*args)
+    assert str(got.value) == str(want.value)
+    assert f"step {step - 1}" in str(got.value)
+
+
+def test_sweep_keeps_one_copy_of_the_increments():
+    # the step-major copy replaces the (m_inner, N + 1) state array; keeping
+    # both would add 2.6 MiB here.  The sweep itself holds about eleven
+    # m_inner arrays at once (terminal values, three target buffers, y, z,
+    # their successors and the driver's outputs and temporaries), 1.7 MiB
+    # with this driver, as the path-major sweep did.
+    n, m_in = 16, 20_000
+    grid = bl.make_grid(1.0, n)
+    paths = bl.sample_paths(grid, (1, 1), (2, m_in), seed=3)
+    basis = bl.BasisSpec("poly", 2)
+    driver = bl.driver_pair("f_linear", [1.0, 0.0], "g_constant", [0.5])
+    terminal = bl.builtin_terminal("w_terminal")
+    got, peak = traced_peak(
+        lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
+    designs = 8 * n * m_in * basis.width(n)
+    copy = 8 * n * m_in
+    assert designs + copy <= peak < designs + copy + 2 * 2 ** 20
+    _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
+                                                    basis, paths))
+
+
+def test_design_byte_cap():
+    big = bl.BasisSpec("poly", 1000)
+    with pytest.raises(CapacityError, match="allocate 10250240000 bytes and the "
+                       "step-major increments 10240000 more: 10260480000 "
+                       "bytes, cap is 2147483648"):
+        lsmc.check_regression_bytes(64, 20_000, big)
+    # the indicator basis counts N + 1 columns: 8 * 64 * m * 66 bytes in all
+    m = 2 ** 31 // (8 * 64 * 66)
+    lsmc.check_regression_bytes(64, m, bl.BasisSpec("indicator"))
+    with pytest.raises(CapacityError):
+        lsmc.check_regression_bytes(64, m + 1, bl.BasisSpec("indicator"))
+
+
+def test_solve_above_the_design_cap_allocates_nothing():
+    # broadcast increments take no memory; the check runs before the copy,
+    # the terminal values and the designs
+    grid = bl.make_grid(1.0, 64)
+    m_in = 2 ** 20
+    paths = bl.PathBatch.from_arrays(grid, np.zeros((2, 64)),
+                                     np.broadcast_to(0.0, (m_in, 64)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            bl.solve_lsmc(bl.builtin_driver("zero"),
+                          bl.builtin_terminal("w_terminal"), grid,
+                          bl.BasisSpec("indicator"), paths)
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", harness.CLOSED_FORM_CASE_NAMES)
+def test_mc_convergence_writes_the_reference_bytes(tmp_path, monkeypatch, case):
+    cfg = {"scenario": "convergence", "grid": {"horizon": 1.0, "steps": 4},
+           "driver": {"f": {"name": "zero", "params": []},
+                      "g": {"name": "g_zero", "params": []}},
+           "terminal": {"name": "constant", "params": [0.0]},
+           "backend": "mc", "seed": 5,
+           "convergence": {"case": case, "Ns": [4, 8, 16], "m_inner": 600}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run_scenario(path, out=str(tmp_path / "got")) == 0
+    monkeypatch.setattr(harness, "sample_paths", reference_sample_paths)
+    monkeypatch.setattr(harness, "solve_lsmc", reference_solve_lsmc)
+    assert cli.run_scenario(path, out=str(tmp_path / "want")) == 0
+    assert ((tmp_path / "got" / "convergence.csv").read_bytes()
+            == (tmp_path / "want" / "convergence.csv").read_bytes())
+
+
+# --------------------------------------------------------------------------
+# path sampling
+# --------------------------------------------------------------------------
+
+SAMPLES = {
+    "seed 0": dict(dims=(1, 1), counts=(4, 64), seed=0),
+    "seed 12345": dict(dims=(1, 1), counts=(4, 64), seed=12345),
+    "seed 2**64 - 1": dict(dims=(1, 1), counts=(4, 64), seed=2 ** 64 - 1),
+    "antithetic, odd m_outer": dict(dims=(1, 1), counts=(5, 7), seed=3,
+                                    antithetic=True),
+    "dims (2, 3)": dict(dims=(2, 3), counts=(3, 10), seed=11),
+    "4,000 outer paths": dict(dims=(1, 1), counts=(4000, 64), seed=21),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLES))
+def test_sample_paths_match_reference(name):
+    grid = bl.make_grid(1.0, 8)
+    got = bl.sample_paths(grid, **SAMPLES[name])
+    want = reference_sample_paths(grid, **SAMPLES[name])
+    for a, b in ((got.b_increments, want.b_increments),
+                 (got.w_increments, want.w_increments)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    assert (got.seed, got.antithetic) == (want.seed, want.antithetic)
