@@ -259,7 +259,8 @@ def _run_solve(block, grid, driver, terminal, backend, seed):
         m_outer = int(block.get("m_outer", 16))
         m_inner = int(block.get("m_inner", 4096))
         basis = BasisSpec("poly", int(block.get("basis_degree", 2)))
-        check_regression_bytes(grid.steps, m_inner, basis)   # before sampling
+        # before sampling: a polynomial design has degree + 1 columns
+        check_regression_bytes(m_inner, [basis.degree + 1] * grid.steps)
         paths = sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, basis, paths)
         return 0, {"solve.csv": _csv(["outer_path", "y0"],

@@ -81,6 +81,11 @@ class DriverSpec:
     ``f_lipschitz`` is the l1 Lipschitz constant of f in (y, z) when known.
     Declared constants are trusted by the solvers; the empirical checker
     :func:`check_driver_contract` can refute them but never certify them.
+
+    ``f`` and ``g`` must be pointwise: the value at a node depends on t and
+    that node's (y, z) alone, never on its position in the array or on
+    the other nodes.  Solvers may call them on any subset of the nodes; the
+    lattice sweep calls them once per distinct row of a step.
     """
 
     f: DriverPart

@@ -52,6 +52,12 @@ class IterateRecord:
 
 @dataclass(frozen=True)
 class EnvelopeSide:
+    """One envelope side: the last iterate's fields, the lower-bound
+    companion, the iterate record and the convolution boundary hits summed
+    over the iterates.  On the tree backend the hits count distinct probes
+    (the lattice sweep evaluates the driver once per distinct row), not
+    lattice nodes; they reach no artifact."""
+
     mode: str                 # "sup" (maximal) or "inf" (minimal)
     y: object
     z: object

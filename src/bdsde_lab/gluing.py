@@ -46,7 +46,7 @@ from .envelope import (EnvelopeResult, SandwichReport, SandwichScan,
 from .errors import CapacityError, InversionError
 from .tree import (
     ForwardSegment,
-    _backward_defect,
+    _backward_defects,
     _backward_sweep,
     _expand,
     _forward_defects,
@@ -308,9 +308,8 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     # backward piece on its own node spaces (valid for every path off the
     # splice; paths exiting immediately splice at step i0 - 1)
     worst = 0.0
-    for i in range(i0):
-        worst = max(worst, float(np.max(
-            _backward_defect(driver, grid, i, seg1_y, seg1_z))))
+    for defect in _backward_defects(driver, grid, seg1_y, seg1_z, range(i0)):
+        worst = max(worst, defect)
     # the forward piece between i0 and each path's exit
     for j, defect in _forward_defects(segment2, driver):
         live = tau > j

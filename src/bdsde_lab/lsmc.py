@@ -40,9 +40,10 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
-from .tree import _check_dump_size, _read_array, _read_header
+from .tree import _check_dump_size, _distinct, _read_array, _read_header
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
+WIDTH_BLOCK = 2 ** 13       # paths per block when indicator widths are counted
 
 _STREAM_OUTER = 0
 _STREAM_INNER = 1
@@ -145,6 +146,11 @@ def sample_paths(grid: TimeGrid, dims: tuple[int, int],
     )
 
 
+def _levels(w: np.ndarray, dt: float) -> np.ndarray:
+    """Lattice level of each state: W / sqrt(dt) rounded to an integer."""
+    return np.rint(w / np.sqrt(dt)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Regression basis in the current forward-noise value.
@@ -167,14 +173,27 @@ class BasisSpec:
         if self.kind == "poly":
             scale = max(np.sqrt(t), np.sqrt(dt))
             return np.vander(w / scale, self.degree + 1, increasing=True)
-        levels = np.rint(w / np.sqrt(dt)).astype(np.int64)
-        values = np.unique(levels)
+        levels = _levels(w, dt)
+        values = _distinct(levels)
         return (levels[:, None] == values[None, :]).astype(float)
 
-    def width(self, n_steps: int) -> int:
+    def widths(self, w_inc: np.ndarray, dt: float) -> list:
+        """Columns of the design at each step i = 0..N-1 for the inner
+        increments ``w_inc`` (m_inner, N): ``degree + 1`` for ``poly``; for
+        ``indicator`` the number of distinct levels of W_{t_i}, formed with
+        the running sums the sweep's design states use.  The levels are
+        counted over blocks of ``WIDTH_BLOCK`` paths, so counting allocates
+        a few block-sized arrays and no design."""
+        n = w_inc.shape[1]
         if self.kind == "poly":
-            return self.degree + 1
-        return n_steps + 1
+            return [self.degree + 1] * n
+        seen = [np.empty(0, dtype=np.int64)] * n
+        for start in range(0, w_inc.shape[0], WIDTH_BLOCK):
+            block = w_inc[start:start + WIDTH_BLOCK]
+            states = chain([np.zeros(block.shape[0])], accumulate(block.T[:-1]))
+            for i, w in enumerate(states):
+                seen[i] = _distinct(np.concatenate((seen[i], _levels(w, dt))))
+        return [values.size for values in seen]
 
 
 @dataclass(frozen=True)
@@ -204,13 +223,12 @@ def _regress(x: np.ndarray, gram: np.ndarray, target: np.ndarray, step: int):
         ) from exc
 
 
-def check_regression_bytes(steps: int, m_inner: int, basis: BasisSpec) -> None:
-    """Raise ``CapacityError`` unless the ``steps`` design matrices of
-    ``solve_lsmc`` (m_inner rows of ``basis.width(steps)`` floats each) plus
-    its step-major copy of the inner increments fit in
-    ``BATCH_MEMORY_CAP`` bytes."""
-    designs = 8 * steps * m_inner * basis.width(steps)
-    copy = 8 * steps * m_inner
+def check_regression_bytes(m_inner: int, widths) -> None:
+    """Raise ``CapacityError`` unless the design matrices of ``solve_lsmc``
+    (at step i, m_inner rows of ``widths[i]`` floats) plus its step-major
+    copy of the inner increments fit in ``BATCH_MEMORY_CAP`` bytes."""
+    designs = 8 * m_inner * sum(widths)
+    copy = 8 * len(widths) * m_inner
     if designs + copy > BATCH_MEMORY_CAP:
         raise CapacityError(
             f"regression designs would allocate {designs} bytes and the "
@@ -226,7 +244,8 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
 
     Raises ``CapacityError`` before allocating when the design matrices
     plus the step-major increments would take more than
-    ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``)."""
+    ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``), each design
+    counted at its own width (``BasisSpec.widths``)."""
     if paths.dim_d != 1 or paths.dim_l != 1:
         raise ValueError("the regression solver handles scalar noise only")
     if paths.grid.steps != grid.steps or abs(paths.grid.dt - grid.dt) > 1e-15:
@@ -239,8 +258,8 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             f"m_inner={m_in} too small for degree {basis.degree}; "
             f"need more than {10 * (basis.degree + 1)} inner paths"
         )
-    check_regression_bytes(n, m_in, basis)
     w_inc = paths.w_increments[:, :, 0]
+    check_regression_bytes(m_in, basis.widths(w_inc, dt))
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
     w_steps = np.ascontiguousarray(w_inc.T)     # row i: dW_i of every path
 

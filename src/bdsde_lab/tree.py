@@ -96,74 +96,165 @@ class TreeSolution:
         return max(float(np.max(np.abs(y))) for y in self.ys)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, in increasing order (a sort
+    and one comparison; ``np.unique`` would import ``numpy.ma``)."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _classes(keys: np.ndarray):
+    """Equal entries of the 1-d int64 array ``keys`` as classes.
+
+    Returns ``(cls, distinct)``: the distinct keys in increasing order and,
+    for every entry, the position of its key among them.  When every
+    entry is distinct, ``cls`` is None: each entry is its own class,
+    numbered by its position."""
+    distinct = _distinct(keys)
+    if distinct.size == keys.size:
+        return None, distinct
+    return np.searchsorted(distinct, keys), distinct
+
+
+def _pair_classes(cls: np.ndarray, count: int):
+    """Classes of the pairs ``(cls[2j], cls[2j+1])`` of class numbers below
+    ``count``: ``(cls, pairs)``, with ``cls`` as :func:`_classes` gives it
+    and ``pairs[c]`` the two class numbers of pair class ``c``."""
+    pairs = cls.reshape(-1, 2)
+    keys = pairs[:, 0] * count
+    keys += pairs[:, 1]
+    cls, distinct = _classes(keys)
+    if cls is None:
+        return None, pairs
+    return cls, np.stack(np.divmod(distinct, count), axis=1)
+
+
+def _row_classes(rows: np.ndarray):
+    """The rows of a 2-d float64 array grouped by their bytes (so -0.0 and
+    +0.0 differ, as do NaN payloads): ``(cls, compact)``, with ``cls`` as
+    :func:`_classes` gives it for the rows and one row per class in
+    ``compact``.  The entries are grouped first, then adjacent pairs of
+    classes, until one class is left per row (row widths are powers of
+    two)."""
+    cls, distinct = _classes(rows.view(np.int64).ravel())
+    compact = distinct.view(np.float64).reshape(-1, 1)
+    while cls is not None and compact.shape[1] < rows.shape[1]:
+        cls, pairs = _pair_classes(cls, compact.shape[0])
+        compact = np.take(compact, pairs, axis=0).reshape(pairs.shape[0], -1)
+    return cls, (rows if cls is None else compact)
+
+
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
                     start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
     to step 0.  The z field at the start step is zero.
 
-    Each step writes through ``out=`` into three work buffers allocated once
-    (``y + dt f`` over 2**N nodes, the branch mean and difference over
-    2**(N-1)) and into the new step's own arrays; the driver's values and
-    the stored fields are only read, since a driver may return its own
-    argument."""
+    The sweep runs on classes of rows, not on rows.  The start field's rows
+    are grouped by their bytes; at each step a row's class is the pair of
+    its two children's classes.  Rows of one class hold the same bytes,
+    because the step is a pointwise map of the two children's rows, so the
+    driver, the finiteness check and the step's ufuncs run once per class
+    on compact ``(classes, columns)`` arrays.  Each stored step is one row
+    gather from its compact arrays, which sit in the stored memory of the
+    step below until that step is written.  Once every row of a step is
+    its own class, the compact arrays are the stored ones: the step writes
+    straight into them.
+
+    Each step writes through ``out=`` into its new arrays and into one
+    buffer of up to 2**(N-1) entries allocated once; the driver's values
+    and the stored fields are only read, since a driver may return its own
+    argument.  The stored fields are views of one Y block and one Z
+    block."""
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
     two_sq = 2.0 * sq
-    ys = [None] * (start_step + 1)
-    zs = [None] * (start_step + 1)
-    ys[start_step] = np.asarray(start_y, dtype=float)
-    zs[start_step] = np.zeros_like(ys[start_step])
-    if ys[start_step].shape != (2 ** start_step, 2 ** (n - start_step)):
+    y_start = np.asarray(start_y, dtype=float)
+    if y_start.shape != (2 ** start_step, 2 ** (n - start_step)):
         raise ValueError(
-            f"start field has shape {ys[start_step].shape}, expected "
+            f"start field has shape {y_start.shape}, expected "
             f"{(2 ** start_step, 2 ** (n - start_step))}"
         )
-    work = np.empty(2 ** n)
-    half_mean = np.empty(2 ** (n - 1))
-    half_diff = np.empty(2 ** (n - 1))
+    # the zero start z is the last row of a zero-filled block: a large
+    # block's pages take memory only once a step writes them
+    y_block = np.empty((start_step, 2 ** n))
+    z_block = np.zeros((start_step + 1, 2 ** n))
+    ys = [y_block[i].reshape(2 ** i, 2 ** (n - i)) for i in range(start_step)]
+    zs = [z_block[i].reshape(2 ** i, 2 ** (n - i)) for i in range(start_step + 1)]
+    ys.append(y_start)
+    # cls: class of every row of the step last written (None: each row is
+    # its own class); cy, cz: one row per class
+    cls, cy = _row_classes(y_start)
+    cz = zs[start_step] if cls is None else np.zeros_like(cy)
+    half = np.empty(2 ** (n - 1))
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
-        y_next, z_next = ys[i + 1], zs[i + 1]
-        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-        gv = np.broadcast_to(
-            np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
-            y_next.shape,
-        )
+        fv, gv = (np.broadcast_to(np.asarray(part(t_next, cy, cz), dtype=float),
+                                  cy.shape) for part in (driver.f, driver.g))
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
-            bad = np.argwhere(~(np.isfinite(fv) & np.isfinite(gv)))[0]
-            raise NumericError(
-                f"non-finite driver value at step {i + 1}", where=tuple(bad)
-            )
-        a = work.reshape(y_next.shape)
+            raise NumericError(f"non-finite driver value at step {i + 1}",
+                               where=_first_non_finite(fv, gv, cls))
+        m = cy.shape[1]
+        if cls is None:
+            # the children of row h are rows 2h and 2h+1
+            rows, pairs = 2 ** i, None
+        else:
+            cls, pairs = _pair_classes(cls, cy.shape[0])
+            rows = pairs.shape[0]
+        if cls is None:
+            y_new, z_new = (f[i].reshape(rows, 2, m) for f in (ys, zs))
+        else:
+            y_new, z_new = (b[i - 1, :rows * 2 * m].reshape(rows, 2, m)
+                            for b in (y_block, z_block))
+        # compact rows of the step above may sit where the new arrays go
+        if np.may_share_memory(gv, y_new) or np.may_share_memory(gv, z_new):
+            gv = gv.copy()
+        # y + dt f goes to the new z array (there are at most twice as many
+        # child classes as classes); its branch difference to the - branch
+        # of the new y, the g terms to the + branches
+        a = z_new.reshape(-1)[:cy.size].reshape(cy.shape)
         np.multiply(fv, dt, out=a)
-        np.add(a, y_next, out=a)
-        shape3 = (2 ** i, 2, 2 ** (n - i - 1))
-        a = a.reshape(shape3)
-        g3 = gv.reshape(shape3)
-        a_mean = half_mean.reshape(2 ** i, -1)
-        a_diff = half_diff.reshape(2 ** i, -1)
-        np.add(a[:, 1, :], a[:, 0, :], out=a_mean)
+        np.add(a, cy, out=a)
+        a3 = a.reshape(rows, 2, m) if pairs is None else \
+            np.take(a, pairs, axis=0, out=y_new, mode="clip")
+        a_mean = half[:rows * m].reshape(rows, m)
+        a_diff = y_new[:, 0, :]
+        np.add(a3[:, 1, :], a3[:, 0, :], out=a_mean)
         np.multiply(a_mean, 0.5, out=a_mean)
-        np.subtract(a[:, 1, :], a[:, 0, :], out=a_diff)
-        y_new = np.empty(shape3)
-        z_new = np.empty(shape3)
-        # g_mean sq and g_diff sq first go to the + branch of y and z
+        np.subtract(a3[:, 1, :], a3[:, 0, :], out=a_diff)
+        g3 = gv.reshape(rows, 2, m) if pairs is None else \
+            np.take(gv, pairs, axis=0, out=z_new, mode="clip")
         g_mean_sq, g_diff_sq = y_new[:, 1, :], z_new[:, 1, :]
         np.add(g3[:, 1, :], g3[:, 0, :], out=g_mean_sq)
         np.multiply(g_mean_sq, 0.5, out=g_mean_sq)
         np.multiply(g_mean_sq, sq, out=g_mean_sq)
         np.subtract(g3[:, 1, :], g3[:, 0, :], out=g_diff_sq)
         np.multiply(g_diff_sq, sq, out=g_diff_sq)
-        np.subtract(a_mean, g_mean_sq, out=y_new[:, 0, :])
-        np.add(a_mean, g_mean_sq, out=y_new[:, 1, :])
         np.subtract(a_diff, g_diff_sq, out=z_new[:, 0, :])
         np.divide(z_new[:, 0, :], two_sq, out=z_new[:, 0, :])
         np.add(a_diff, g_diff_sq, out=z_new[:, 1, :])
         np.divide(z_new[:, 1, :], two_sq, out=z_new[:, 1, :])
-        ys[i] = y_new.reshape(2 ** i, 2 ** (n - i))
-        zs[i] = z_new.reshape(2 ** i, 2 ** (n - i))
+        np.subtract(a_mean, g_mean_sq, out=y_new[:, 0, :])
+        np.add(a_mean, g_mean_sq, out=y_new[:, 1, :])
+        del fv, gv, a3, g3      # free before the next driver call
+        cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
+        if cls is not None:
+            np.take(cy, cls, axis=0, out=ys[i], mode="clip")
+            np.take(cz, cls, axis=0, out=zs[i], mode="clip")
     return ys, zs
+
+
+def _first_non_finite(fv: np.ndarray, gv: np.ndarray, cls) -> tuple:
+    """The first node, in C order of the full step array, whose driver
+    value is not finite, from the per-class values and the row classes."""
+    bad = ~(np.isfinite(fv) & np.isfinite(gv))
+    bad_rows = np.any(bad, axis=1)
+    row = int(np.flatnonzero(bad_rows if cls is None else bad_rows[cls])[0])
+    col = int(np.flatnonzero(bad[row if cls is None else cls[row]])[0])
+    return (row, col)
 
 
 def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
@@ -194,26 +285,44 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
                         terminal_descriptor=terminal.descriptor)
 
 
-def _backward_defect(driver: DriverSpec, grid: TimeGrid, i: int, ys,
-                     zs) -> np.ndarray:
-    """Nodewise defect of the one-step identity Y_i + Z_i s_i sqrt(dt) =
-    Y_{i+1} + dt f + g r_i sqrt(dt) between lattice steps i and i+1, indexed
-    by (h, s_i, r_i, b'): history, both new increments, remaining future."""
+def _backward_defects(driver: DriverSpec, grid: TimeGrid, ys, zs, steps):
+    """For each step i of ``steps``, the worst nodewise defect of the
+    one-step identity Y_i + Z_i s_i sqrt(dt) = Y_{i+1} + dt f + g r_i
+    sqrt(dt) between lattice steps i and i+1 (NaN if any defect is NaN).
+
+    Formed branch by branch, (s_i, r_i) in turn, over the (history, s_i or
+    r_i, remaining future) views of the two steps, with the same
+    operations per node as over their whole product, in buffers allocated
+    once."""
     dt = grid.dt
     sq = np.sqrt(dt)
-    t_next = grid.time(i + 1)
-    y_next, z_next = ys[i + 1], zs[i + 1]
-    fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-    gv = np.broadcast_to(
-        np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
-        y_next.shape,
-    )
-    rhs = (y_next + dt * fv).reshape(2 ** i, 2, 1, -1) \
-        + gv.reshape(2 ** i, 2, 1, -1) * sq * np.array([-1.0, 1.0])[None, None, :, None]
-    y_i = ys[i].reshape(2 ** i, 1, 2, -1)
-    z_i = zs[i].reshape(2 ** i, 1, 2, -1)
-    s_sign = np.array([-1.0, 1.0])[None, :, None, None]
-    return np.abs(y_i + z_i * s_sign * sq - rhs)
+    size = 2 ** grid.steps
+    base, g_sq = np.empty(size), np.empty(size)
+    lhs, rhs = np.empty(size // 2), np.empty(size // 2)
+    for i in steps:
+        t_next = grid.time(i + 1)
+        y_next, z_next = ys[i + 1], zs[i + 1]
+        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
+        gv = np.asarray(driver.g(t_next, y_next, z_next), dtype=float)
+        b2, g2 = base.reshape(y_next.shape), g_sq.reshape(y_next.shape)
+        np.multiply(dt, fv, out=b2)
+        np.add(y_next, b2, out=b2)
+        np.multiply(gv, sq, out=g2)
+        # (history, s_i, future) on step i + 1, (history, r_i, future) on i
+        b3, g3 = b2.reshape(2 ** i, 2, -1), g2.reshape(2 ** i, 2, -1)
+        y_i, z_i = (f[i].reshape(2 ** i, 2, -1) for f in (ys, zs))
+        l2, r2 = lhs.reshape(2 ** i, -1), rhs.reshape(2 ** i, -1)
+        worst = []
+        for s, s_sign in enumerate((-1.0, 1.0)):
+            for r, r_sign in enumerate((-1.0, 1.0)):
+                np.multiply(z_i[:, r], s_sign, out=l2)
+                np.multiply(l2, sq, out=l2)
+                np.add(y_i[:, r], l2, out=l2)
+                np.multiply(g3[:, s], r_sign, out=r2)
+                np.add(b3[:, s], r2, out=r2)
+                np.subtract(l2, r2, out=l2)
+                worst.append(np.max(np.abs(l2, out=l2)))
+        yield float(np.max(worst))
 
 
 def tree_residual(sol: TreeSolution, driver: DriverSpec,
@@ -224,16 +333,14 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
     """
     grid = sol.grid
     n = grid.steps
-    if len(sol.ys) != n + 1:
+    if len(sol.ys) != n + 1 or any(sol.ys[i].shape != (2 ** i, 2 ** (n - i))
+                                   for i in range(n)):
         raise ValueError("solution dimensions inconsistent with its grid")
     worst = float(np.max(np.abs(
         sol.ys[n].ravel() - terminal.evaluate(leaf_increments(grid))
     )))
-    for i in range(n):
-        if sol.ys[i].shape != (2 ** i, 2 ** (n - i)):
-            raise ValueError("solution dimensions inconsistent with its grid")
-        worst = max(worst, float(np.max(
-            _backward_defect(driver, grid, i, sol.ys, sol.zs))))
+    for defect in _backward_defects(driver, grid, sol.ys, sol.zs, range(n)):
+        worst = max(worst, defect)
     return worst
 
 

@@ -64,13 +64,27 @@ def _f_own_argument(t, y, z):
     return y
 
 
+def _g_own_y(t, y, z):
+    return y
+
+
+def _g_own_z(t, y, z):
+    return z
+
+
 def custom_drivers():
     """Drivers whose outputs a buffered step must only read: g hands back a
-    Python float, f hands back its own y argument."""
+    Python float, f hands back its own y argument, g its own y or z (a
+    z-slope of 1, outside the contract: these drivers test aliasing, not
+    the scheme)."""
+    sqrt_f = bl.builtin_driver("f_sqrt_pos", [2.0]).f
     return {
+        "g returns its own y": bl.DriverSpec(
+            f=sqrt_f, g=_g_own_y, growth_k=2.0, growth_d=2.0, g_lip_y=1.0),
+        "g returns its own z": bl.DriverSpec(
+            f=sqrt_f, g=_g_own_z, growth_k=2.0, growth_d=2.0),
         "g returns a Python float": bl.DriverSpec(
-            f=bl.builtin_driver("f_sqrt_pos", [2.0]).f, g=_g_python_float,
-            growth_k=2.0, growth_d=2.0),
+            f=sqrt_f, g=_g_python_float, growth_k=2.0, growth_d=2.0),
         "f returns its own y": bl.DriverSpec(
             f=_f_own_argument,
             g=bl.driver_pair("zero", [], "g_sine", [0.5, 0.3]).g,
@@ -78,17 +92,26 @@ def custom_drivers():
     }
 
 
-def nan_driver(part, step, node):
-    """Catalog f_linear + g_linear whose ``part`` reads NaN at ``node`` of
-    its output when evaluated at the time of ``step`` on a 6-step grid."""
-    base = bl.driver_pair("f_linear", [0.6, 0.3], "g_linear", [0.8])
+def nan_base_driver():
+    """The catalog driver that :func:`nan_driver` poisons."""
+    return bl.driver_pair("f_linear", [0.6, 0.3], "g_linear", [0.8])
+
+
+def nan_driver(part, step, at):
+    """Catalog f_linear + g_linear whose ``part`` reads NaN wherever its
+    argument (y, z) equals ``at`` when evaluated at the time of ``step`` on
+    a 6-step grid.  The poison depends on the value alone, as a driver
+    must: a solver may evaluate it on any subset of nodes."""
+    base = nan_base_driver()
     t_step = bl.make_grid(1.0, 6).time(step)
+    y_at, z_at = at
 
     def poisoned(inner):
         def call(t, y, z):
             out = np.array(inner(t, y, z), dtype=float)
             if t == t_step:
-                out[node] = np.nan
+                hit = (np.asarray(y) == y_at) & (np.asarray(z) == z_at)
+                out[np.broadcast_to(hit, out.shape)] = np.nan
             return out
         return call
 
@@ -97,6 +120,24 @@ def nan_driver(part, step, node):
                              f_lipschitz=0.6)
     return bl.DriverSpec(f=base.f, g=poisoned(base.g), g_lip_z_sq=0.64,
                          f_lipschitz=0.6)
+
+
+def nan_driver_target(solve, step, node):
+    """The argument (y, z) at ``node`` of the first evaluation of the
+    unpoisoned :func:`nan_driver` at the time of ``step`` when
+    ``solve(driver)`` runs it."""
+    base = nan_base_driver()
+    t_step = bl.make_grid(1.0, 6).time(step)
+    seen = []
+
+    def f(t, y, z):
+        if t == t_step and not seen:
+            y_b, z_b = np.broadcast_arrays(y, z)
+            seen.append((float(y_b[node]), float(z_b[node])))
+        return base.f(t, y, z)
+
+    solve(bl.DriverSpec(f=f, g=base.g, g_lip_z_sq=0.64, f_lipschitz=0.6))
+    return seen[0]
 
 
 def traced_peak(fn):
@@ -205,6 +246,35 @@ def reference_backward_sweep(driver, grid, start_step, start_y):
         ys[i] = y_new.reshape(2 ** i, 2 ** (n - i))
         zs[i] = z_new.reshape(2 ** i, 2 ** (n - i))
     return ys, zs
+
+
+def reference_tree_residual(sol, driver, terminal):
+    """Oracle for ``tree.tree_residual``: each step's defect formed at once
+    over (history, s_i, r_i, future) in 4-d temporaries."""
+    grid = sol.grid
+    n = grid.steps
+    dt = grid.dt
+    sq = np.sqrt(dt)
+    worst = float(np.max(np.abs(
+        sol.ys[n].ravel() - terminal.evaluate(reference_leaf_increments(grid))
+    )))
+    for i in range(n):
+        t_next = grid.time(i + 1)
+        y_next, z_next = sol.ys[i + 1], sol.zs[i + 1]
+        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
+        gv = np.broadcast_to(
+            np.asarray(driver.g(t_next, y_next, z_next), dtype=float),
+            y_next.shape,
+        )
+        r_sign = np.array([-1.0, 1.0])[None, None, :, None]
+        rhs = (y_next + dt * fv).reshape(2 ** i, 2, 1, -1) \
+            + gv.reshape(2 ** i, 2, 1, -1) * sq * r_sign
+        y_i = sol.ys[i].reshape(2 ** i, 1, 2, -1)
+        z_i = sol.zs[i].reshape(2 ** i, 1, 2, -1)
+        s_sign = np.array([-1.0, 1.0])[None, :, None, None]
+        defect = np.abs(y_i + z_i * s_sign * sq - rhs)
+        worst = max(worst, float(np.max(defect)))
+    return worst
 
 
 def reference_save_tree_solution(path, sol):

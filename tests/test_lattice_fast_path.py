@@ -1,6 +1,9 @@
-"""The lattice solve's leaf increments, buffered backward step and dump
-reader and writer against the reference implementations in ``conftest``:
-every field bitwise equal, every dump byte the same."""
+"""The lattice solve's leaf increments, backward sweep on classes of rows,
+residual and dump reader and writer against the reference implementations
+in ``conftest``: every field and residual bitwise equal, every dump byte
+the same."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,8 +17,9 @@ import bdsde_lab.tree as tree
 from bdsde_lab.errors import NumericError
 
 from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
-                      nan_driver, reference_backward_sweep,
-                      reference_leaf_increments, reference_save_tree_solution,
+                      nan_base_driver, nan_driver, nan_driver_target,
+                      reference_backward_sweep, reference_leaf_increments,
+                      reference_save_tree_solution, reference_tree_residual,
                       traced_peak)
 
 F_ENTRIES, G_ENTRIES = catalog_driver_specs()
@@ -100,17 +104,226 @@ def test_custom_driver_matches_reference(name, n, data):
 @pytest.mark.parametrize("step,node", [(6, (37, 0)), (4, (3, 2)), (1, (1, 17))])
 def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     grid = bl.make_grid(1.0, 6)
-    driver = nan_driver(part, step, node)
     terminal = bl.builtin_terminal("w_terminal_sq")
-    with pytest.raises(NumericError) as got:
-        bl.solve_tree(driver, terminal, grid)
     xi = np.asarray(terminal.evaluate(reference_leaf_increments(grid)),
                     dtype=float).reshape(2 ** 6, 1)
+    at = nan_driver_target(
+        lambda d: reference_backward_sweep(d, grid, 6, xi), step, node)
+    driver = nan_driver(part, step, at)
+    with pytest.raises(NumericError) as got:
+        bl.solve_tree(driver, terminal, grid)
     with pytest.raises(NumericError) as want:
         reference_backward_sweep(driver, grid, 6, xi)
-    assert got.value.where == want.value.where == node
+    assert got.value.where == want.value.where
     assert str(got.value) == str(want.value)
     assert f"step {step}" in str(got.value)
+    # the witness is the first node, in C order, holding the poisoned value
+    ys, zs = reference_backward_sweep(nan_base_driver(), grid, 6, xi)
+    where = want.value.where
+    assert (ys[step][where], zs[step][where]) == at
+    assert where <= node
+
+
+# --------------------------------------------------------------------------
+# the sweep on classes of rows
+# --------------------------------------------------------------------------
+
+NAN_A, NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002],
+                        dtype=np.int64).view(np.float64)
+# entries that differ in their bytes but not as numbers (+-0.0, NaN payloads)
+ONE_PAYLOAD = [0.0, -0.0, NAN_A, 0.5, -1.25, 3.0]
+TWINS = ONE_PAYLOAD + [NAN_B]
+
+
+def _repeated_rows(data, n, start):
+    """A start field on the step-``start`` node space whose rows are drawn,
+    with repeats, from a pool of rows of TWINS."""
+    pool_size = data.draw(st.integers(1, 2 ** start), label="pool_size")
+    pool = data.draw(hnp.arrays(np.float64, (pool_size, 2 ** (n - start)),
+                                elements=st.sampled_from(TWINS)), label="pool")
+    pick = data.draw(hnp.arrays(np.intp, 2 ** start,
+                                elements=st.integers(0, pool_size - 1)),
+                     label="pick")
+    return pool[pick]
+
+
+def _assert_same_but_nan_payloads(got, want):
+    """Bitwise equal fields, except that a NaN may carry another payload."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+def _assert_sweep_matches(driver, grid, start, eta):
+    """The sweep's fields are bitwise the reference's, or both raise the
+    same NumericError with the same witness.
+
+    Where two NaNs of different payloads meet in one addition, numpy's add
+    returns the first operand's payload in its vector loop and the
+    second's in its scalar tail, so the payload depends on the node's
+    position in the array; such fields match up to NaN payloads."""
+    try:
+        (got_y, got_z), (want_y, want_z) = _sweep_both(driver, grid, start, eta)
+    except NumericError:
+        with pytest.raises(NumericError) as got:
+            tree._backward_sweep(driver, grid, start, eta)
+        with pytest.raises(NumericError) as want:
+            reference_backward_sweep(driver, grid, start, eta)
+        assert got.value.where == want.value.where
+        assert str(got.value) == str(want.value)
+        return
+    one_payload = len(set(eta[np.isnan(eta)].view(np.int64).tolist())) <= 1
+    check = _assert_bitwise if one_payload else _assert_same_but_nan_payloads
+    check(got_y, want_y)
+    check(got_z, want_z)
+
+
+SWEEP_DRIVERS = {
+    "zero+g_zero": bl.driver_pair("zero", [], "g_zero", []),
+    "f_linear+g_linear": bl.driver_pair("f_linear", [0.6, 0.3], "g_linear", [0.8]),
+    "f_sqrt_pos+g_sine": bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3]),
+    **custom_drivers(),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SWEEP_DRIVERS))
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_repeated_rows_match_reference(name, n, data):
+    # rows repeat, and some differ only in the sign of a zero or in the
+    # payload of a NaN; start steps below N give multi-column rows
+    start = data.draw(st.integers(0, n), label="start_step")
+    _assert_sweep_matches(SWEEP_DRIVERS[name], bl.make_grid(1.0, n), start,
+                          _repeated_rows(data, n, start))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SWEEP_DRIVERS))
+@pytest.mark.parametrize("start", [7, 4])
+@pytest.mark.parametrize("twins", [ONE_PAYLOAD, TWINS],
+                         ids=["one NaN payload", "two NaN payloads"])
+def test_every_pair_of_twins_matches_reference(name, start, twins):
+    # each ordered pair of twins sits side by side in the start field, so
+    # the first step meets both orders of +-0.0 and of the NaN payloads
+    n = 7
+    pairs = np.array([(a, b) for a in twins for b in twins]).ravel()
+    eta = np.resize(pairs, 2 ** n).reshape(2 ** start, 2 ** (n - start))
+    _assert_sweep_matches(SWEEP_DRIVERS[name], bl.make_grid(1.0, n), start, eta)
+
+
+def test_rows_differing_in_bytes_only_stay_apart():
+    rows = np.array([[0.0, NAN_A], [-0.0, NAN_A], [0.0, NAN_B], [0.0, NAN_A]])
+    cls, compact = tree._row_classes(rows)
+    assert len(set(cls.tolist())) == 3 and cls[0] == cls[3]
+    assert compact[cls].tobytes() == rows.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(SWEEP_DRIVERS))
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 9), data=st.data())
+def test_distinct_rows_match_reference(name, n, data):
+    start = data.draw(st.integers(0, n), label="start_step")
+    eta = data.draw(hnp.arrays(np.float64, (2 ** start, 2 ** (n - start)),
+                               elements=st.floats(-1e3, 1e3), unique=True),
+                    label="eta")
+    assert tree._row_classes(eta)[0] is None
+    (got_y, got_z), (want_y, want_z) = _sweep_both(
+        SWEEP_DRIVERS[name], bl.make_grid(1.0, n), start, eta)
+    _assert_bitwise(got_y, want_y)
+    _assert_bitwise(got_z, want_z)
+
+
+def _binary_terminal():
+    """A path-dependent terminal, sum_j 2**j w_j: every leaf differs."""
+    return bl.TerminalSpec(lambda w: w @ 2.0 ** np.arange(w.shape[-1]),
+                           "binary")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f_entry,g_entry", PAIRS,
+                         ids=[f"{f[0]}+{g[0]}" for f, g in PAIRS])
+@pytest.mark.parametrize("n", [1, 5, 10])
+def test_path_dependent_terminal_matches_reference(f_entry, g_entry, n):
+    driver = bl.driver_pair(*f_entry, *g_entry)
+    grid = bl.make_grid(1.0, n)
+    term = _binary_terminal()
+    xi = np.asarray(term.evaluate(reference_leaf_increments(grid)),
+                    dtype=float).reshape(2 ** n, 1)
+    assert tree._row_classes(xi)[0] is None
+    sol = bl.solve_tree(driver, term, grid)
+    want_y, want_z = reference_backward_sweep(driver, grid, n, xi)
+    _assert_bitwise(sol.ys, want_y)
+    _assert_bitwise(sol.zs, want_z)
+
+
+def _counting(driver):
+    """``driver`` and a list collecting the sizes of its f arguments."""
+    sizes = []
+
+    def f(t, y, z):
+        sizes.append(np.size(y))
+        return driver.f(t, y, z)
+
+    return dataclasses.replace(driver, f=f), sizes
+
+
+@pytest.mark.parametrize("strike", [-0.5, 0.0, 0.3])
+def test_call_driver_points_stay_within_the_lattice_bound(strike):
+    # dt = 1/16 makes sqrt(dt) = 0.25, so W_{t_k} takes k + 1 values exactly
+    # and step k holds at most k + 1 distinct rows of 2**(N-k) entries
+    n = 16
+    driver, sizes = _counting(bl.driver_pair("f_sqrt_pos", [2.0],
+                                             "g_sine", [0.5, 0.3]))
+    bl.solve_tree(driver, bl.builtin_terminal("call", [strike]),
+                  bl.make_grid(1.0, n))
+    assert len(sizes) == n
+    assert sum(sizes) <= sum((k + 1) * 2 ** (n - k) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("terminal", ["call", "binary"])
+def test_sweep_peak_is_no_higher_than_the_reference(terminal):
+    n = 16
+    grid = bl.make_grid(1.0, n)
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    term = bl.builtin_terminal("call", [0.1]) if terminal == "call" \
+        else _binary_terminal()
+    xi = np.asarray(term.evaluate(tree.leaf_increments(grid)),
+                    dtype=float).reshape(2 ** n, 1)
+    got, peak = traced_peak(lambda: tree._backward_sweep(driver, grid, n, xi))
+    want, ref_peak = traced_peak(
+        lambda: reference_backward_sweep(driver, grid, n, xi))
+    _assert_bitwise(got[0], want[0])
+    assert peak <= ref_peak
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("f_entry,g_entry", PAIRS,
+                         ids=[f"{f[0]}+{g[0]}" for f, g in PAIRS])
+@settings(max_examples=8, deadline=None)
+@given(n=st.integers(1, 9), terminal=st.sampled_from(catalog_terminals()),
+       data=st.data())
+def test_residual_matches_reference(f_entry, g_entry, n, terminal, data):
+    # solver output (round-off defects) and fields with one node moved,
+    # by a finite amount or to a NaN
+    driver = bl.driver_pair(*f_entry, *g_entry)
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    sol = bl.solve_tree(driver, term, grid)
+    fields = {"ys": [y.copy() for y in sol.ys], "zs": [z.copy() for z in sol.zs]}
+    which = data.draw(st.sampled_from(["none", "ys", "zs"]), label="field")
+    if which != "none":
+        step = data.draw(st.integers(0, n), label="step")
+        node = data.draw(st.integers(0, 2 ** n - 1), label="node")
+        fields[which][step].reshape(-1)[node] += data.draw(
+            st.sampled_from([0.1, -3.0, np.nan]), label="shift")
+    moved = tree.TreeSolution(grid=grid, **fields)
+    got = bl.tree_residual(moved, driver, term)
+    want = reference_tree_residual(moved, driver, term)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --------------------------------------------------------------------------

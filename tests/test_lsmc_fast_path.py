@@ -18,8 +18,8 @@ from bdsde_lab.errors import CapacityError, NumericError, RegressionError
 from bdsde_lab.tree import leaf_increments
 
 from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
-                      nan_driver, reference_sample_paths, reference_solve_lsmc,
-                      traced_peak)
+                      nan_driver, nan_driver_target, reference_sample_paths,
+                      reference_solve_lsmc, traced_peak)
 
 F_ENTRIES, G_ENTRIES = catalog_driver_specs()
 
@@ -120,8 +120,10 @@ def test_custom_driver_matches_reference(name, basis):
 def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     grid = bl.make_grid(1.0, 6)
     paths = bl.sample_paths(grid, (1, 1), (2, 200), seed=4)
-    args = (nan_driver(part, step, node), bl.builtin_terminal("w_terminal_sq"),
-            grid, bl.BasisSpec("poly", 2), paths)
+    terminal, basis = bl.builtin_terminal("w_terminal_sq"), bl.BasisSpec("poly", 2)
+    at = nan_driver_target(lambda d: reference_solve_lsmc(
+        d, terminal, grid, basis, paths), step, node)
+    args = (nan_driver(part, step, at), terminal, grid, basis, paths)
     with pytest.raises(NumericError) as got:
         bl.solve_lsmc(*args)
     with pytest.raises(NumericError) as want:
@@ -144,7 +146,7 @@ def test_sweep_keeps_one_copy_of_the_increments():
     terminal = bl.builtin_terminal("w_terminal")
     got, peak = traced_peak(
         lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
-    designs = 8 * n * m_in * basis.width(n)
+    designs = 8 * m_in * sum(basis.widths(paths.w_increments[:, :, 0], grid.dt))
     copy = 8 * n * m_in
     assert designs + copy <= peak < designs + copy + 2 * 2 ** 20
     _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
@@ -152,25 +154,62 @@ def test_sweep_keeps_one_copy_of_the_increments():
 
 
 def test_design_byte_cap():
-    big = bl.BasisSpec("poly", 1000)
     with pytest.raises(CapacityError, match="allocate 10250240000 bytes and the "
                        "step-major increments 10240000 more: 10260480000 "
                        "bytes, cap is 2147483648"):
-        lsmc.check_regression_bytes(64, 20_000, big)
-    # the indicator basis counts N + 1 columns: 8 * 64 * m * 66 bytes in all
-    m = 2 ** 31 // (8 * 64 * 66)
-    lsmc.check_regression_bytes(64, m, bl.BasisSpec("indicator"))
+        lsmc.check_regression_bytes(20_000, [1001] * 64)
+    # each step counts its own width: 8 * m * (sum of widths + N) in all
+    widths = list(range(1, 65))
+    m = 2 ** 31 // (8 * (sum(widths) + 64))
+    lsmc.check_regression_bytes(m, widths)
     with pytest.raises(CapacityError):
-        lsmc.check_regression_bytes(64, m + 1, bl.BasisSpec("indicator"))
+        lsmc.check_regression_bytes(m + 1, widths)
+
+
+def _sliding_increments(grid, m_in, seed):
+    """Inner increments (m_in, N) whose path p is the window p..p+N-1 of
+    one Gaussian sequence: distinct paths in 8 (m_in + N) bytes."""
+    seq = np.random.default_rng(seed).standard_normal(m_in + grid.steps)
+    seq *= np.sqrt(grid.dt)
+    return np.lib.stride_tricks.sliding_window_view(seq, grid.steps)
+
+
+@pytest.mark.parametrize("kind", ["poly", "indicator"])
+@pytest.mark.parametrize("source", ["sampled", "lattice", "window"])
+def test_counted_widths_are_the_design_widths(kind, source):
+    # the bytes the cap counts are the bytes the designs take, over more
+    # than one block of paths
+    grid = bl.make_grid(1.0, 16)
+    m_in = 2 * lsmc.WIDTH_BLOCK + 77
+    if source == "sampled":
+        w_inc = bl.sample_paths(grid, (1, 1), (2, m_in), seed=1).w_increments[:, :, 0]
+    elif source == "lattice":
+        w_inc = leaf_increments(grid)
+    else:
+        w_inc = _sliding_increments(grid, m_in, seed=2)
+    basis = bl.BasisSpec(kind, 2)
+    widths = basis.widths(w_inc, grid.dt)
+    states = np.concatenate([np.zeros((w_inc.shape[0], 1)),
+                             np.cumsum(w_inc, axis=1)], axis=1)
+    designs = [basis.design(states[:, i], grid.time(i), grid.dt)
+               for i in range(grid.steps)]
+    assert widths == [x.shape[1] for x in designs]
+    assert 8 * w_inc.shape[0] * sum(widths) == sum(x.nbytes for x in designs)
+    if kind == "indicator" and source != "lattice":
+        # Gaussian states spread over more levels than the N + 1 of a lattice
+        assert max(widths) > grid.steps + 1
 
 
 def test_solve_above_the_design_cap_allocates_nothing():
-    # broadcast increments take no memory; the check runs before the copy,
-    # the terminal values and the designs
-    grid = bl.make_grid(1.0, 64)
-    m_in = 2 ** 20
-    paths = bl.PathBatch.from_arrays(grid, np.zeros((2, 64)),
-                                     np.broadcast_to(0.0, (m_in, 64)))
+    # N + 1 columns per step would fit under the cap (8 * m * 16 * 18 bytes
+    # = 1.9 GiB), the counted widths of these Gaussian paths do not; the
+    # count runs over blocks of paths before the copy, the terminal values
+    # and the designs are made
+    grid = bl.make_grid(1.0, 16)
+    m_in = 900_000
+    paths = bl.PathBatch.from_arrays(grid, np.zeros((2, 16)),
+                                     _sliding_increments(grid, m_in, seed=3))
+    assert 8 * m_in * 16 * 18 <= lsmc.BATCH_MEMORY_CAP
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
