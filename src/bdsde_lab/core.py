@@ -320,6 +320,11 @@ class TerminalSpec:
     ``evaluate`` maps an array whose last axis holds the per-step W
     increments to the terminal value; it is vectorised over leading axes.
     By construction the value cannot depend on backward-noise coordinates.
+
+    ``evaluate`` must be row-wise: the value of a leaf depends on its own
+    row of increments alone, never on its position in the array or on the
+    other rows.  The lattice solver evaluates the terminal on blocks of
+    leaves, as drivers are evaluated on any subset of the nodes.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

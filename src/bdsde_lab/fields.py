@@ -1,7 +1,8 @@
 """Helpers for per-step solution fields.
 
 A *field* is either a 1-d array of length N+1 (deterministic scalar
-recursions) or a list of N+1 per-step lattice arrays.  These helpers treat
+recursions) or a sequence of N+1 per-step lattice arrays (a list, or a
+``tree.LatticeField`` that builds each step when indexed).  These helpers treat
 both uniformly; step values are compared nodewise.  Fields that are all
 1-d arrays are reduced in one whole-array pass with the results of the
 per-step loop: steps whose value is NaN are skipped as the loop's ``max``

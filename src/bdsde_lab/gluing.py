@@ -46,11 +46,12 @@ from .envelope import (EnvelopeResult, SandwichReport, SandwichScan,
 from .errors import CapacityError, InversionError
 from .tree import (
     ForwardSegment,
+    LatticeField,
     _backward_defects,
     _backward_sweep,
     _expand,
     _forward_defects,
-    leaf_increments,
+    _terminal_values,
     solve_forward_swapped,
 )
 
@@ -182,8 +183,8 @@ class GluedSolution:
     i0: int
     eta: np.ndarray
     lam: float | None
-    segment1_y: list
-    segment1_z: list
+    segment1_y: LatticeField
+    segment1_z: LatticeField
     segment2: ForwardSegment
     envelope: EnvelopeResult
     tau: np.ndarray
@@ -256,7 +257,7 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     n = grid.steps
     if envelope.maximal.backend != "tree":
         raise ValueError("lattice glue needs a tree-backend envelope")
-    xi = np.asarray(terminal.evaluate(leaf_increments(grid)), dtype=float)
+    xi = _terminal_values(terminal, grid)
     if float(np.max(np.abs(np.asarray(envelope.y_max[n]).ravel() - xi))) > 0.0:
         raise ValueError("envelope was built for a different terminal")
     pair = inv_pair if inv_pair.validation is not None else inv_pair.validated()
@@ -496,7 +497,8 @@ def _check_glue_bytes(n: int, i0: int, count: int) -> None:
     """Raise ``CapacityError`` unless ``count`` retained glued lattice
     solutions plus one glue's working arrays fit in ``GLUE_MAX_BYTES``,
     counted from the shapes they are stored on: per solution, eta and the
-    backward piece (2 i0 + 2 lattice steps of 2**N values), the forward
+    backward piece (2 i0 + 2 lattice steps of 2**N values, an upper bound
+    for steps stored by classes of rows), the forward
     steps i0..N and the two integrands of steps i0..N-1 (2**j rows of
     2**(N-i0) each), ``tau`` (int64) and ``side_is_max`` (bool) on D."""
     cols = 2 ** (n - i0)

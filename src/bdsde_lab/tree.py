@@ -12,7 +12,18 @@ per-step fields are arrays of shape ``(2**i, 2**(N-i))``:
   exactly when r_{i+j} = +1 (the increment r_i over the next interval sits
   in the most significant bit).
 
-Every step therefore holds exactly 2**N values.
+Every step therefore has exactly 2**N nodes.
+
+Stored form
+-----------
+A solution stores each step by classes of rows: one row of 2**(N-i)
+values per class and the int32 class of each of the 2**i rows, or no map
+when every row is its own class (then the rows are the step).  Rows of
+one class hold the same bytes.  Drivers are pointwise and every catalog
+terminal depends on the path only through W_T, so step i holds about
+i + 1 classes: the lattice recombines in the forward noise only (Cox,
+Ross & Rubinstein 1979), never in the backward noise.  A full step is
+built only when a caller indexes it (:class:`LatticeField`).
 
 Scheme
 ------
@@ -43,6 +54,7 @@ from __future__ import annotations
 import os
 import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,6 +67,9 @@ TREE_MAX_STEPS = 20
 # space of a forward segment and of the glue (N = 12 at i0 = 0).
 FORWARD_MAX_BYTES = 8 * 2 ** 24
 FORWARD_SIGN = 1.0     # orientation of the extracted forward-noise integrand
+# Leaves per block of terminal evaluation: at N = 20 a block of increments
+# takes 2.5 MiB, where the whole (2**N, N) array would take 160 MiB.
+LEAF_BLOCK = 2 ** 14
 
 
 def stability_margin(driver: DriverSpec, dt: float) -> float:
@@ -64,36 +79,119 @@ def stability_margin(driver: DriverSpec, dt: float) -> float:
     return dt * lip + np.sqrt(dt) * (driver.g_lip_y + np.sqrt(driver.g_lip_z_sq))
 
 
-def leaf_increments(grid: TimeGrid) -> np.ndarray:
-    """Signed forward-noise increments per leaf, shape (2**N, N): entry
-    (k, j) is +sqrt(dt) exactly when bit N-1-j of the leaf index k is 1."""
+def _leaf_block(grid: TimeGrid, start: int, stop: int) -> np.ndarray:
+    """Rows ``start`` .. ``stop - 1`` of :func:`leaf_increments`."""
     n = grid.steps
     sq = np.sqrt(grid.dt)
-    idx = np.arange(2 ** n, dtype=">u4")
+    idx = np.arange(start, stop, dtype=">u4")
     bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
     return np.array([-sq, sq])[bits]
 
 
+def leaf_increments(grid: TimeGrid) -> np.ndarray:
+    """Signed forward-noise increments per leaf, shape (2**N, N): entry
+    (k, j) is +sqrt(dt) exactly when bit N-1-j of the leaf index k is 1."""
+    return _leaf_block(grid, 0, 2 ** grid.steps)
+
+
+def _terminal_values(terminal: TerminalSpec, grid: TimeGrid) -> np.ndarray:
+    """The terminal at every leaf, shape (2**N,), evaluated on blocks of
+    ``LEAF_BLOCK`` leaves.  A terminal gives each leaf a value from its own
+    row of increments alone (the contract of ``TerminalSpec``), so the
+    values are those of one call on :func:`leaf_increments`, and no
+    (2**N, N) array is held."""
+    size = 2 ** grid.steps
+    xi = np.empty(size)
+    for start in range(0, size, LEAF_BLOCK):
+        stop = min(start + LEAF_BLOCK, size)
+        xi[start:stop] = np.asarray(
+            terminal.evaluate(_leaf_block(grid, start, stop)), dtype=float)
+    return xi
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (``a`` itself stays writable)."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeField(Sequence):
+    """The steps 0..N of one lattice field (Y or Z), stored by classes of
+    rows.
+
+    ``rows[i]`` holds one row of 2**(N-i) values per class of step i, and
+    ``classes[i]`` the int32 class of each of its 2**i rows, or None when
+    every row is its own class and ``rows[i]`` is the step itself.
+    Indexing builds step i, shape (2**i, 2**(N-i)), read-only, on demand;
+    a slice builds a list of steps."""
+
+    rows: list
+    classes: list
+
+    def __post_init__(self):
+        for name in ("rows", "classes"):
+            object.__setattr__(self, name, [
+                None if a is None else _read_only(a) for a in getattr(self, name)])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.build(k) for k in range(len(self))[i]]
+        return self.build(i)
+
+    def shape(self, i: int) -> tuple:
+        """The shape of step i, read from the stored form."""
+        rows, cls = self.rows[i], self.classes[i]
+        return rows.shape if cls is None else (cls.size, rows.shape[1])
+
+    def build(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Step i: the stored array when every row is its own class, else
+        its rows gathered through the class map, into the flat buffer
+        ``out`` of 2**N entries when one is given."""
+        rows, cls = self.rows[i], self.classes[i]
+        if cls is None:
+            return rows
+        if out is not None:
+            out = out.reshape(cls.size, rows.shape[1])
+        step = np.take(rows, cls, axis=0, out=out, mode="clip")
+        step.setflags(write=False)
+        return step
+
+
 @dataclass(frozen=True)
 class TreeSolution:
-    """Per-step (Y, Z) fields on the binary lattice."""
+    """Per-step (Y, Z) fields on the binary lattice.
+
+    ``ys`` and ``zs`` are :class:`LatticeField` sequences: ``ys[i]`` builds
+    step i, shape (2**i, 2**(N-i)), on demand from the rows the sweep
+    computed.  Lists of full step arrays (a loaded dump, a test's fields)
+    are kept as they are, each row its own class."""
 
     grid: TimeGrid
-    ys: list          # ys[i]: (2**i, 2**(N-i))
-    zs: list
+    ys: LatticeField
+    zs: LatticeField
     driver_descriptor: str = ""
     terminal_descriptor: str = ""
 
     def __post_init__(self):
-        for a in (*self.ys, *self.zs):
-            a.setflags(write=False)
+        for name in ("ys", "zs"):
+            steps = getattr(self, name)
+            if not isinstance(steps, LatticeField):
+                steps = list(steps)
+                object.__setattr__(self, name,
+                                   LatticeField(steps, [None] * len(steps)))
 
     @property
     def steps(self) -> int:
         return self.grid.steps
 
     def max_abs_y(self) -> float:
-        return max(float(np.max(np.abs(y))) for y in self.ys)
+        # every class holds at least one row of its step
+        return max(float(np.max(np.abs(rows))) for rows in self.ys.rows)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -110,13 +208,13 @@ def _classes(keys: np.ndarray):
     """Equal entries of the 1-d int64 array ``keys`` as classes.
 
     Returns ``(cls, distinct)``: the distinct keys in increasing order and,
-    for every entry, the position of its key among them.  When every
+    for every entry, the int32 position of its key among them.  When every
     entry is distinct, ``cls`` is None: each entry is its own class,
     numbered by its position."""
     distinct = _distinct(keys)
     if distinct.size == keys.size:
         return None, distinct
-    return np.searchsorted(distinct, keys), distinct
+    return np.searchsorted(distinct, keys).astype(np.int32), distinct
 
 
 def _pair_classes(cls: np.ndarray, count: int):
@@ -124,7 +222,7 @@ def _pair_classes(cls: np.ndarray, count: int):
     ``count``: ``(cls, pairs)``, with ``cls`` as :func:`_classes` gives it
     and ``pairs[c]`` the two class numbers of pair class ``c``."""
     pairs = cls.reshape(-1, 2)
-    keys = pairs[:, 0] * count
+    keys = pairs[:, 0] * np.int64(count)
     keys += pairs[:, 1]
     cls, distinct = _classes(keys)
     if cls is None:
@@ -150,24 +248,21 @@ def _row_classes(rows: np.ndarray):
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
                     start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
-    to step 0.  The z field at the start step is zero.
+    to step 0.  The z field at the start step is zero.  Returns the Y and
+    Z fields of steps 0..start_step as :class:`LatticeField` sequences with
+    one class map per step.
 
     The sweep runs on classes of rows, not on rows.  The start field's rows
     are grouped by their bytes; at each step a row's class is the pair of
     its two children's classes.  Rows of one class hold the same bytes,
     because the step is a pointwise map of the two children's rows, so the
     driver, the finiteness check and the step's ufuncs run once per class
-    on compact ``(classes, columns)`` arrays.  Each stored step is one row
-    gather from its compact arrays, which sit in the stored memory of the
-    step below until that step is written.  Once every row of a step is
-    its own class, the compact arrays are the stored ones: the step writes
-    straight into them.
+    on compact ``(classes, columns)`` arrays, and these are what is stored.
 
-    Each step writes through ``out=`` into its new arrays and into one
+    Each step writes through ``out=`` into its two new arrays and into one
     buffer of up to 2**(N-1) entries allocated once; the driver's values
-    and the stored fields are only read, since a driver may return its own
-    argument.  The stored fields are views of one Y block and one Z
-    block."""
+    and the stored rows are only read, since a driver may return its own
+    argument."""
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
@@ -178,17 +273,13 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
             f"start field has shape {y_start.shape}, expected "
             f"{(2 ** start_step, 2 ** (n - start_step))}"
         )
-    # the zero start z is the last row of a zero-filled block: a large
-    # block's pages take memory only once a step writes them
-    y_block = np.empty((start_step, 2 ** n))
-    z_block = np.zeros((start_step + 1, 2 ** n))
-    ys = [y_block[i].reshape(2 ** i, 2 ** (n - i)) for i in range(start_step)]
-    zs = [z_block[i].reshape(2 ** i, 2 ** (n - i)) for i in range(start_step + 1)]
-    ys.append(y_start)
     # cls: class of every row of the step last written (None: each row is
     # its own class); cy, cz: one row per class
     cls, cy = _row_classes(y_start)
-    cz = zs[start_step] if cls is None else np.zeros_like(cy)
+    del start_y, y_start        # a grouped start field is not kept
+    cz = np.zeros_like(cy)
+    y_rows, z_rows, maps = ([None] * (start_step + 1) for _ in range(3))
+    y_rows[start_step], z_rows[start_step], maps[start_step] = cy, cz, cls
     half = np.empty(2 ** (n - 1))
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
@@ -204,14 +295,7 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
         else:
             cls, pairs = _pair_classes(cls, cy.shape[0])
             rows = pairs.shape[0]
-        if cls is None:
-            y_new, z_new = (f[i].reshape(rows, 2, m) for f in (ys, zs))
-        else:
-            y_new, z_new = (b[i - 1, :rows * 2 * m].reshape(rows, 2, m)
-                            for b in (y_block, z_block))
-        # compact rows of the step above may sit where the new arrays go
-        if np.may_share_memory(gv, y_new) or np.may_share_memory(gv, z_new):
-            gv = gv.copy()
+        y_new, z_new = np.empty((rows, 2, m)), np.empty((rows, 2, m))
         # y + dt f goes to the new z array (there are at most twice as many
         # child classes as classes); its branch difference to the - branch
         # of the new y, the g terms to the + branches
@@ -241,10 +325,8 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
         np.add(a_mean, g_mean_sq, out=y_new[:, 1, :])
         del fv, gv, a3, g3      # free before the next driver call
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
-        if cls is not None:
-            np.take(cy, cls, axis=0, out=ys[i], mode="clip")
-            np.take(cz, cls, axis=0, out=zs[i], mode="clip")
-    return ys, zs
+        y_rows[i], z_rows[i], maps[i] = cy, cz, cls
+    return LatticeField(y_rows, maps), LatticeField(z_rows, maps)
 
 
 def _first_non_finite(fv: np.ndarray, gv: np.ndarray, cls) -> tuple:
@@ -278,8 +360,9 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
             RuntimeWarning,
             stacklevel=2,
         )
-    xi = np.asarray(terminal.evaluate(leaf_increments(grid)), dtype=float)
-    ys, zs = _backward_sweep(driver, grid, n, xi.reshape(2 ** n, 1))
+    # the terminal values are the sweep's start field, not kept by it
+    ys, zs = _backward_sweep(driver, grid, n,
+                             _terminal_values(terminal, grid).reshape(2 ** n, 1))
     return TreeSolution(grid=grid, ys=ys, zs=zs,
                         driver_descriptor=driver.descriptor,
                         terminal_descriptor=terminal.descriptor)
@@ -333,11 +416,11 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
     """
     grid = sol.grid
     n = grid.steps
-    if len(sol.ys) != n + 1 or any(sol.ys[i].shape != (2 ** i, 2 ** (n - i))
+    if len(sol.ys) != n + 1 or any(sol.ys.shape(i) != (2 ** i, 2 ** (n - i))
                                    for i in range(n)):
         raise ValueError("solution dimensions inconsistent with its grid")
     worst = float(np.max(np.abs(
-        sol.ys[n].ravel() - terminal.evaluate(leaf_increments(grid))
+        sol.ys[n].ravel() - _terminal_values(terminal, grid)
     )))
     for defect in _backward_defects(driver, grid, sol.ys, sol.zs, range(n)):
         worst = max(worst, defect)
@@ -573,6 +656,10 @@ _MAGIC = b"BDLTREE1"
 
 
 def save_tree_solution(path, sol: TreeSolution) -> None:
+    """Write ``sol`` in the layout above, one step at a time: a step stored
+    by classes of rows is built into one buffer of 2**N values, reused for
+    every step."""
+    buf = np.empty(2 ** sol.steps)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", sol.steps))
@@ -583,8 +670,9 @@ def save_tree_solution(path, sol: TreeSolution) -> None:
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
         for i in range(sol.steps + 1):
-            for a in (sol.ys[i], sol.zs[i]):
-                fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+            for steps in (sol.ys, sol.zs):
+                step = steps.build(i, out=buf)
+                fh.write(np.ascontiguousarray(step, dtype="<f8").data)
 
 
 def _read_header(fh, count: int) -> bytes:
@@ -632,14 +720,14 @@ def load_tree_solution(path) -> TreeSolution:
         if n > TREE_MAX_STEPS:
             raise ValueError(f"dump header gives N = {n}, above the lattice "
                              f"cap {TREE_MAX_STEPS}")
+        grid = make_grid(horizon, n)
+        if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
+            raise ValueError("dump header dt inconsistent with horizon/steps")
         _check_dump_size(fh, 16 * (n + 1) * 2 ** n)
         ys, zs = [], []
         for i in range(n + 1):
             shape = (2 ** i, 2 ** (n - i))
             ys.append(_read_array(fh, shape))
             zs.append(_read_array(fh, shape))
-    grid = make_grid(horizon, n)
-    if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
-        raise ValueError("dump header dt inconsistent with horizon/steps")
     return TreeSolution(grid=grid, ys=ys, zs=zs,
                         driver_descriptor=texts[0], terminal_descriptor=texts[1])

@@ -327,6 +327,141 @@ def test_residual_matches_reference(f_entry, g_entry, n, terminal, data):
 
 
 # --------------------------------------------------------------------------
+# the stored form: class rows, maps and steps built on demand
+# --------------------------------------------------------------------------
+
+def _reference_solution(driver, term, grid):
+    """The reference sweep's fields from the whole-array terminal, as a
+    solution of full step arrays."""
+    n = grid.steps
+    xi = np.asarray(term.evaluate(reference_leaf_increments(grid)),
+                    dtype=float).reshape(2 ** n, 1)
+    ys, zs = reference_backward_sweep(driver, grid, n, xi)
+    return tree.TreeSolution(grid=grid, ys=ys, zs=zs,
+                             driver_descriptor=driver.descriptor,
+                             terminal_descriptor=term.descriptor)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(pair=st.sampled_from(PAIRS), n=st.integers(1, 12),
+       terminal=st.sampled_from(catalog_terminals()))
+def test_built_steps_match_reference(pair, n, terminal):
+    driver = bl.driver_pair(*pair[0], *pair[1])
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    sol = bl.solve_tree(driver, term, grid)
+    want = _reference_solution(driver, term, grid)
+    _assert_bitwise(sol.ys, list(want.ys))
+    _assert_bitwise(sol.zs, list(want.zs))
+    for steps in (sol.ys, sol.zs):
+        for i, (rows, cls) in enumerate(zip(steps.rows, steps.classes)):
+            assert steps.shape(i) == (2 ** i, 2 ** (n - i))
+            if cls is not None:
+                assert cls.dtype == np.int32 and cls.shape == (2 ** i,)
+                assert rows.shape[0] < 2 ** i
+                # every class holds a row of its step
+                assert np.array_equal(np.unique(cls), np.arange(rows.shape[0]))
+            assert not steps[i].flags.writeable
+        _assert_bitwise(steps[-2:], [steps[n - 1], steps[n]])
+    assert sol.max_abs_y() == want.max_abs_y()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terminal", catalog_terminals(),
+                         ids=[t[0] for t in catalog_terminals()])
+@pytest.mark.parametrize("n", [1, 6, 11])
+def test_class_stored_dump_matches_reference(tmp_path, terminal, n):
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    sol = bl.solve_tree(driver, term, grid)
+    got, want = tmp_path / "got.bin", tmp_path / "want.bin"
+    bl.save_tree_solution(got, sol)
+    reference_save_tree_solution(want, _reference_solution(driver, term, grid))
+    assert got.read_bytes() == want.read_bytes()
+
+
+SIGNED = [0.0, -0.0, 0.5, -1.25]
+
+
+@pytest.mark.parametrize("name", ["zero+g_zero", "f_linear+g_linear"])
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_expectation_rows_match_full_arrays(name, n, data):
+    # rows of -0.0 and of +0.0 side by side: a min or max over the class
+    # rows alone could take the other zero than one over the whole step
+    start = data.draw(st.integers(2, n), label="start_step")
+    eta = _signed_rows(data, n, start)
+    driver = SWEEP_DRIVERS[name]
+    grid = bl.make_grid(1.0, n)
+    ys, zs = tree._backward_sweep(driver, grid, start, eta)
+    sol = tree.TreeSolution(grid=grid, ys=ys, zs=zs)
+    want_y, want_z = reference_backward_sweep(driver, grid, start, eta)
+    full = tree.TreeSolution(grid=grid, ys=want_y, zs=want_z)
+    assert any(c is not None for c in ys.classes)
+    for i in range(start + 1):
+        got, want = tree.expectation_at(sol, i), tree.expectation_at(full, i)
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+
+
+def _signed_rows(data, n, start):
+    """A start field whose first three rows are all -0.0, all +0.0 and all
+    +0.0 and whose other rows repeat rows drawn from SIGNED."""
+    width = 2 ** (n - start)
+    pool = np.vstack([np.full((1, width), -0.0), np.zeros((1, width)),
+                      data.draw(hnp.arrays(np.float64, (2, width),
+                                           elements=st.sampled_from(SIGNED)),
+                                label="pool")])
+    pick = data.draw(hnp.arrays(np.intp, 2 ** start - 3,
+                                elements=st.integers(0, 3)), label="pick")
+    return pool[np.concatenate([[0, 1, 1], pick])]
+
+
+@pytest.mark.parametrize("terminal", catalog_terminals(),
+                         ids=[t[0] for t in catalog_terminals()])
+@pytest.mark.parametrize("n,block", [(n, block) for n in (1, 5, 12, 15, 16)
+                                     for block in (tree.LEAF_BLOCK, 64)]
+                         + [(5, 3), (12, 3)])
+def test_blocked_terminal_matches_whole_array(monkeypatch, block, terminal, n):
+    # a block of 3 leaves ends every block of a power of two off its edge
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    want = np.asarray(term.evaluate(reference_leaf_increments(grid)),
+                      dtype=float)
+    monkeypatch.setattr(tree, "LEAF_BLOCK", block)
+    got = tree._terminal_values(term, grid)
+    assert got.shape == want.shape == (2 ** n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pair_keys_past_the_int32_range_match_reference():
+    # 2**16 leaf classes, each pair of them twice: the pair keys of the
+    # first step reach 2**32 - 1, past what the int32 class maps can hold
+    n = 17
+    leaf = np.arange(2 ** n)
+    eta = (2 * (leaf // 4) + leaf % 2).astype(float).reshape(2 ** n, 1)
+    driver = SWEEP_DRIVERS["f_linear+g_linear"]
+    grid = bl.make_grid(1.0, n)
+    (got_y, got_z), (want_y, want_z) = _sweep_both(driver, grid, n, eta)
+    assert got_y.rows[n].shape[0] == 2 ** 16
+    assert got_y.rows[n - 1].shape[0] == 2 ** 15
+    _assert_bitwise(got_y, want_y)
+    _assert_bitwise(got_z, want_z)
+
+
+def test_solve_peak_stays_below_the_full_fields():
+    n = 16
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    sol, peak = traced_peak(lambda: bl.solve_tree(
+        driver, bl.builtin_terminal("call", [0.1]), bl.make_grid(1.0, n)))
+    assert peak < 16 * (n + 1) * 2 ** n
+    assert sol.ys[n].shape == (2 ** n, 1)
+
+
+# --------------------------------------------------------------------------
 # dumps
 # --------------------------------------------------------------------------
 
@@ -358,7 +493,7 @@ def test_writer_matches_reference_and_round_trips(tmp_path, layout):
     assert got.read_bytes() == want.read_bytes()
     loaded = bl.load_tree_solution(got)
     assert loaded.terminal_descriptor == sol.terminal_descriptor
-    for a, b in zip(loaded.ys + loaded.zs, sol.ys + sol.zs):
+    for a, b in zip([*loaded.ys, *loaded.zs], [*sol.ys, *sol.zs]):
         assert a.dtype == np.dtype("<f8") and a.flags.c_contiguous
         assert a.shape == b.shape
         assert a.tobytes() == np.asarray(b, dtype="<f8").tobytes()
@@ -371,7 +506,9 @@ def test_dump_writer_and_reader_copy_no_array(tmp_path):
     path = tmp_path / "sol.bin"
     one_array = 8 * 2 ** n
     _, peak = traced_peak(lambda: bl.save_tree_solution(path, sol))
-    assert peak < one_array // 2
+    # one buffer for the built steps, and np.take's int64 copy of the
+    # int32 class map of one step
+    assert peak < 2 * one_array + one_array // 2
     loaded, peak = traced_peak(lambda: bl.load_tree_solution(path))
     arrays = 2 * (n + 1) * one_array
     assert arrays <= peak < arrays + one_array // 2

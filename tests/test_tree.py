@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,26 @@ class TestBinaryDump:
         cut.write_bytes(raw + b"\x00")
         with pytest.raises(ValueError, match="its header implies"):
             bl.load_tree_solution(cut)
+
+    def test_wrong_dt_rejected_before_reading(self, tmp_path):
+        n = 12
+        sol = bl.solve_tree(bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3]),
+                            bl.builtin_terminal("call", [0.0]), bl.make_grid(1.0, n))
+        path = tmp_path / "sol.bin"
+        bl.save_tree_solution(path, sol)
+        raw = bytearray(path.read_bytes())
+        raw[12:20] = struct.pack("<d", 2.0 / 2 ** n)    # dt after magic and N
+        path.write_bytes(bytes(raw))
+        payload = 16 * (n + 1) * 2 ** n
+        assert len(raw) > payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dt inconsistent"):
+                bl.load_tree_solution(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload // 64
 
     def test_magic_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
