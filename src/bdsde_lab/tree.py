@@ -151,13 +151,20 @@ class LatticeField(Sequence):
     def build(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
         """Step i: the stored array when every row is its own class, else
         its rows gathered through the class map, into the flat buffer
-        ``out`` of 2**N entries when one is given."""
+        ``out`` of 2**N entries when one is given.  Into ``out`` the rows
+        are gathered in chunks, so that np.take's intp copy of the map
+        takes at most an eighth of the buffer's size."""
         rows, cls = self.rows[i], self.classes[i]
         if cls is None:
             return rows
-        if out is not None:
-            out = out.reshape(cls.size, rows.shape[1])
-        step = np.take(rows, cls, axis=0, out=out, mode="clip")
+        if out is None:
+            step = np.take(rows, cls, axis=0, mode="clip")
+        else:
+            step = out.reshape(cls.size, rows.shape[1])
+            chunk = max(1, out.size // 8)
+            for a in range(0, cls.size, chunk):
+                np.take(rows, cls[a:a + chunk], axis=0,
+                        out=step[a:a + chunk], mode="clip")
         step.setflags(write=False)
         return step
 
@@ -222,7 +229,9 @@ def _pair_classes(cls: np.ndarray, count: int):
     ``count``: ``(cls, pairs)``, with ``cls`` as :func:`_classes` gives it
     and ``pairs[c]`` the two class numbers of pair class ``c``."""
     pairs = cls.reshape(-1, 2)
-    keys = pairs[:, 0] * np.int64(count)
+    # widen before multiplying: int32 keys would overflow past 2**31
+    keys = pairs[:, 0].astype(np.int64)
+    keys *= count
     keys += pairs[:, 1]
     cls, distinct = _classes(keys)
     if cls is None:
@@ -276,8 +285,11 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
     # cls: class of every row of the step last written (None: each row is
     # its own class); cy, cz: one row per class
     cls, cy = _row_classes(y_start)
-    del start_y, y_start        # a grouped start field is not kept
-    cz = np.zeros_like(cy)
+    # when the caller passed its only reference (a temporary, as in
+    # solve_tree), this frees a start field that was grouped into classes;
+    # CPython 3.11+ hands call arguments to the callee's frame
+    del start_y, y_start
+    cz = np.zeros(cy.shape)
     y_rows, z_rows, maps = ([None] * (start_step + 1) for _ in range(3))
     y_rows[start_step], z_rows[start_step], maps[start_step] = cy, cz, cls
     half = np.empty(2 ** (n - 1))
@@ -360,7 +372,7 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
             RuntimeWarning,
             stacklevel=2,
         )
-    # the terminal values are the sweep's start field, not kept by it
+    # a temporary start field, so that the sweep can free it
     ys, zs = _backward_sweep(driver, grid, n,
                              _terminal_values(terminal, grid).reshape(2 ** n, 1))
     return TreeSolution(grid=grid, ys=ys, zs=zs,
@@ -659,7 +671,8 @@ def save_tree_solution(path, sol: TreeSolution) -> None:
     """Write ``sol`` in the layout above, one step at a time: a step stored
     by classes of rows is built into one buffer of 2**N values, reused for
     every step."""
-    buf = np.empty(2 ** sol.steps)
+    maps = sol.ys.classes + sol.zs.classes
+    buf = None if all(cls is None for cls in maps) else np.empty(2 ** sol.steps)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", sol.steps))

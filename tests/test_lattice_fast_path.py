@@ -4,6 +4,8 @@ in ``conftest``: every field and residual bitwise equal, every dump byte
 the same."""
 
 import dataclasses
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -300,6 +302,32 @@ def test_sweep_peak_is_no_higher_than_the_reference(terminal):
     assert peak <= ref_peak
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="older CPython keeps "
+                    "call arguments on the caller's stack until the call returns")
+def test_sweep_frees_a_grouped_start_field_passed_as_a_temporary():
+    n = 12
+    grid = bl.make_grid(1.0, n)
+    terminal = bl.builtin_terminal("call", [0.1])
+    refs, freed = [], []
+
+    def start_field():
+        xi = np.asarray(terminal.evaluate(tree.leaf_increments(grid)),
+                        dtype=float)
+        refs.append(weakref.ref(xi))
+        return xi.reshape(2 ** n, 1)
+
+    base = bl.builtin_driver("zero")
+
+    def f(t, y, z):
+        freed.append(refs[0]() is None)
+        return base.f(t, y, z)
+
+    driver = dataclasses.replace(base, f=f)
+    ys, _ = tree._backward_sweep(driver, grid, n, start_field())
+    assert freed == [True] * n
+    assert ys.classes[n] is not None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("f_entry,g_entry", PAIRS,
                          ids=[f"{f[0]}+{g[0]}" for f, g in PAIRS])
@@ -506,14 +534,19 @@ def test_dump_writer_and_reader_copy_no_array(tmp_path):
     path = tmp_path / "sol.bin"
     one_array = 8 * 2 ** n
     _, peak = traced_peak(lambda: bl.save_tree_solution(path, sol))
-    # one buffer for the built steps, and np.take's int64 copy of the
-    # int32 class map of one step
-    assert peak < 2 * one_array + one_array // 2
+    # one buffer for the built steps, and np.take's intp copy of a chunk
+    # of one step's int32 class map
+    assert peak < one_array + one_array // 2
     loaded, peak = traced_peak(lambda: bl.load_tree_solution(path))
     arrays = 2 * (n + 1) * one_array
     assert arrays <= peak < arrays + one_array // 2
     _assert_bitwise(loaded.ys, sol.ys)
     _assert_bitwise(loaded.zs, sol.zs)
+    # full step arrays are written as they are, with no buffer
+    again = tmp_path / "again.bin"
+    _, peak = traced_peak(lambda: bl.save_tree_solution(again, loaded))
+    assert peak < one_array // 2
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_short_read_names_both_byte_counts(tmp_path, monkeypatch):
