@@ -8,14 +8,12 @@ construction that realises a continuum of solutions on non-unique problems.
 __version__ = "0.1.0"
 
 from .core import (
-    ContractReport,
     DriverSpec,
     TerminalSpec,
     TimeGrid,
     builtin_driver,
     builtin_terminal,
     catalog_listing,
-    check_driver_contract,
     driver_pair,
     make_grid,
     shifted_driver,

@@ -1,5 +1,5 @@
-"""Domain types and catalogs: time grids, driver pairs, terminal functionals,
-and empirical contract checking of their declared regularity metadata.
+"""Domain types and catalogs: time grids, driver pairs with their declared
+regularity metadata, and terminal functionals.
 
 A *driver* is the coefficient pair (f, g) of the equation
 
@@ -19,7 +19,7 @@ Catalog names are the vocabulary of the CLI config schema; see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,8 +79,7 @@ class DriverSpec:
     ``g_lip_y`` and ``g_lip_z_sq`` are the constants of the quadratic
     contraction estimate |dg|^2 <= C |dy|^2 + alpha |dz|^2 with alpha < 1.
     ``f_lipschitz`` is the l1 Lipschitz constant of f in (y, z) when known.
-    Declared constants are trusted by the solvers; the empirical checker
-    :func:`check_driver_contract` can refute them but never certify them.
+    Declared constants are trusted by the solvers, not checked.
 
     ``f`` and ``g`` must be pointwise: the value at a node depends on t and
     that node's (y, z) alone, never on its position in the array or on
@@ -372,194 +371,6 @@ def builtin_terminal(name: str, params: Sequence[float] = ()) -> TerminalSpec:
             lambda w: np.maximum(np.asarray(w).sum(axis=-1), 0.0), "w_terminal_pos"
         )
     raise CatalogError(f"unknown terminal name {name!r}")
-
-
-# --------------------------------------------------------------------------
-# empirical contract checking
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Witness:
-    point_a: tuple
-    point_b: tuple | None
-    value_a: float
-    value_b: float | None
-    quotient: float | None = None
-
-
-@dataclass(frozen=True)
-class ContractReport:
-    """Empirical estimates of the driver's regularity constants.
-
-    Verdict keys (per checked property): ``f_lipschitz``, ``g_y_lipschitz``,
-    ``g_z_contraction``, ``f_continuity``, ``f_linear_growth``,
-    ``f_z_lipschitz``, ``f_y_equicontinuity``, ``f_local_lipschitz``.
-    Values are "pass", "fail", or "not-declared".  Estimation can only
-    refute declared constants, never certify them.
-    """
-
-    estimated_lip_f: float
-    estimated_lip_g_y: float
-    estimated_lip_g_z_sq: float
-    growth_violations: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    slack: float = 1e-9
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v != "fail" for v in self.verdicts.values())
-
-
-def _probe_pairs(rng, count, radius):
-    """Probe pairs: bulk uniform in the radius box plus geometric shells
-    shrinking toward the origin (where local-slope blowups hide)."""
-    n_uniform = max(1, int(count * 0.7))
-    n_small = count - n_uniform
-    p1 = rng.uniform(-radius, radius, size=(n_uniform, 2))
-    p2 = rng.uniform(-radius, radius, size=(n_uniform, 2))
-    scales = radius * 10.0 ** (-(np.arange(n_small) % 14).astype(float))
-    q1 = rng.uniform(-1, 1, size=(n_small, 2)) * scales[:, None]
-    q2 = rng.uniform(-1, 1, size=(n_small, 2)) * scales[:, None]
-    a = np.vstack([p1, q1])
-    b = np.vstack([p2, q2])
-    return a, b
-
-
-def check_driver_contract(driver: DriverSpec, probe_count: int = 10_000,
-                          radius: float = 10.0, seed: int = 0,
-                          slack: float = 1e-9) -> ContractReport:
-    """Probe the driver and compare difference quotients against its
-    declared metadata with multiplicative slack ``1 + slack``.
-
-    Deterministic for a fixed seed.  Report-only: never raises on a
-    violation.  Distances use the l1 metric on (y, z).
-    """
-    if probe_count < 2:
-        raise ValueError("probe_count must be >= 2")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.0, 1.0, size=8)
-    allow = 1.0 + slack
-
-    a, b = _probe_pairs(rng, probe_count, radius)
-    verdicts: dict[str, str] = {}
-    witnesses: dict[str, Witness] = {}
-
-    # --- f: l1 quotients over joint and axis-aligned pairs -----------------
-    lip_f = 0.0
-    wit_f = None
-    pair_families = (
-        (a[:, 0], a[:, 1], b[:, 0], b[:, 1]),    # joint moves
-        (a[:, 0], a[:, 1], b[:, 0], a[:, 1]),    # y-only moves
-        (a[:, 0], a[:, 1], a[:, 0], b[:, 1]),    # z-only moves
-    )
-    for t in ts:
-        for y1, z1, y2, z2 in pair_families:
-            fa = np.asarray(driver.f(t, y1, z1), dtype=float)
-            fb = np.asarray(driver.f(t, y2, z2), dtype=float)
-            den = np.abs(y1 - y2) + np.abs(z1 - z2)
-            ok = den > 0
-            q = np.abs(fa - fb)[ok] / den[ok]
-            if q.size:
-                i = int(np.argmax(q))
-                if q[i] > lip_f:
-                    lip_f = float(q[i])
-                    ia = np.flatnonzero(ok)[i]
-                    wit_f = Witness((t, y1[ia], z1[ia]), (t, y2[ia], z2[ia]),
-                                    float(fa[ia]), float(fb[ia]), float(q[i]))
-    if driver.f_lipschitz is None:
-        verdicts["f_lipschitz"] = "not-declared"
-    elif lip_f <= driver.f_lipschitz * allow + slack:
-        verdicts["f_lipschitz"] = "pass"
-    else:
-        verdicts["f_lipschitz"] = "fail"
-        witnesses["f_lipschitz"] = wit_f
-
-    # --- g: y-only and z-only quotients ----------------------------------
-    lip_gy = 0.0
-    lip_gz = 0.0
-    for t in ts:
-        z_fixed = a[:, 1]
-        ga = np.asarray(driver.g(t, a[:, 0], z_fixed), dtype=float)
-        gb = np.asarray(driver.g(t, b[:, 0], z_fixed), dtype=float)
-        den = np.abs(a[:, 0] - b[:, 0])
-        ok = den > 0
-        if ok.any():
-            lip_gy = max(lip_gy, float(np.max(np.abs(ga - gb)[ok] / den[ok])))
-        y_fixed = a[:, 0]
-        ga = np.asarray(driver.g(t, y_fixed, a[:, 1]), dtype=float)
-        gb = np.asarray(driver.g(t, y_fixed, b[:, 1]), dtype=float)
-        den = np.abs(a[:, 1] - b[:, 1])
-        ok = den > 0
-        if ok.any():
-            lip_gz = max(lip_gz, float(np.max(np.abs(ga - gb)[ok] / den[ok])))
-    verdicts["g_y_lipschitz"] = (
-        "pass" if lip_gy * lip_gy <= driver.g_lip_y * allow + slack else "fail"
-    )
-    verdicts["g_z_contraction"] = (
-        "pass" if lip_gz * lip_gz <= driver.g_lip_z_sq * allow + slack else "fail"
-    )
-
-    # --- f: linear growth --------------------------------------------------
-    growth_violations = []
-    if driver.growth_k is not None and driver.growth_d is not None:
-        for t in ts:
-            fv = np.asarray(driver.f(t, a[:, 0], a[:, 1]), dtype=float)
-            bound = (driver.growth_d + driver.growth_k * (np.abs(a[:, 0])
-                     + np.abs(a[:, 1])))
-            bad = np.abs(fv) > bound * allow + slack
-            for i in np.flatnonzero(bad)[:4]:
-                growth_violations.append(
-                    Witness((t, a[i, 0], a[i, 1]), None, float(fv[i]),
-                            float(bound[i]))
-                )
-        verdicts["f_linear_growth"] = "pass" if not growth_violations else "fail"
-    else:
-        verdicts["f_linear_growth"] = "not-declared"
-
-    # --- continuity / equicontinuity / local-slope probes ------------------
-    anchors = np.vstack([rng.uniform(-radius, radius, size=(48, 2)),
-                         np.zeros((1, 2))])
-    t0 = float(ts[0])
-    f_at = np.asarray(driver.f(t0, anchors[:, 0], anchors[:, 1]), dtype=float)
-
-    def _step_probe(axis: int, h: float):
-        shifted = anchors.copy()
-        shifted[:, axis] += h
-        fv = np.asarray(driver.f(t0, shifted[:, 0], shifted[:, 1]), dtype=float)
-        return np.abs(fv - f_at)
-
-    h_small = radius * 1e-9
-    jump_y = float(np.max(_step_probe(0, h_small)))
-    jump_z = float(np.max(_step_probe(1, h_small)))
-    cont_tol = 1e-3 * (1.0 + float(np.max(np.abs(f_at))))
-    verdicts["f_continuity"] = "pass" if max(jump_y, jump_z) <= cont_tol else "fail"
-    verdicts["f_y_equicontinuity"] = "pass" if jump_y <= cont_tol else "fail"
-
-    def _quotient(axis: int, h: float) -> float:
-        return float(np.max(_step_probe(axis, h))) / h
-
-    k_ref = max(1.0, driver.growth_k or 0.0, driver.f_lipschitz or 0.0)
-    qz_large, qz_small = _quotient(1, radius * 0.1), _quotient(1, radius * 1e-12)
-    verdicts["f_z_lipschitz"] = (
-        "fail" if qz_small > max(100.0 * qz_large, 10.0 * k_ref) else "pass"
-    )
-    qy_large, qy_small = _quotient(0, radius * 0.1), _quotient(0, radius * 1e-12)
-    verdicts["f_local_lipschitz"] = (
-        "fail" if qy_small > max(100.0 * qy_large, 10.0 * k_ref) else "pass"
-    )
-
-    return ContractReport(
-        estimated_lip_f=lip_f,
-        estimated_lip_g_y=lip_gy,
-        estimated_lip_g_z_sq=lip_gz * lip_gz,
-        growth_violations=growth_violations,
-        verdicts=verdicts,
-        witnesses=witnesses,
-        slack=slack,
-    )
 
 
 def catalog_listing() -> str:

@@ -46,8 +46,8 @@ class InversionError(RuntimeError):
 
 class InvariantError(AssertionError):
     """An internal invariant of a solver failed: envelope iterates not
-    monotone in the slope, the lower-bound companion above an iterate, the
-    minimal side above the maximal side, or the forward sign self-check."""
+    monotone in the slope, the lower-bound companion above an iterate, or
+    the minimal side above the maximal side."""
 
 
 class RegressionError(RuntimeError):

@@ -11,9 +11,10 @@ distinct solutions whenever the band has positive width.
 Residual conventions (documented contract of ``residual_off_splice``): each
 segment is checked against its own defining recursion,
 
-* backward segments (initial piece, envelope tail): right-endpoint driver
-  evaluation as in the lattice solver; the tail is checked against the
-  regularized drift that generated the envelope side;
+* backward segments (initial piece, envelope tail): the lattice solver's
+  one-step backward identity, with right-endpoint driver evaluation; the
+  tail is checked by that identity against the envelope side's
+  ``final_reg_spec``, the regularized driver that generated it;
 * forward segment: left-endpoint evaluation as in the swapped-role solver.
 
 Each path has a single splice step, where the forward value is replaced by
@@ -221,24 +222,6 @@ class GluedSolution:
         return ys, zs
 
 
-def _tail_defect(spec: DriverSpec, grid: TimeGrid, i: int, ys,
-                 zs) -> np.ndarray:
-    """Nodewise defect of the right-endpoint backward identity of an
-    envelope side between steps i and i+1, on the nodes (s_0..s_i,
-    r_i..r_{N-1}), shape (2**(i+1), 2**(N-i))."""
-    sq = np.sqrt(grid.dt)
-    t_next = grid.time(i + 1)
-    y_next, z_next = (f[i + 1].reshape(2 ** i, 2, 1, -1) for f in (ys, zs))
-    y_i, z_i = (f[i].reshape(2 ** i, 1, 2, -1) for f in (ys, zs))
-    fv = np.asarray(spec.f(t_next, y_next, z_next), dtype=float)
-    gv = np.broadcast_to(np.asarray(spec.g(t_next, y_next, z_next),
-                                    dtype=float), y_next.shape)
-    r_sign = np.array([-1.0, 1.0])[None, None, :, None]
-    s_sign = np.array([-1.0, 1.0])[None, :, None, None]
-    rhs = y_next + grid.dt * fv + gv * r_sign * sq - z_i * s_sign * sq
-    return np.abs(y_i - rhs).reshape(2 ** (i + 1), -1)
-
-
 def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
                   terminal: TerminalSpec, i0: int, eta: np.ndarray,
                   envelope: EnvelopeResult, grid: TimeGrid,
@@ -309,21 +292,22 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     # backward piece on its own node spaces (valid for every path off the
     # splice; paths exiting immediately splice at step i0 - 1)
     worst = 0.0
-    for defect in _backward_defects(driver, grid, seg1_y, seg1_z, range(i0)):
-        worst = max(worst, defect)
+    for _, defect in _backward_defects(driver, grid, seg1_y, seg1_z, range(i0)):
+        worst = max(worst, float(np.max(defect)))
     # the forward piece between i0 and each path's exit
     for j, defect in _forward_defects(segment2, driver):
         live = tau > j
         if np.any(live):
             worst = max(worst, float(np.max(_expand(defect, d_shape)[live])))
-    # the envelope tail against the regularized drift that generated it
+    # the envelope tail against the regularized drift that generated it,
+    # from the first step a path of the side is in it
     for side, mask in ((envelope.maximal, side_is_max),
                        (envelope.minimal, ~side_is_max)):
-        for i in range(i0, n):
+        first = int(np.min(tau, where=mask, initial=n))
+        for i, defect in _backward_defects(side.final_reg_spec, grid, side.y,
+                                           side.z, range(first, n)):
             in_tail = (tau <= i) & mask
-            if np.any(in_tail):
-                defect = _tail_defect(side.final_reg_spec, grid, i, side.y, side.z)
-                worst = max(worst, float(np.max(_expand(defect, d_shape)[in_tail])))
+            worst = max(worst, float(np.max(_expand(defect, d_shape)[in_tail])))
 
     return GluedSolution(
         grid=grid, i0=i0, eta=eta, lam=lam,

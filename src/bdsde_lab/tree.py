@@ -60,13 +60,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
-from .errors import CapacityError, InversionError, InvariantError, NumericError
+from .errors import CapacityError, InversionError, NumericError
 
 TREE_MAX_STEPS = 20
 # Bytes of one float64 array over D = (2**N, 2**(N-i0)), the largest node
 # space of a forward segment and of the glue (N = 12 at i0 = 0).
 FORWARD_MAX_BYTES = 8 * 2 ** 24
-FORWARD_SIGN = 1.0     # orientation of the extracted forward-noise integrand
 # Leaves per block of terminal evaluation: at N = 20 a block of increments
 # takes 2.5 MiB, where the whole (2**N, N) array would take 160 MiB.
 LEAF_BLOCK = 2 ** 14
@@ -124,8 +123,7 @@ class LatticeField(Sequence):
     ``rows[i]`` holds one row of 2**(N-i) values per class of step i, and
     ``classes[i]`` the int32 class of each of its 2**i rows, or None when
     every row is its own class and ``rows[i]`` is the step itself.
-    Indexing builds step i, shape (2**i, 2**(N-i)), read-only, on demand;
-    a slice builds a list of steps."""
+    Indexing builds step i, shape (2**i, 2**(N-i)), read-only, on demand."""
 
     rows: list
     classes: list
@@ -138,9 +136,7 @@ class LatticeField(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.build(k) for k in range(len(self))[i]]
+    def __getitem__(self, i: int) -> np.ndarray:
         return self.build(i)
 
     def shape(self, i: int) -> tuple:
@@ -381,19 +377,22 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
 
 
 def _backward_defects(driver: DriverSpec, grid: TimeGrid, ys, zs, steps):
-    """For each step i of ``steps``, the worst nodewise defect of the
-    one-step identity Y_i + Z_i s_i sqrt(dt) = Y_{i+1} + dt f + g r_i
-    sqrt(dt) between lattice steps i and i+1 (NaN if any defect is NaN).
+    """For each step i of ``steps``, ``(i, defect)``: the nodewise defect
+    of the one-step identity Y_i + Z_i s_i sqrt(dt) = Y_{i+1} + dt f + g r_i
+    sqrt(dt) between lattice steps i and i+1, on the nodes (s_0..s_i,
+    r_i..r_{N-1}), shape (2**(i+1), 2**(N-i)).
 
     Formed branch by branch, (s_i, r_i) in turn, over the (history, s_i or
-    r_i, remaining future) views of the two steps, with the same
-    operations per node as over their whole product, in buffers allocated
-    once."""
+    r_i, remaining future) views of the two steps; a sign enters as an
+    addition or a subtraction, which rounds as the product by +-1 would.
+    Each branch's defect is written into its view of one buffer, so a
+    defect holds until the next one is taken."""
     dt = grid.dt
     sq = np.sqrt(dt)
     size = 2 ** grid.steps
     base, g_sq = np.empty(size), np.empty(size)
     lhs, rhs = np.empty(size // 2), np.empty(size // 2)
+    defect = np.empty(2 * size)
     for i in steps:
         t_next = grid.time(i + 1)
         y_next, z_next = ys[i + 1], zs[i + 1]
@@ -403,21 +402,20 @@ def _backward_defects(driver: DriverSpec, grid: TimeGrid, ys, zs, steps):
         np.multiply(dt, fv, out=b2)
         np.add(y_next, b2, out=b2)
         np.multiply(gv, sq, out=g2)
+        del fv, gv      # free before the next driver call
         # (history, s_i, future) on step i + 1, (history, r_i, future) on i
         b3, g3 = b2.reshape(2 ** i, 2, -1), g2.reshape(2 ** i, 2, -1)
         y_i, z_i = (f[i].reshape(2 ** i, 2, -1) for f in (ys, zs))
+        d4 = defect.reshape(2 ** i, 2, 2, -1)     # (history, s_i, r_i, future)
         l2, r2 = lhs.reshape(2 ** i, -1), rhs.reshape(2 ** i, -1)
-        worst = []
-        for s, s_sign in enumerate((-1.0, 1.0)):
-            for r, r_sign in enumerate((-1.0, 1.0)):
-                np.multiply(z_i[:, r], s_sign, out=l2)
-                np.multiply(l2, sq, out=l2)
-                np.add(y_i[:, r], l2, out=l2)
-                np.multiply(g3[:, s], r_sign, out=r2)
-                np.add(b3[:, s], r2, out=r2)
+        for s, add_s in enumerate((np.subtract, np.add)):
+            for r, add_r in enumerate((np.subtract, np.add)):
+                np.multiply(z_i[:, r], sq, out=l2)
+                add_s(y_i[:, r], l2, out=l2)
+                add_r(b3[:, s], g3[:, s], out=r2)
                 np.subtract(l2, r2, out=l2)
-                worst.append(np.max(np.abs(l2, out=l2)))
-        yield float(np.max(worst))
+                np.abs(l2, out=d4[:, s, r])
+        yield i, defect.reshape(2 ** (i + 1), -1)
 
 
 def tree_residual(sol: TreeSolution, driver: DriverSpec,
@@ -434,8 +432,8 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
     worst = float(np.max(np.abs(
         sol.ys[n].ravel() - _terminal_values(terminal, grid)
     )))
-    for defect in _backward_defects(driver, grid, sol.ys, sol.zs, range(n)):
-        worst = max(worst, defect)
+    for _, defect in _backward_defects(driver, grid, sol.ys, sol.zs, range(n)):
+        worst = max(worst, float(np.max(defect)))
     return worst
 
 
@@ -510,22 +508,6 @@ class ForwardSegment:
     dependence: np.ndarray = field(repr=False, default=None)
 
 
-def _sign_convention_case() -> float:
-    """Orientation self-check on a one-step linear case (g = beta z, zero
-    drift, constant start field): developing with integrand c and then
-    re-extracting the forward-noise fluctuation of the developed field must
-    recover c.  The shipped orientation makes this exact; the opposite sign
-    would return 2|c|.  Asserted on every forward solve."""
-    dt = 0.25
-    sq = np.sqrt(dt)
-    beta, c_true, eta = 0.5, 0.7, 1.0
-    zt = beta * c_true
-    branch = np.array([-1.0, 1.0])
-    y_next = eta - zt * sq + c_true * branch * sq    # r = +1 branch fixed
-    c_back = FORWARD_SIGN * (y_next[1] - y_next[0]) / (2.0 * sq)
-    return abs(c_back - c_true)
-
-
 def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
                   h_inv=None, stored=None):
     """One left-endpoint step j -> j+1 on the segment's storage.
@@ -546,7 +528,7 @@ def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
     t_j = grid.time(j)
     a = 0.5 * (y + y)
     if stored is None:
-        c = FORWARD_SIGN * (y - y) / (2.0 * sq)
+        c = (y - y) / (2.0 * sq)
         zt = np.broadcast_to(np.asarray(driver.g(t_j, a, c), dtype=float), a.shape)
         back = np.broadcast_to(np.asarray(h_inv(t_j, a, zt), dtype=float), a.shape)
         err = np.abs(back - c)
@@ -566,7 +548,7 @@ def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
     drift_part = a - grid.dt * fv - zt * r_sign * sq
     if stored is not None:
         s_sign = np.array([-1.0, 1.0])[None, :, None]
-        rhs = drift_part[:, None] + FORWARD_SIGN * c[:, None] * s_sign * sq
+        rhs = drift_part[:, None] + c[:, None] * s_sign * sq
         return np.abs(y_next - rhs.reshape(y_next.shape))
     if not np.all(np.isfinite(fv)):
         raise NumericError(f"non-finite drift value at step {j}")
@@ -626,11 +608,6 @@ def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
             f"a float64 array over D = {2 ** n} x {2 ** (n - i0)} nodes "
             f"(N = {n}, i0 = {i0}) takes {d_bytes} bytes, cap is "
             f"{FORWARD_MAX_BYTES}"
-        )
-    conv = _sign_convention_case()
-    if conv > 1e-10:
-        raise InvariantError(
-            f"forward sign convention self-check failed (residual {conv})"
         )
     eta = np.array(eta, dtype=float)
     if eta.shape != (2 ** i0, 2 ** (n - i0)):

@@ -60,7 +60,7 @@ def test_criterion_2_closed_forms():
     sol_a = bl.solve_tree(bl.builtin_driver("zero"),
                           bl.builtin_terminal("w_terminal"), grid2)
     assert sol_a.ys[0][0, 0] == 0.0
-    for zs in sol_a.zs[:-1]:
+    for zs in list(sol_a.zs)[:-1]:
         assert np.all(zs == 1.0)
     # (b) unit backward noise: Y_i is the remaining backward-noise sum,
     # bitwise in the solver's accumulation order

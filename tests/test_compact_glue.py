@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bdsde_lab as bl
-from bdsde_lab.tree import FORWARD_SIGN
 
 
 def product(arr, n):
@@ -39,7 +38,7 @@ def reference_forward(driver, eta, grid, i0):
         shape4 = (2 ** j, 2, 2 ** (n - j - 1), 2 ** n)
         y3 = ys[-1].reshape(shape4)
         a = 0.5 * (y3[:, 1] + y3[:, 0])
-        c = FORWARD_SIGN * (y3[:, 1] - y3[:, 0]) / (2.0 * sq)
+        c = (y3[:, 1] - y3[:, 0]) / (2.0 * sq)
         zt = np.broadcast_to(np.asarray(driver.g(grid.time(j), a, c), float), a.shape)
         fv = np.asarray(driver.f(grid.time(j), a, zt), dtype=float)
         drift = a - dt * fv - zt * signs(n, j)[None, None, :] * sq
@@ -63,16 +62,15 @@ def reference_forward(driver, eta, grid, i0):
                             y3.shape).reshape(shape)
         fv = np.asarray(driver.f(grid.time(j), a, zts[k]), dtype=float)
         rhs = a - dt * fv - zts[k] * signs(n, j)[None, :] * sq \
-            + FORWARD_SIGN * dws[k] * signs(n, j)[:, None] * sq
+            + dws[k] * signs(n, j)[:, None] * sq
         defects.append(np.abs(ys[k + 1] - rhs))
     residual = max([0.0] + [float(np.max(d)) for d in defects])
     return ys, zts, dws, dependence, residual, defects
 
 
-def backward_defect(spec, grid, i, ys, zs, grouping):
-    """Product-space defect of a right-endpoint backward step i -> i+1;
-    ``grouping`` picks the rounding of the backward piece ("lattice") or
-    of the envelope tail ("tail")."""
+def backward_defect(spec, grid, i, ys, zs):
+    """Product-space defect of a right-endpoint backward step i -> i+1, in
+    the lattice's rounding (the backward piece and the envelope tail)."""
     n, dt = grid.steps, grid.dt
     sq = np.sqrt(dt)
     y_i, z_i = product(ys[i], n), product(zs[i], n)
@@ -81,8 +79,6 @@ def backward_defect(spec, grid, i, ys, zs, grouping):
     fv = np.asarray(spec.f(t_next, y_n, z_n), dtype=float)
     gv = np.broadcast_to(np.asarray(spec.g(t_next, y_n, z_n), float), y_n.shape)
     r, s = signs(n, i)[None, :], signs(n, i)[:, None]
-    if grouping == "tail":
-        return np.abs(y_i - (y_n + dt * fv + gv * r * sq - z_i * s * sq))
     return np.abs(y_i + z_i * s * sq - ((y_n + dt * fv) + gv * sq * r))
 
 
@@ -127,7 +123,7 @@ def reference_glue(driver, eta, env, grid, i0, snap_tol):
     worst = 0.0
     for i in range(i0):
         worst = max(worst, float(np.max(backward_defect(
-            driver, grid, i, seg1_y, seg1_z, "lattice"))))
+            driver, grid, i, seg1_y, seg1_z))))
     for j in range(i0, n):
         live = tau > j
         if np.any(live):
@@ -137,7 +133,7 @@ def reference_glue(driver, eta, env, grid, i0, snap_tol):
             in_tail = (tau <= i) & mask
             if np.any(in_tail):
                 res = backward_defect(side.final_reg_spec, grid, i, side.y,
-                                      side.z, "tail")
+                                      side.z)
                 worst = max(worst, float(np.max(res[in_tail])))
     splice = 0.0
     for j in range(i0, n + 1):

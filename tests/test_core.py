@@ -1,7 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdsde_lab as bl
 from bdsde_lab.errors import CapacityError, CatalogError, ContractViolation
@@ -123,76 +123,40 @@ class TestTerminalCatalog:
             bl.builtin_terminal("digital", [1.0])
 
 
-class TestContractChecker:
-    def test_linear_estimate_sharp(self):
-        d = bl.driver_pair("f_linear", [2.0, 0.0])
-        rep = bl.check_driver_contract(d, probe_count=10_000, radius=10.0, seed=0)
-        assert abs(rep.estimated_lip_f - 2.0) <= 1e-9
-        assert rep.verdicts["f_lipschitz"] == "pass"
-        assert rep.all_pass
+# relative slack of the catalog metadata bounds; it also scales with the
+# values compared, which carry their own rounding
+REL = 1e-12
+_COORD = st.floats(-100.0, 100.0)
 
-    def test_g_contraction_estimate(self):
-        d = bl.driver_pair("zero", [], "g_linear", [0.5])
-        rep = bl.check_driver_contract(d, probe_count=10_000, radius=10.0, seed=1)
-        assert rep.estimated_lip_g_z_sq <= 0.25 + 1e-9
-        assert rep.verdicts["g_z_contraction"] == "pass"
 
-    def test_sqrt_with_false_lipschitz_claim_fails_with_witness(self):
-        base = bl.builtin_driver("f_sqrt_pos", [2.0])
-        lying = dataclasses.replace(base, f_lipschitz=1.0)
-        rep = bl.check_driver_contract(lying, probe_count=10_000, radius=10.0,
-                                       seed=2)
-        assert rep.verdicts["f_lipschitz"] == "fail"
-        wit = rep.witnesses["f_lipschitz"]
-        # the offending pair straddles the origin where the slope blows up
-        assert abs(wit.point_a[1]) < 1e-3 and abs(wit.point_b[1]) < 1e-3
-        assert wit.quotient > 1.0
-        # sqrt is continuous but not locally Lipschitz at the origin
-        honest = bl.check_driver_contract(base, probe_count=10_000,
-                                          radius=10.0, seed=2)
-        assert honest.verdicts["f_lipschitz"] == "not-declared"
-        assert honest.verdicts["f_continuity"] == "pass"
-        assert honest.verdicts["f_local_lipschitz"] == "fail"
+def _within(lhs, bound, *values):
+    return lhs <= bound + REL * (bound + sum(abs(v) for v in values))
 
-    def test_growth_violation_carries_witness(self):
-        bad = bl.DriverSpec(
-            f=lambda t, y, z: y * y,
-            g=lambda t, y, z: np.zeros_like(y),
-            growth_k=1.0, growth_d=0.0,
-        )
-        rep = bl.check_driver_contract(bad, probe_count=4000, radius=10.0, seed=3)
-        assert rep.verdicts["f_linear_growth"] == "fail"
-        wit = rep.growth_violations[0]
-        t, y, z = wit.point_a
-        assert abs(wit.value_a) == pytest.approx(y * y)
-        assert abs(wit.value_a) > wit.value_b  # value exceeds the claimed bound
 
-    def test_verdicts_monotone_in_slack(self):
-        lying = dataclasses.replace(bl.builtin_driver("f_sqrt_pos", [2.0]),
-                                    f_lipschitz=1.0)
-        for driver in (lying, bl.driver_pair("f_linear", [0.9, 0.2],
-                                             "g_sine", [0.5, 0.3])):
-            tight = bl.check_driver_contract(driver, 4000, 10.0, seed=4,
-                                             slack=1e-12)
-            loose = bl.check_driver_contract(driver, 4000, 10.0, seed=4,
-                                             slack=1e3)
-            for key, verdict in tight.verdicts.items():
-                if verdict == "pass":
-                    assert loose.verdicts[key] != "fail"
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from([(f, g) for f in catalog_driver_specs()[0]
+                             for g in catalog_driver_specs()[1]]),
+       t=st.floats(0.0, 1.0), p=st.tuples(_COORD, _COORD),
+       q=st.tuples(_COORD, _COORD))
+def test_catalog_metadata_bounds_hold(pair, t, p, q):
+    """Solvers trust the declared constants: linear growth and the l1
+    Lipschitz bound of f, and the y- and z-slopes of g."""
+    d = bl.driver_pair(*pair[0], *pair[1])
+    (y1, z1), (y2, z2) = p, q
 
-    def test_deterministic_for_fixed_seed(self):
-        d = bl.driver_pair("f_linear", [0.4, 0.2], "g_sine", [0.4, 0.2])
-        r1 = bl.check_driver_contract(d, 2000, 5.0, seed=9)
-        r2 = bl.check_driver_contract(d, 2000, 5.0, seed=9)
-        assert r1.estimated_lip_f == r2.estimated_lip_f
-        assert r1.verdicts == r2.verdicts
+    def at(part, y, z):
+        return float(part(t, np.array(y), np.array(z)))
 
-    def test_preconditions(self):
-        d = bl.builtin_driver("zero")
-        with pytest.raises(ValueError):
-            bl.check_driver_contract(d, probe_count=1)
-        with pytest.raises(ValueError):
-            bl.check_driver_contract(d, probe_count=10, radius=0.0)
+    fa, fb = at(d.f, y1, z1), at(d.f, y2, z2)
+    assert _within(abs(fa), d.growth_d + d.growth_k * (abs(y1) + abs(z1)), fa)
+    if d.f_lipschitz is not None:
+        assert _within(abs(fa - fb),
+                       d.f_lipschitz * (abs(y1 - y2) + abs(z1 - z2)), fa, fb)
+    ga, g_dy, g_dz = at(d.g, y1, z1), at(d.g, y2, z1), at(d.g, y1, z2)
+    assert _within((ga - g_dy) ** 2, d.g_lip_y * (y1 - y2) ** 2,
+                   ga * ga, g_dy * g_dy)
+    assert _within((ga - g_dz) ** 2, d.g_lip_z_sq * (z1 - z2) ** 2,
+                   ga * ga, g_dz * g_dz)
 
 
 def test_catalog_listing_stable_and_complete():

@@ -391,7 +391,6 @@ def test_built_steps_match_reference(pair, n, terminal):
                 # every class holds a row of its step
                 assert np.array_equal(np.unique(cls), np.arange(rows.shape[0]))
             assert not steps[i].flags.writeable
-        _assert_bitwise(steps[-2:], [steps[n - 1], steps[n]])
     assert sol.max_abs_y() == want.max_abs_y()
 
 

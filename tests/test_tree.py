@@ -97,8 +97,8 @@ class TestResidual:
         driver = bl.builtin_driver("zero")
         terminal = bl.builtin_terminal("w_terminal")
         sol = bl.solve_tree(driver, terminal, grid4)
-        bad = bl.TreeSolution(grid=bl.make_grid(1.0, 3), ys=sol.ys[:4],
-                              zs=sol.zs[:4])
+        bad = bl.TreeSolution(grid=bl.make_grid(1.0, 3), ys=list(sol.ys)[:4],
+                              zs=list(sol.zs)[:4])
         with pytest.raises(ValueError):
             bl.tree_residual(bad, driver, terminal)
 
