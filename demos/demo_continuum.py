@@ -47,12 +47,13 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")      # coarse-grid step-size guard
     env10 = bl.compute_envelope(driver_s, terminal, grid10, schedule=[2, 4],
                                 tol=0.0, backend="tree", conv_tol=0.05)
-pair = bl.InvertiblePair(driver=driver_s,
-                         h_inv=lambda t, y, zt: zt / 0.9).validated()
-print(f"  inverse validated: {pair.validation.ok}; expansion flag "
-      f"(squared inverse slope {pair.h_lip_z_sq:.4f} >= 1): {pair.flagged}")
+h_inv = lambda t, y, zt: zt / 0.9
+check = bl.validate_inverse(driver_s.g, h_inv)
+print(f"  inverse validated: {check.ok}; expansion flag (squared inverse "
+      f"slope {check.estimated_h_lip_z_sq:.4f} >= 1): "
+      f"{check.h_contraction_flagged}")
 eta = bl.interpolate_target(env10, 5, 0.5)
-glued10 = bl.glue_solution(driver_s, pair, terminal, 5, eta, env10, grid10,
+glued10 = bl.glue_solution(driver_s, h_inv, terminal, 5, eta, env10, grid10,
                            snap_tol=0.01, lam=0.5)
 print(f"  exit steps: {sorted(set(glued10.tau.ravel().tolist()))}, "
       f"sides: {'max' if glued10.side_is_max.all() else 'min'}")

@@ -16,10 +16,12 @@ from bdsde_lab.tree import leaf_increments
 
 print("--- reproducibility: counter-based path generation ---")
 grid = bl.make_grid(1.0, 16)
-a = bl.sample_paths(grid, (1, 1), (4, 1024), seed=7)
-b = bl.sample_paths(grid, (1, 1), (8, 4096), seed=7)
+a = bl.sample_paths(grid, (4, 1024), seed=7)
+b = bl.sample_paths(grid, (8, 4096), seed=7)
 shared = np.array_equal(a.w_increments, b.w_increments[:1024])
 print(f"paths keyed per index: prefix of a larger batch identical = {shared}")
+print(f"scalar noise: outer increments {a.b_increments.shape}, "
+      f"inner increments {a.w_increments.shape} (paths, steps)")
 
 print("\n--- lattice injection reproduces the exact solver ---")
 grid5 = bl.make_grid(1.0, 5)
@@ -37,7 +39,7 @@ print(f"lattice    Y0 = {tree_sol.ys[0][0, r_idx]:.12f}")
 
 print("\n--- gaussian closed forms (M = 100000 inner paths) ---")
 grid16 = bl.make_grid(1.0, 16)
-paths = bl.sample_paths(grid16, (1, 1), (4, 100_000), seed=12345)
+paths = bl.sample_paths(grid16, (4, 100_000), seed=12345)
 mc_w = bl.solve_lsmc(bl.builtin_driver("zero"),
                      bl.builtin_terminal("w_terminal"), grid16,
                      bl.BasisSpec("poly", 2), paths)
@@ -54,7 +56,7 @@ print("diagnostics:", {k: (f"{v:.4g}" if isinstance(v, float) else "...")
 
 print("\n--- outer variance tracks the backward noise ---")
 grid4 = bl.make_grid(1.0, 4)
-paths4 = bl.sample_paths(grid4, (1, 1), (4000, 64), seed=21)
+paths4 = bl.sample_paths(grid4, (4000, 64), seed=21)
 mc_b = bl.solve_lsmc(bl.driver_pair("zero", [], "g_constant", [1.0]),
                      bl.builtin_terminal("constant", [0.0]), grid4,
                      bl.BasisSpec("poly", 1), paths4)

@@ -29,7 +29,6 @@ from .envelope import (
 from .gluing import (
     ContinuumReport,
     GluedSolution,
-    InvertiblePair,
     ScalarGlued,
     continuum_sample,
     glue_deterministic,

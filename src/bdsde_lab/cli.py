@@ -48,7 +48,7 @@ from .errors import (
     RegressionError,
     StabilityError,
 )
-from .gluing import InvertiblePair, continuum_sample
+from .gluing import continuum_sample
 from .harness import (
     CLOSED_FORM_CASE_NAMES,
     ComparisonCase,
@@ -261,7 +261,7 @@ def _run_solve(block, grid, driver, terminal, backend, seed):
         basis = BasisSpec("poly", int(block.get("basis_degree", 2)))
         # before sampling: a polynomial design has degree + 1 columns
         check_regression_bytes(m_inner, [basis.degree + 1] * grid.steps)
-        paths = sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
+        paths = sample_paths(grid, (m_outer, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, basis, paths)
         return 0, {"solve.csv": _csv(["outer_path", "y0"],
                                      list(enumerate(sol.y0)))}
@@ -293,20 +293,13 @@ def _run_envelope(block, grid, driver, terminal, backend, seed):
 
 
 def _run_kneser(block, grid, driver, terminal, backend, seed):
-    inv_pair = None
-    if backend == "tree":
-        slope = float(block["h_inv_slope"])
-        inv_pair = InvertiblePair(
-            driver=driver,
-            h_inv=lambda t, y, zt: zt * slope,
-            h_lip_z_sq=slope * slope,
-        ).validated()
+    slope = float(block["h_inv_slope"]) if backend == "tree" else None
     report = continuum_sample(
         driver, terminal, grid,
         t0=float(block["t0"]),
         lambdas=[float(x) for x in block["lambdas"]],
         backend="scalar" if backend in ("scalar", "mc") else "tree",
-        inv_pair=inv_pair,
+        h_inv=None if slope is None else (lambda t, y, zt: zt * slope),
         snap_tol=block.get("snap_tol"),
         schedule=block.get("schedule"),
         conv_tol=block.get("conv_tol"),

@@ -73,7 +73,7 @@ DriverPart = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class DriverSpec:
-    """The pair (f, g) together with its declared regularity metadata.
+    """The pair (f, g) of a scalar-noise equation and its declared metadata.
 
     ``growth_k`` and ``growth_d`` bound |f(t,y,z)| <= D + K|y| + K|z|;
     ``g_lip_y`` and ``g_lip_z_sq`` are the constants of the quadratic
@@ -89,8 +89,6 @@ class DriverSpec:
 
     f: DriverPart
     g: DriverPart
-    dim_d: int = 1
-    dim_l: int = 1
     growth_k: float | None = None
     growth_d: float | None = None
     g_lip_y: float = 0.0

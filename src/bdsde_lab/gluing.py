@@ -20,8 +20,8 @@ segment is checked against its own defining recursion,
 Each path has a single splice step, where the forward value is replaced by
 the envelope side it exited toward; the jump there is reported separately
 as ``splice_mismatch`` (at most the snap tolerance plus one forward step's
-overshoot).  Everywhere else the assembled field satisfies its recursion to
-round-off by construction.
+overshoot); everywhere else the assembled field satisfies its recursion to
+round-off by construction, and a NaN defect there makes the residual NaN.
 
 The snap rule exists because a discrete path generically overshoots the
 band edge rather than touching it; exits are detected against the band
@@ -53,6 +53,7 @@ from .tree import (
     _expand,
     _forward_defects,
     _terminal_values,
+    _worst,
     solve_forward_swapped,
 )
 
@@ -100,50 +101,29 @@ def validate_inverse(g_part, h_inv, probe_count: int = 1000, seed: int = 0,
         raise ValueError("probe_count must be >= 1")
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.0, 1.0, size=4)
-    fwd = bwd = 0.0
-    h_slope = 0.0
+    # per probe time; folded so that a NaN anywhere reads NaN, not ok
+    fwd, bwd, slopes = [], [], []
     for t in ts:
         y = rng.uniform(-radius, radius, size=probe_count)
         zt = rng.uniform(-radius, radius, size=probe_count)
         z = rng.uniform(-radius, radius, size=probe_count)
         back = np.asarray(h_inv(t, y, zt), dtype=float)
-        fwd = max(fwd, float(np.max(np.abs(
+        fwd.append(float(np.max(np.abs(
             np.asarray(g_part(t, y, back), dtype=float) - zt))))
         image = np.asarray(g_part(t, y, z), dtype=float)
-        bwd = max(bwd, float(np.max(np.abs(
+        bwd.append(float(np.max(np.abs(
             np.asarray(h_inv(t, y, image), dtype=float) - z))))
         zt2 = zt + rng.uniform(1e-6, 1.0, size=probe_count)
         dh = np.asarray(h_inv(t, y, zt2), dtype=float) - back
-        h_slope = max(h_slope, float(np.max(np.abs(dh / (zt2 - zt)))))
+        slopes.append(float(np.max(np.abs(dh / (zt2 - zt)))))
+    h_slope = _worst(slopes)
     return InverseReport(
-        max_forward_residual=fwd,
-        max_backward_residual=bwd,
+        max_forward_residual=_worst(fwd),
+        max_backward_residual=_worst(bwd),
         estimated_h_lip_z_sq=h_slope * h_slope,
         h_contraction_flagged=h_slope * h_slope >= 1.0,
         probes=probe_count * 4,
     )
-
-
-@dataclass(frozen=True)
-class InvertiblePair:
-    """A noise coefficient together with its declared z-inverse."""
-
-    driver: DriverSpec
-    h_inv: object
-    h_lip_z_sq: float | None = None
-    validation: InverseReport | None = None
-
-    def validated(self) -> "InvertiblePair":
-        report = validate_inverse(self.driver.g, self.h_inv)
-        declared = self.h_lip_z_sq if self.h_lip_z_sq is not None \
-            else report.estimated_h_lip_z_sq
-        return InvertiblePair(self.driver, self.h_inv, declared, report)
-
-    @property
-    def flagged(self) -> bool:
-        if self.h_lip_z_sq is not None:
-            return self.h_lip_z_sq >= 1.0
-        return bool(self.validation and self.validation.h_contraction_flagged)
 
 
 # --------------------------------------------------------------------------
@@ -222,20 +202,19 @@ class GluedSolution:
         return ys, zs
 
 
-def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
-                  terminal: TerminalSpec, i0: int, eta: np.ndarray,
-                  envelope: EnvelopeResult, grid: TimeGrid,
+def glue_solution(driver: DriverSpec, h_inv, terminal: TerminalSpec, i0: int,
+                  eta: np.ndarray, envelope: EnvelopeResult, grid: TimeGrid,
                   snap_tol: float | None = None,
                   lam: float | None = None) -> GluedSolution:
     """Glue a backward segment, a swapped-role forward segment, and an
     envelope tail into one solution hitting ``eta`` at step ``i0``.
 
-    ``eta`` must lie inside the closed envelope band nodewise; the declared
-    inverse must validate to 1e-8.  The exit index per path is the first
-    step at which the forward value leaves the open band shrunk by
-    ``snap_tol``; the tail follows the side the value is nearest to
-    (ties go to the maximal side, and exits near both sides at once are
-    counted in ``ambiguous_exits``).
+    ``eta`` must lie inside the closed envelope band nodewise; ``h_inv``
+    must validate as the z-inverse of ``driver.g`` (else InversionError).
+    The exit index per path is the first step at which the forward value
+    leaves the open band shrunk by ``snap_tol``; the tail follows the side
+    the value is nearest to (ties go to the maximal side, and exits near
+    both sides at once are counted in ``ambiguous_exits``).
     """
     n = grid.steps
     if envelope.maximal.backend != "tree":
@@ -243,12 +222,12 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     xi = _terminal_values(terminal, grid)
     if float(np.max(np.abs(np.asarray(envelope.y_max[n]).ravel() - xi))) > 0.0:
         raise ValueError("envelope was built for a different terminal")
-    pair = inv_pair if inv_pair.validation is not None else inv_pair.validated()
-    if not pair.validation.ok:
+    report = validate_inverse(driver.g, h_inv)
+    if not report.ok:
         raise InversionError(
             "declared inverse fails validation: forward residual "
-            f"{pair.validation.max_forward_residual:.3e}, backward "
-            f"{pair.validation.max_backward_residual:.3e}"
+            f"{report.max_forward_residual:.3e}, backward "
+            f"{report.max_backward_residual:.3e}"
         )
     eta = np.asarray(eta, dtype=float)
     y_min0, y_max0 = envelope.band_at(i0)
@@ -260,7 +239,7 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
         snap_tol = 10.0 * grid.dt * (1.0 + fld.max_abs(envelope.y_max))
 
     seg1_y, seg1_z = _backward_sweep(driver, grid, i0, eta)
-    segment2 = solve_forward_swapped(driver, pair.h_inv, eta, grid, i0)
+    segment2 = solve_forward_swapped(driver, h_inv, eta, grid, i0)
 
     # per path of D: the first exit from the shrunk open band (else the
     # horizon), and the side rule at the exit step: maximal side when the
@@ -291,14 +270,13 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
     # off-splice residual, each segment against its own recursion: the
     # backward piece on its own node spaces (valid for every path off the
     # splice; paths exiting immediately splice at step i0 - 1)
-    worst = 0.0
-    for _, defect in _backward_defects(driver, grid, seg1_y, seg1_z, range(i0)):
-        worst = max(worst, float(np.max(defect)))
+    defects = [float(np.max(defect)) for _, defect
+               in _backward_defects(driver, grid, seg1_y, seg1_z, range(i0))]
     # the forward piece between i0 and each path's exit
     for j, defect in _forward_defects(segment2, driver):
         live = tau > j
         if np.any(live):
-            worst = max(worst, float(np.max(_expand(defect, d_shape)[live])))
+            defects.append(float(np.max(_expand(defect, d_shape)[live])))
     # the envelope tail against the regularized drift that generated it,
     # from the first step a path of the side is in it
     for side, mask in ((envelope.maximal, side_is_max),
@@ -307,13 +285,13 @@ def glue_solution(driver: DriverSpec, inv_pair: InvertiblePair,
         for i, defect in _backward_defects(side.final_reg_spec, grid, side.y,
                                            side.z, range(first, n)):
             in_tail = (tau <= i) & mask
-            worst = max(worst, float(np.max(_expand(defect, d_shape)[in_tail])))
+            defects.append(float(np.max(_expand(defect, d_shape)[in_tail])))
 
     return GluedSolution(
         grid=grid, i0=i0, eta=eta, lam=lam,
         segment1_y=seg1_y, segment1_z=seg1_z, segment2=segment2,
         envelope=envelope, tau=tau, side_is_max=side_is_max,
-        snap_tol=snap_tol, residual_off_splice=worst,
+        snap_tol=snap_tol, residual_off_splice=_worst(defects),
         splice_mismatch=splice, ambiguous_exits=ambiguous,
     )
 
@@ -522,7 +500,7 @@ def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
 def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
                      grid: TimeGrid, t0: float, lambdas,
                      backend: str = "scalar",
-                     inv_pair: InvertiblePair | None = None,
+                     h_inv=None,
                      envelope: EnvelopeResult | None = None,
                      snap_tol: float | None = None,
                      schedule=None, tol: float = 0.0,
@@ -530,7 +508,8 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
                      sandwich_tol: float | None = None) -> ContinuumReport:
     """Glue one solution per interpolation weight and report pairwise
     distinctness (sup-node distance beyond 10 dt) plus per-solution
-    diagnostics.  On the lattice, a run whose glued solutions and working
+    diagnostics.  On the lattice, ``h_inv`` is the z-inverse of ``driver.g``
+    each glue checks and runs, and a run whose glued solutions and working
     arrays would exceed ``GLUE_MAX_BYTES`` raises ``CapacityError`` before
     anything is computed."""
     lambdas = [float(l) for l in lambdas]
@@ -561,10 +540,10 @@ def continuum_sample(driver: DriverSpec, terminal: TerminalSpec,
             for j in range(i + 1, m):
                 distances[i, j] = distances[j, i] = fld.sup_distance(fields[i], fields[j])
     else:
-        if inv_pair is None:
-            raise ValueError("the lattice glue needs an invertible pair")
+        if h_inv is None:
+            raise ValueError("the lattice glue needs the inverse h_inv of g")
         solutions = [glue_solution(
-            driver, inv_pair, terminal, i0, interpolate_target(envelope, i0, lam),
+            driver, h_inv, terminal, i0, interpolate_target(envelope, i0, lam),
             envelope, grid, snap_tol=snap_tol, lam=lam,
         ) for lam in lambdas]
         checks, distances = _lattice_scan(solutions, envelope, sandwich_tol)

@@ -301,7 +301,7 @@ def _solve_y0(driver, terminal, grid, backend, m_inner, seed) -> float:
         sol = solve_tree(driver, terminal, grid)
         return float(sol.ys[0][0, 0])
     if backend == "mc":
-        paths = sample_paths(grid, (1, 1), (2, m_inner), seed)
+        paths = sample_paths(grid, (2, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, BasisSpec("poly", 2), paths)
         return float(np.mean(sol.y0))
     raise ValueError(f"unknown backend {backend!r}")
@@ -316,9 +316,9 @@ def _b_integral_error(driver, terminal, grid, backend, m_inner, seed) -> float:
             worst = max(worst, float(np.max(np.abs(sol.ys[i] - remaining[None, :]))))
         return worst
     if backend == "mc":
-        paths = sample_paths(grid, (1, 1), (8, m_inner), seed)
+        paths = sample_paths(grid, (8, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, BasisSpec("poly", 1), paths)
-        truth = paths.b_increments[:, :, 0].sum(axis=1)
+        truth = paths.b_increments.sum(axis=1)
         return float(np.max(np.abs(sol.y0 - truth)))
     raise ValueError("the b_integral case needs the tree or mc backend")
 

@@ -40,7 +40,8 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
-from .tree import _check_dump_size, _distinct, _read_array, _read_header
+from .tree import (_check_dump_size, _distinct, _header_grid, _read_array,
+                   _read_header)
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 WIDTH_BLOCK = 2 ** 13       # paths per block when indicator widths are counted
@@ -51,9 +52,9 @@ _STREAM_INNER = 1
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Sampled increment arrays: outer backward-noise paths of shape
-    (m_outer, N, l) and inner forward-noise paths of shape (m_inner, N, d),
-    each increment Normal(0, dt)."""
+    """Sampled scalar-noise increments: outer backward-noise paths of shape
+    (m_outer, N) and inner forward-noise paths of shape (m_inner, N), each
+    increment Normal(0, dt)."""
 
     grid: TimeGrid
     b_increments: np.ndarray
@@ -73,48 +74,32 @@ class PathBatch:
     def m_inner(self) -> int:
         return self.w_increments.shape[0]
 
-    @property
-    def dim_d(self) -> int:
-        return self.w_increments.shape[2]
-
-    @property
-    def dim_l(self) -> int:
-        return self.b_increments.shape[2]
-
     @staticmethod
     def from_arrays(grid: TimeGrid, b_increments: np.ndarray,
                     w_increments: np.ndarray) -> "PathBatch":
-        """Wrap explicit increment arrays (e.g. enumerated lattice paths)."""
+        """Wrap explicit (paths, N) increment arrays, e.g. lattice paths."""
         b = np.asarray(b_increments, dtype=float)
         w = np.asarray(w_increments, dtype=float)
-        if b.ndim == 2:
-            b = b[:, :, None]
-        if w.ndim == 2:
-            w = w[:, :, None]
-        if b.shape[1] != grid.steps or w.shape[1] != grid.steps:
-            raise ValueError("increment arrays do not match the grid")
+        if any(a.ndim != 2 or a.shape[1] != grid.steps for a in (b, w)):
+            raise ValueError("increment arrays are not (paths, N) on the grid")
         return PathBatch(grid=grid, b_increments=b, w_increments=w,
                          seed=None, antithetic=False)
 
 
-def sample_paths(grid: TimeGrid, dims: tuple[int, int],
-                 counts: tuple[int, int], seed: int,
+def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
                  antithetic: bool = False) -> PathBatch:
-    """Draw (m_outer, m_inner) = ``counts`` paths of dimensions (d, l) =
-    ``dims``; same seed gives byte-identical batches.  With ``antithetic``
-    paths pair up as (2i, 2i+1) with negated increments.
+    """Draw (m_outer, m_inner) = ``counts`` scalar-noise paths; same seed
+    gives byte-identical batches.  With ``antithetic`` paths pair up as
+    (2i, 2i+1) with negated increments.
 
     Raises ``CapacityError`` before drawing when the increments would take
     more than ``BATCH_MEMORY_CAP`` bytes.  ``solve_lsmc`` holds its
     regression designs to the same cap (``check_regression_bytes``), which
     a caller can check before sampling."""
-    d, l = dims
     m_outer, m_inner = counts
-    if d < 1 or l < 1:
-        raise ValueError("dimensions must be >= 1")
     if m_outer < 2 or m_inner < 2:
         raise ValueError("path counts must be >= 2")
-    total_bytes = 8 * grid.steps * (m_outer * l + m_inner * d)
+    total_bytes = 8 * grid.steps * (m_outer + m_inner)
     if total_bytes > BATCH_MEMORY_CAP:
         raise CapacityError(
             f"batch would allocate {total_bytes} bytes of increments, "
@@ -126,8 +111,8 @@ def sample_paths(grid: TimeGrid, dims: tuple[int, int],
     fresh = bitgen.state          # counter 0, empty buffer
     fresh["state"]["key"] = key
 
-    def draw(stream, m, dim):
-        out = np.empty((m, grid.steps, dim))
+    def draw(stream, m):
+        out = np.empty((m, grid.steps))
         for p in range(0, m, 2 if antithetic else 1):
             key[1] = (stream << 48) | p
             bitgen.state = fresh
@@ -139,8 +124,8 @@ def sample_paths(grid: TimeGrid, dims: tuple[int, int],
 
     return PathBatch(
         grid=grid,
-        b_increments=draw(_STREAM_OUTER, m_outer, l),
-        w_increments=draw(_STREAM_INNER, m_inner, d),
+        b_increments=draw(_STREAM_OUTER, m_outer),
+        w_increments=draw(_STREAM_INNER, m_inner),
         seed=seed,
         antithetic=antithetic,
     )
@@ -246,8 +231,6 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     plus the step-major increments would take more than
     ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``), each design
     counted at its own width (``BasisSpec.widths``)."""
-    if paths.dim_d != 1 or paths.dim_l != 1:
-        raise ValueError("the regression solver handles scalar noise only")
     if paths.grid.steps != grid.steps or abs(paths.grid.dt - grid.dt) > 1e-15:
         raise ValueError("path batch lives on a different grid")
     n = grid.steps
@@ -258,7 +241,7 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             f"m_inner={m_in} too small for degree {basis.degree}; "
             f"need more than {10 * (basis.degree + 1)} inner paths"
         )
-    w_inc = paths.w_increments[:, :, 0]
+    w_inc = paths.w_increments
     check_regression_bytes(m_in, basis.widths(w_inc, dt))
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
     w_steps = np.ascontiguousarray(w_inc.T)     # row i: dW_i of every path
@@ -277,8 +260,7 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     g_b = np.empty(m_in)
     z_target = np.empty(m_in)
     y_target = np.empty(m_in)
-    for k in range(paths.m_outer):
-        b_inc = paths.b_increments[k, :, 0]
+    for k, b_inc in enumerate(paths.b_increments):
         # y, z and the driver's outputs are only read: a driver may return
         # its own argument, and y starts as the terminal values themselves
         y, z = xi, np.zeros(m_in)
@@ -346,27 +328,28 @@ def save_path_batch(path, batch: PathBatch) -> None:
                              batch.grid.horizon, 1 if batch.antithetic else 0))
         fh.write(struct.pack("<qIIII",
                              -1 if batch.seed is None else batch.seed,
-                             batch.m_outer, batch.dim_l,
-                             batch.m_inner, batch.dim_d))
+                             batch.m_outer, 1, batch.m_inner, 1))  # 1: scalar noise
         for a in (batch.b_increments, batch.w_increments):
             fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def load_path_batch(path) -> PathBatch:
-    from .core import make_grid
-
+    """Read a dump, checking its whole header before any array is read."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a path batch dump")
-        steps, _dt, horizon, anti = struct.unpack("<IddI", _read_header(fh, 24))
+        steps, dt, horizon, anti = struct.unpack("<IddI", _read_header(fh, 24))
         seed, m_outer, dim_l, m_inner, dim_d = struct.unpack(
             "<qIIII", _read_header(fh, 24))
-        n_b, n_w = m_outer * steps * dim_l, m_inner * steps * dim_d
-        _check_dump_size(fh, 8 * (n_b + n_w))
-        b = _read_array(fh, (m_outer, steps, dim_l))
-        w = _read_array(fh, (m_inner, steps, dim_d))
+        if (dim_l, dim_d) != (1, 1):
+            raise ValueError(f"dump header gives noise dimensions ({dim_l}, "
+                             f"{dim_d}), only scalar noise (1, 1) is read")
+        _check_dump_size(fh, 8 * steps * (m_outer + m_inner))
+        grid = _header_grid(horizon, steps, dt)
+        b = _read_array(fh, (m_outer, steps))
+        w = _read_array(fh, (m_inner, steps))
     return PathBatch(
-        grid=make_grid(horizon, steps),
+        grid=grid,
         b_increments=b,
         w_increments=w,
         seed=None if seed < 0 else int(seed),

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DriverPart, DriverSpec, _with_twin
+from .core import _ZERO, DriverPart, DriverSpec, _with_twin
 from .errors import CapacityError
 
 GRID_CAPACITY = 10_000_000
@@ -160,7 +160,8 @@ class ConvolvedPart:
 
     def _build_table_1d(self):
         grid = self._fixed_grid(dims=1)
-        vals = np.asarray(self.base(0.0, grid, np.zeros_like(grid)), dtype=float)
+        # a 0-d z, not a grid-sized zeros array; the transform copies anyway
+        vals = np.broadcast_to(self.base(0.0, grid, _ZERO), grid.shape)
         tab = self._transform_1d(vals, self.n * self.spec.spacing, self.mode)
         self._table = (grid, tab)
 

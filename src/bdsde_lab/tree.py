@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DriverSpec, TerminalSpec, TimeGrid
+from .core import DriverSpec, TerminalSpec, TimeGrid, make_grid
 from .errors import CapacityError, InversionError, NumericError
 
 TREE_MAX_STEPS = 20
@@ -351,12 +351,10 @@ def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
                grid: TimeGrid) -> TreeSolution:
     """Solve the equation exactly on the binary lattice.
 
-    Requires scalar noise on both sides and N <= 20 (2**N values per step).
-    Deterministic: node iteration order cannot affect the result because
-    every step is a closed-form map of the previous step's arrays.
+    Requires N <= 20 (2**N values per step).  Deterministic: node
+    iteration order cannot affect the result because every step is a
+    closed-form map of the previous step's arrays.
     """
-    if driver.dim_d != 1 or driver.dim_l != 1:
-        raise ValueError("the lattice solver handles scalar noise only")
     n = grid.steps
     if n > TREE_MAX_STEPS:
         raise CapacityError(f"steps={n} exceeds the lattice cap {TREE_MAX_STEPS}")
@@ -418,6 +416,11 @@ def _backward_defects(driver: DriverSpec, grid: TimeGrid, ys, zs, steps):
         yield i, defect.reshape(2 ** (i + 1), -1)
 
 
+def _worst(values) -> float:
+    """Max of the floats ``values`` and 0.0, NaN if any is (unlike ``max``)."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
+
+
 def tree_residual(sol: TreeSolution, driver: DriverSpec,
                   terminal: TerminalSpec) -> float:
     """Worst pathwise defect of the discrete equation over all steps and
@@ -429,12 +432,12 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
     if len(sol.ys) != n + 1 or any(sol.ys.shape(i) != (2 ** i, 2 ** (n - i))
                                    for i in range(n)):
         raise ValueError("solution dimensions inconsistent with its grid")
-    worst = float(np.max(np.abs(
+    mismatch = float(np.max(np.abs(
         sol.ys[n].ravel() - _terminal_values(terminal, grid)
     )))
-    for _, defect in _backward_defects(driver, grid, sol.ys, sol.zs, range(n)):
-        worst = max(worst, float(np.max(defect)))
-    return worst
+    return _worst([mismatch] + [
+        float(np.max(defect)) for _, defect
+        in _backward_defects(driver, grid, sol.ys, sol.zs, range(n))])
 
 
 def expectation_at(sol: TreeSolution, i: int) -> dict:
@@ -569,8 +572,8 @@ def _forward_defects(segment: ForwardSegment, driver: DriverSpec):
 def forward_residual(segment: ForwardSegment, driver: DriverSpec) -> float:
     """Replay the forward one-step identity from the stored arrays and
     return the worst defect (round-off for solver output)."""
-    return max([0.0] + [float(np.max(defect))
-                        for _, defect in _forward_defects(segment, driver)])
+    return _worst(float(np.max(defect))
+                  for _, defect in _forward_defects(segment, driver))
 
 
 def _dependence(y: np.ndarray, j: int, i0: int, n: int) -> np.ndarray:
@@ -696,9 +699,15 @@ def _read_array(fh, shape) -> np.ndarray:
     return arr
 
 
-def load_tree_solution(path) -> TreeSolution:
-    from .core import make_grid
+def _header_grid(horizon: float, steps: int, dt: float) -> TimeGrid:
+    """The grid of a dump header; raises ValueError unless dt = T / N."""
+    grid = make_grid(horizon, steps)
+    if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
+        raise ValueError("dump header dt inconsistent with horizon/steps")
+    return grid
 
+
+def load_tree_solution(path) -> TreeSolution:
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError("not a lattice solution dump")
@@ -710,9 +719,7 @@ def load_tree_solution(path) -> TreeSolution:
         if n > TREE_MAX_STEPS:
             raise ValueError(f"dump header gives N = {n}, above the lattice "
                              f"cap {TREE_MAX_STEPS}")
-        grid = make_grid(horizon, n)
-        if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
-            raise ValueError("dump header dt inconsistent with horizon/steps")
+        grid = _header_grid(horizon, n, dt)
         _check_dump_size(fh, 16 * (n + 1) * 2 ** n)
         ys, zs = [], []
         for i in range(n + 1):

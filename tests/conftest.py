@@ -250,14 +250,15 @@ def reference_backward_sweep(driver, grid, start_step, start_y):
 
 def reference_tree_residual(sol, driver, terminal):
     """Oracle for ``tree.tree_residual``: each step's defect formed at once
-    over (history, s_i, r_i, future) in 4-d temporaries."""
+    over (history, s_i, r_i, future) in 4-d temporaries, and one maximum
+    over the terminal mismatch and every defect (NaN when any is NaN)."""
     grid = sol.grid
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
-    worst = float(np.max(np.abs(
+    parts = [np.abs(
         sol.ys[n].ravel() - terminal.evaluate(reference_leaf_increments(grid))
-    )))
+    )]
     for i in range(n):
         t_next = grid.time(i + 1)
         y_next, z_next = sol.ys[i + 1], sol.zs[i + 1]
@@ -272,9 +273,8 @@ def reference_tree_residual(sol, driver, terminal):
         y_i = sol.ys[i].reshape(2 ** i, 1, 2, -1)
         z_i = sol.zs[i].reshape(2 ** i, 1, 2, -1)
         s_sign = np.array([-1.0, 1.0])[None, :, None, None]
-        defect = np.abs(y_i + z_i * s_sign * sq - rhs)
-        worst = max(worst, float(np.max(defect)))
-    return worst
+        parts.append(np.abs(y_i + z_i * s_sign * sq - rhs).ravel())
+    return float(np.max(np.concatenate(parts)))
 
 
 def reference_save_tree_solution(path, sol):
@@ -303,26 +303,23 @@ def philox_normals(seed, stream, path, count):
     return gen.standard_normal(count)
 
 
-def reference_sample_paths(grid, dims, counts, seed, antithetic=False):
+def reference_sample_paths(grid, counts, seed, antithetic=False):
     """Oracle for ``lsmc.sample_paths``: one fresh generator per path, each
     path's draw scaled by sqrt(dt) on its own."""
-    d, l = dims
     m_outer, m_inner = counts
     sq = np.sqrt(grid.dt)
 
-    def draw(stream, m, dim):
-        out = np.empty((m, grid.steps, dim))
+    def draw(stream, m):
+        out = np.empty((m, grid.steps))
         for p in range(m):
             if antithetic and p % 2 == 1:
                 out[p] = -out[p - 1]
             else:
-                out[p] = sq * philox_normals(
-                    seed, stream, p, grid.steps * dim
-                ).reshape(grid.steps, dim)
+                out[p] = sq * philox_normals(seed, stream, p, grid.steps)
         return out
 
-    return bl.PathBatch(grid=grid, b_increments=draw(0, m_outer, l),
-                        w_increments=draw(1, m_inner, d), seed=seed,
+    return bl.PathBatch(grid=grid, b_increments=draw(0, m_outer),
+                        w_increments=draw(1, m_inner), seed=seed,
                         antithetic=antithetic)
 
 
@@ -332,7 +329,7 @@ def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
     n = grid.steps
     dt = grid.dt
     m_in = paths.m_inner
-    w_inc = paths.w_increments[:, :, 0]
+    w_inc = paths.w_increments
     w_state = np.concatenate(
         [np.zeros((m_in, 1)), np.cumsum(w_inc, axis=1)], axis=1
     )
@@ -345,7 +342,7 @@ def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
     conds_step = np.array([np.linalg.cond(g) for g in grams])
     conds = np.broadcast_to(conds_step, (paths.m_outer, n)).copy()
     for k in range(paths.m_outer):
-        b_inc = paths.b_increments[k, :, 0]
+        b_inc = paths.b_increments[k]
         y = xi.copy()
         z = np.zeros(m_in)
         yc, zc = [None] * n, [None] * n

@@ -254,11 +254,10 @@ def test_criterion_6_continuum(sqrt_driver, zero_terminal):
         env10 = bl.compute_envelope(driver_s, zero_terminal, grid10,
                                     schedule=[2, 4], tol=0.0, backend="tree",
                                     conv_tol=0.05)
-    pair = bl.InvertiblePair(driver=driver_s,
-                             h_inv=lambda t, y, zt: zt / 0.9).validated()
-    assert pair.flagged
+    h_inv = lambda t, y, zt: zt / 0.9
+    assert bl.validate_inverse(driver_s.g, h_inv).h_contraction_flagged
     eta10 = bl.interpolate_target(env10, 5, 0.5)
-    glued = bl.glue_solution(driver_s, pair, zero_terminal, 5, eta10, env10,
+    glued = bl.glue_solution(driver_s, h_inv, zero_terminal, 5, eta10, env10,
                              grid10, snap_tol=0.01, lam=0.5)
     ys, _ = glued.assembled_fields()
     scale = 1.0 + max(float(np.max(np.abs(y))) for y in ys)
@@ -293,7 +292,7 @@ def test_criterion_7_lsmc(zero_terminal):
             assert abs(mc.y0[0] - tree_sol.ys[0][0, r_idx]) <= 1e-8
     # gaussian regression reproduces the linear closed forms within 3 sigma
     grid16 = bl.make_grid(1.0, 16)
-    paths = bl.sample_paths(grid16, (1, 1), (4, 100_000), seed=12345)
+    paths = bl.sample_paths(grid16, (4, 100_000), seed=12345)
     mc_w = bl.solve_lsmc(bl.builtin_driver("zero"),
                          bl.builtin_terminal("w_terminal"), grid16,
                          bl.BasisSpec("poly", 2), paths)

@@ -64,7 +64,7 @@ def reference_forward(driver, eta, grid, i0):
         rhs = a - dt * fv - zts[k] * signs(n, j)[None, :] * sq \
             + dws[k] * signs(n, j)[:, None] * sq
         defects.append(np.abs(ys[k + 1] - rhs))
-    residual = max([0.0] + [float(np.max(d)) for d in defects])
+    residual = float(np.max([0.0] + [np.max(d) for d in defects]))
     return ys, zts, dws, dependence, residual, defects
 
 
@@ -120,21 +120,23 @@ def reference_glue(driver, eta, env, grid, i0, snap_tol):
         ay.append(np.where(tau <= i, tail(i, "y"), ys[i - i0]))
         az.append(tail(i, "z") if i == n
                   else np.where(tau <= i, tail(i, "z"), dws[i - i0]))
-    worst = 0.0
+    # one maximum over every off-splice defect (NaN when any is NaN)
+    off_splice = [0.0]
     for i in range(i0):
-        worst = max(worst, float(np.max(backward_defect(
-            driver, grid, i, seg1_y, seg1_z))))
+        off_splice.append(np.max(backward_defect(
+            driver, grid, i, seg1_y, seg1_z)))
     for j in range(i0, n):
         live = tau > j
         if np.any(live):
-            worst = max(worst, float(np.max(defects[j - i0][live])))
+            off_splice.append(np.max(defects[j - i0][live]))
     for side, mask in ((env.maximal, near_max), (env.minimal, ~near_max)):
         for i in range(i0, n):
             in_tail = (tau <= i) & mask
             if np.any(in_tail):
                 res = backward_defect(side.final_reg_spec, grid, i, side.y,
                                       side.z)
-                worst = max(worst, float(np.max(res[in_tail])))
+                off_splice.append(np.max(res[in_tail]))
+    worst = float(np.max(off_splice))
     splice = 0.0
     for j in range(i0, n + 1):
         sel = tau == j
@@ -148,7 +150,7 @@ def reference_glue(driver, eta, env, grid, i0, snap_tol):
 
 
 def lattice_case(n, terminal, beta):
-    """Driver, terminal, grid, envelope and validated pair; the sqrt drift
+    """Driver, terminal, grid, envelope and the inverse of g; the sqrt drift
     makes the band between the envelope sides wide at a zero terminal."""
     driver = bl.driver_pair("f_sqrt_pos", [1.0], "g_linear", [beta])
     term = bl.builtin_terminal(terminal[0], list(terminal[1]))
@@ -157,9 +159,7 @@ def lattice_case(n, terminal, beta):
         warnings.simplefilter("ignore", RuntimeWarning)
         env = bl.compute_envelope(driver, term, grid, schedule=[1, 2],
                                   tol=0.0, backend="tree", conv_tol=0.1)
-    pair = bl.InvertiblePair(driver=driver,
-                             h_inv=lambda t, y, zt: zt / beta).validated()
-    return driver, term, grid, env, pair
+    return driver, term, grid, env, lambda t, y, zt: zt / beta
 
 
 TERMINALS = [("constant", (0.0,)), ("call", (0.1,)), ("w_terminal", ())]
@@ -197,9 +197,9 @@ def _same(a, b):
 @given(glue_cases())
 def test_compact_glue_matches_product_reference(case):
     n, i0, lam, terminal_name, beta, snap_tol = case
-    driver, terminal, grid, env, pair = lattice_case(n, terminal_name, beta)
+    driver, terminal, grid, env, h_inv = lattice_case(n, terminal_name, beta)
     eta = bl.interpolate_target(env, i0, lam)
-    glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+    glued = bl.glue_solution(driver, h_inv, terminal, i0, eta, env, grid,
                              snap_tol=snap_tol, lam=lam)
     ref = reference_glue(driver, eta, env, grid, i0, snap_tol)
     seg = glued.segment2
@@ -232,9 +232,9 @@ def test_continuum_scan_matches_product_fields(case, lambdas, sandwich_tol):
     # node on the stored space of that step), the pairwise distances and
     # the correctly rounded means of the product-space reference fields
     n, i0, _, terminal_name, beta, snap_tol = case
-    driver, terminal, grid, env, pair = lattice_case(n, terminal_name, beta)
+    driver, terminal, grid, env, h_inv = lattice_case(n, terminal_name, beta)
     report = bl.continuum_sample(driver, terminal, grid, i0 / n, lambdas,
-                                 backend="tree", inv_pair=pair, envelope=env,
+                                 backend="tree", h_inv=h_inv, envelope=env,
                                  snap_tol=snap_tol, sandwich_tol=sandwich_tol)
     refs = [reference_glue(driver, bl.interpolate_target(env, i0, lam), env,
                            grid, i0, snap_tol) for lam in lambdas]
@@ -258,10 +258,9 @@ def _glue_stores_steps_on_their_nodes(n, i0):
     with pytest.warns(RuntimeWarning):
         env = bl.compute_envelope(driver, terminal, grid, schedule=[2, 4],
                                   tol=0.0, backend="tree", conv_tol=0.05)
-    pair = bl.InvertiblePair(driver=driver,
-                             h_inv=lambda t, y, zt: zt / 0.9).validated()
     eta = bl.interpolate_target(env, i0, 0.5)
-    glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+    glued = bl.glue_solution(driver, lambda t, y, zt: zt / 0.9, terminal, i0,
+                             eta, env, grid,
                              snap_tol=0.01, lam=0.5)
     seg = glued.segment2
     stored = sum(a.size for a in (*seg.ys, *seg.zt, *seg.dw_integrands))
@@ -285,11 +284,11 @@ def test_continuum_sample_holds_no_product_space_array():
     # one float64 array over the 4**N product space is 32 MiB at N = 11;
     # D = (2**11, 2**5) is 512 KiB
     n, i0 = 11, 6
-    driver, terminal, grid, env, pair = lattice_case(n, ("call", (0.1,)), 0.9)
+    driver, terminal, grid, env, h_inv = lattice_case(n, ("call", (0.1,)), 0.9)
     tracemalloc.start()
     try:
         bl.continuum_sample(driver, terminal, grid, i0 / n, [0.25, 0.75],
-                            backend="tree", inv_pair=pair, envelope=env,
+                            backend="tree", h_inv=h_inv, envelope=env,
                             snap_tol=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
+import bdsde_lab.gluing as gluing
 from bdsde_lab.errors import InversionError
 from bdsde_lab.tree import _expand
 
@@ -38,6 +41,15 @@ class TestValidateInverse:
         assert not rep.ok
         # residual |g(h(zt)) - zt| = 0.5 |zt| reaches half the probe radius
         assert rep.max_forward_residual == pytest.approx(2.5, rel=0.05)
+
+    def test_nan_inverse_not_ok(self):
+        # a fold with Python's max would skip the NaN residuals and pass it
+        g = lambda t, y, z: 0.5 * z
+        h = lambda t, y, zt: np.full(np.shape(zt), np.nan)
+        rep = bl.validate_inverse(g, h)
+        assert math.isnan(rep.max_forward_residual)
+        assert math.isnan(rep.max_backward_residual)
+        assert not rep.ok
 
     def test_bisection_inverse_of_monotone_coefficient(self):
         # g(z) = z + 0.4 sin z is strictly increasing; invert numerically
@@ -185,18 +197,17 @@ def stochastic_case():
     with pytest.warns(RuntimeWarning):
         env = bl.compute_envelope(driver, terminal, grid, schedule=[2, 4],
                                   tol=0.0, backend="tree", conv_tol=0.05)
-    pair = bl.InvertiblePair(driver=driver,
-                             h_inv=lambda t, y, zt: zt / 0.9).validated()
-    return driver, terminal, grid, env, pair
+    return driver, terminal, grid, env, lambda t, y, zt: zt / 0.9
 
 
 class TestLatticeGlue:
     def test_midpoint_target(self, stochastic_case):
-        driver, terminal, grid, env, pair = stochastic_case
-        assert pair.flagged        # inverse slope 1/0.9 squared exceeds 1
+        driver, terminal, grid, env, h_inv = stochastic_case
+        # inverse slope 1/0.9 squared exceeds 1
+        assert bl.validate_inverse(driver.g, h_inv).h_contraction_flagged
         i0 = 5
         eta = bl.interpolate_target(env, i0, 0.5)
-        glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+        glued = bl.glue_solution(driver, h_inv, terminal, i0, eta, env, grid,
                                  snap_tol=0.01, lam=0.5)
         ys, zs = glued.assembled_fields()
         # the spliced value at t0 is the target, bitwise
@@ -211,10 +222,10 @@ class TestLatticeGlue:
         np.testing.assert_array_equal(ys[10], np.zeros((1024, 32)))
 
     def test_exit_dichotomy(self, stochastic_case):
-        driver, terminal, grid, env, pair = stochastic_case
+        driver, terminal, grid, env, h_inv = stochastic_case
         i0 = 5
         eta = bl.interpolate_target(env, i0, 0.5)
-        glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+        glued = bl.glue_solution(driver, h_inv, terminal, i0, eta, env, grid,
                                  snap_tol=0.01)
         n = grid.steps
         d_shape = (2 ** n, 2 ** (n - i0))
@@ -231,10 +242,10 @@ class TestLatticeGlue:
             assert np.array_equal(glued.side_is_max[sel], near_max)
 
     def test_boundary_weight_reproduces_maximal(self, stochastic_case):
-        driver, terminal, grid, env, pair = stochastic_case
+        driver, terminal, grid, env, h_inv = stochastic_case
         i0 = 5
         eta = bl.interpolate_target(env, i0, 0.0)
-        glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+        glued = bl.glue_solution(driver, h_inv, terminal, i0, eta, env, grid,
                                  snap_tol=0.01, lam=0.0)
         assert np.all(glued.tau == i0)
         ys, _ = glued.assembled_fields()
@@ -258,11 +269,10 @@ class TestLatticeGlue:
         env_scalar = bl.compute_envelope(scalar_driver, terminal, grid,
                                          schedule=[2, 4], tol=0.0,
                                          backend="scalar", conv_tol=0.05)
-        pair = bl.InvertiblePair(driver=driver,
-                                 h_inv=lambda t, y, zt: zt / 0.5).validated()
+        h_inv = lambda t, y, zt: zt / 0.5
         i0 = 4
         eta = bl.interpolate_target(env, i0, 0.5)
-        glued = bl.glue_solution(driver, pair, terminal, i0, eta, env, grid,
+        glued = bl.glue_solution(driver, h_inv, terminal, i0, eta, env, grid,
                                  snap_tol=1e-9, lam=0.5)
         scalar = bl.glue_deterministic(scalar_driver, terminal, grid, 0.5,
                                        lam=0.5, envelope=env_scalar,
@@ -272,15 +282,49 @@ class TestLatticeGlue:
             assert np.max(np.abs(ys[i] - scalar.y[i])) <= 1e-9
 
     def test_eta_outside_band_rejected(self, stochastic_case):
-        driver, terminal, grid, env, pair = stochastic_case
+        driver, terminal, grid, env, h_inv = stochastic_case
         eta = bl.interpolate_target(env, 5, 0.0) + 1.0
         with pytest.raises(ValueError, match="band"):
-            bl.glue_solution(driver, pair, terminal, 5, eta, env, grid)
+            bl.glue_solution(driver, h_inv, terminal, 5, eta, env, grid)
 
     def test_unvalidatable_inverse_rejected(self, stochastic_case):
         driver, terminal, grid, env, _ = stochastic_case
-        bad = bl.InvertiblePair(driver=driver,
-                                h_inv=lambda t, y, zt: zt).validated()
+        eta = bl.interpolate_target(env, 5, 0.5)
+        for bad in (lambda t, y, zt: zt,
+                    lambda t, y, zt: np.full(np.shape(zt), np.nan)):
+            with pytest.raises(InversionError):
+                bl.glue_solution(driver, bad, terminal, 5, eta, env, grid)
+
+    def test_nan_defect_propagates_to_the_residual(self, stochastic_case,
+                                                   monkeypatch):
+        # a NaN forward defect on live paths makes the off-splice residual
+        # NaN, where a fold with Python's max would skip it
+        driver, terminal, grid, env, h_inv = stochastic_case
+        forward_defects = gluing._forward_defects
+
+        def poisoned(segment, drv):
+            for j, defect in forward_defects(segment, drv):
+                yield j, np.full_like(defect, np.nan)
+
+        monkeypatch.setattr(gluing, "_forward_defects", poisoned)
+        eta = bl.interpolate_target(env, 5, 0.5)
+        glued = bl.glue_solution(driver, h_inv, terminal, 5, eta, env, grid,
+                                 snap_tol=0.01, lam=0.5)
+        assert np.any(glued.tau > 5)
+        assert math.isnan(glued.residual_off_splice)
+
+    def test_inverse_of_another_g_rejected(self, stochastic_case):
+        # zt / 0.5 inverts g_linear(0.5), not the g_linear(0.9) of this
+        # driver: the glue checks the inverse against the g it runs
+        driver, terminal, grid, env, _ = stochastic_case
+        h_inv = lambda t, y, zt: zt / 0.5
+        assert bl.validate_inverse(
+            bl.driver_pair("f_sqrt_pos", [2.0], "g_linear", [0.5]).g, h_inv).ok
+        assert not bl.validate_inverse(driver.g, h_inv).ok
         eta = bl.interpolate_target(env, 5, 0.5)
         with pytest.raises(InversionError):
-            bl.glue_solution(driver, bad, terminal, 5, eta, env, grid)
+            bl.glue_solution(driver, h_inv, terminal, 5, eta, env, grid,
+                             snap_tol=0.01, lam=0.5)
+        with pytest.raises(InversionError):
+            bl.continuum_sample(driver, terminal, grid, 0.5, [0.25, 0.75],
+                                backend="tree", h_inv=h_inv, envelope=env)

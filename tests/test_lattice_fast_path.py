@@ -557,7 +557,7 @@ def test_short_read_names_both_byte_counts(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="dump ended after 116 of 128 bytes"):
         bl.load_tree_solution(path)
 
-    batch = bl.sample_paths(bl.make_grid(1.0, 8), (1, 1), (3, 8), seed=9)
+    batch = bl.sample_paths(bl.make_grid(1.0, 8), (3, 8), seed=9)
     path = tmp_path / "batch.bin"
     bl.save_path_batch(path, batch)
     path.write_bytes(path.read_bytes()[:-5])

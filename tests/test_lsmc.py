@@ -1,31 +1,34 @@
+import struct
+
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
+import bdsde_lab.lsmc as lsmc
 from bdsde_lab.errors import CapacityError
 from bdsde_lab.tree import leaf_increments
 
 
 class TestPathSampling:
     def test_seed_determinism(self, grid8):
-        a = bl.sample_paths(grid8, (1, 1), (4, 64), seed=7)
-        b = bl.sample_paths(grid8, (1, 1), (4, 64), seed=7)
+        a = bl.sample_paths(grid8, (4, 64), seed=7)
+        b = bl.sample_paths(grid8, (4, 64), seed=7)
         assert a.w_increments.tobytes() == b.w_increments.tobytes()
         assert a.b_increments.tobytes() == b.b_increments.tobytes()
-        c = bl.sample_paths(grid8, (1, 1), (4, 64), seed=8)
+        c = bl.sample_paths(grid8, (4, 64), seed=8)
         assert a.w_increments.tobytes() != c.w_increments.tobytes()
 
     def test_sub_batch_reproducible(self, grid8):
         # per-path keyed randomness: path p is the same whatever the batch
-        small = bl.sample_paths(grid8, (1, 1), (2, 16), seed=5)
-        large = bl.sample_paths(grid8, (1, 1), (8, 256), seed=5)
+        small = bl.sample_paths(grid8, (2, 16), seed=5)
+        large = bl.sample_paths(grid8, (8, 256), seed=5)
         np.testing.assert_array_equal(small.w_increments,
                                       large.w_increments[:16])
         np.testing.assert_array_equal(small.b_increments,
                                       large.b_increments[:2])
 
     def test_antithetic_pairs_cancel(self, grid8):
-        batch = bl.sample_paths(grid8, (1, 1), (4, 64), seed=7,
+        batch = bl.sample_paths(grid8, (4, 64), seed=7,
                                 antithetic=True)
         np.testing.assert_array_equal(
             batch.w_increments[0::2] + batch.w_increments[1::2],
@@ -33,8 +36,8 @@ class TestPathSampling:
 
     def test_moment_bounds_large_sample(self):
         grid = bl.make_grid(1.0, 100)   # dt = 0.01
-        batch = bl.sample_paths(grid, (1, 1), (2, 100_000), seed=3)
-        inc = batch.w_increments[:, :, 0]
+        batch = bl.sample_paths(grid, (2, 100_000), seed=3)
+        inc = batch.w_increments
         m = inc.shape[0]
         assert np.all(np.abs(inc.mean(axis=0)) <= 5 * np.sqrt(grid.dt / m))
         var = inc.var(axis=0)
@@ -42,16 +45,14 @@ class TestPathSampling:
 
     def test_capacity_cap(self, grid8):
         with pytest.raises(CapacityError):
-            bl.sample_paths(grid8, (64, 64), (10 ** 6, 10 ** 6), seed=0)
+            bl.sample_paths(grid8, (10 ** 8, 10 ** 8), seed=0)
 
     def test_preconditions(self, grid8):
         with pytest.raises(ValueError):
-            bl.sample_paths(grid8, (0, 1), (4, 4), seed=0)
-        with pytest.raises(ValueError):
-            bl.sample_paths(grid8, (1, 1), (1, 4), seed=0)
+            bl.sample_paths(grid8, (1, 4), seed=0)
 
     def test_dump_round_trip(self, tmp_path, grid8):
-        batch = bl.sample_paths(grid8, (1, 1), (3, 8), seed=9,
+        batch = bl.sample_paths(grid8, (3, 8), seed=9,
                                 antithetic=True)
         p = tmp_path / "batch.bin"
         bl.save_path_batch(p, batch)
@@ -61,7 +62,7 @@ class TestPathSampling:
         np.testing.assert_array_equal(loaded.b_increments, batch.b_increments)
 
     def test_truncated_dump_rejected_before_reading(self, tmp_path, grid8):
-        batch = bl.sample_paths(grid8, (1, 1), (3, 8), seed=9)
+        batch = bl.sample_paths(grid8, (3, 8), seed=9)
         p = tmp_path / "batch.bin"
         bl.save_path_batch(p, batch)
         raw = p.read_bytes()
@@ -72,6 +73,34 @@ class TestPathSampling:
         p.write_bytes(raw[:40])
         with pytest.raises(ValueError, match="holds 40 bytes, its header needs 56"):
             bl.load_path_batch(p)
+
+    def _corrupt_header(self, tmp_path, offset, fmt, value):
+        batch = bl.sample_paths(bl.make_grid(1.0, 8), (3, 8), seed=9)
+        p = tmp_path / "batch.bin"
+        bl.save_path_batch(p, batch)
+        raw = bytearray(p.read_bytes())
+        raw[offset:offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+        p.write_bytes(bytes(raw))
+        return p
+
+    def test_wrong_dt_rejected_before_reading(self, tmp_path, monkeypatch):
+        # dt sits after the magic and the step count
+        p = self._corrupt_header(tmp_path, 12, "<d", 2.0 / 8)
+        monkeypatch.setattr(lsmc, "_read_array", _no_array_read)
+        with pytest.raises(ValueError, match="dt inconsistent"):
+            bl.load_path_batch(p)
+
+    @pytest.mark.parametrize("offset", [44, 52])     # outer, inner dimension
+    def test_non_scalar_noise_rejected_before_reading(self, tmp_path,
+                                                      monkeypatch, offset):
+        p = self._corrupt_header(tmp_path, offset, "<I", 2)
+        monkeypatch.setattr(lsmc, "_read_array", _no_array_read)
+        with pytest.raises(ValueError, match="noise dimensions"):
+            bl.load_path_batch(p)
+
+
+def _no_array_read(fh, shape):
+    raise AssertionError("an array was read")
 
 
 def _binary_outer(grid, bits):
@@ -111,7 +140,7 @@ class TestOracleEquivalence:
 class TestClosedForms:
     def test_terminal_w(self):
         grid = bl.make_grid(1.0, 16)
-        paths = bl.sample_paths(grid, (1, 1), (4, 100_000), seed=12345)
+        paths = bl.sample_paths(grid, (4, 100_000), seed=12345)
         mc = bl.solve_lsmc(bl.builtin_driver("zero"),
                            bl.builtin_terminal("w_terminal"), grid,
                            bl.BasisSpec("poly", 2), paths)
@@ -124,16 +153,16 @@ class TestClosedForms:
 
     def test_backward_noise_exact_per_outer_path(self):
         grid = bl.make_grid(1.0, 12)
-        paths = bl.sample_paths(grid, (1, 1), (16, 256), seed=77)
+        paths = bl.sample_paths(grid, (16, 256), seed=77)
         mc = bl.solve_lsmc(bl.driver_pair("zero", [], "g_constant", [1.0]),
                            bl.builtin_terminal("constant", [0.0]), grid,
                            bl.BasisSpec("poly", 1), paths)
-        truth = paths.b_increments[:, :, 0].sum(axis=1)
+        truth = paths.b_increments.sum(axis=1)
         assert np.max(np.abs(mc.y0 - truth)) <= 1e-8
 
     def test_linear_drift_quadratic_terminal(self):
         grid = bl.make_grid(1.0, 16)
-        paths = bl.sample_paths(grid, (1, 1), (4, 100_000), seed=999)
+        paths = bl.sample_paths(grid, (4, 100_000), seed=999)
         mc = bl.solve_lsmc(bl.driver_pair("f_linear", [1.0, 0.0]),
                            bl.builtin_terminal("w_terminal_sq"), grid,
                            bl.BasisSpec("poly", 2), paths)
@@ -145,7 +174,7 @@ class TestClosedForms:
 class TestDiagnostics:
     def test_outer_variance_zero_without_backward_noise(self):
         grid = bl.make_grid(1.0, 8)
-        paths = bl.sample_paths(grid, (1, 1), (8, 2048), seed=4)
+        paths = bl.sample_paths(grid, (8, 2048), seed=4)
         mc = bl.solve_lsmc(bl.builtin_driver("zero"),
                            bl.builtin_terminal("w_terminal"), grid,
                            bl.BasisSpec("poly", 1), paths)
@@ -156,7 +185,7 @@ class TestDiagnostics:
         grid = bl.make_grid(1.0, 4)
         batch = bl.PathBatch.from_arrays(
             grid, np.zeros((1, 4)),
-            bl.sample_paths(grid, (1, 1), (2, 512), seed=1).w_increments[:, :, 0])
+            bl.sample_paths(grid, (2, 512), seed=1).w_increments)
         mc = bl.solve_lsmc(bl.builtin_driver("zero"),
                            bl.builtin_terminal("w_terminal"), grid,
                            bl.BasisSpec("poly", 1), batch)
@@ -166,7 +195,7 @@ class TestDiagnostics:
         # f = 0, g = 1, xi = 0: Y_0 per outer is B_T, so the across-outer
         # variance estimates T; 5 sigma of the variance-of-variance bound
         grid = bl.make_grid(1.0, 4)
-        paths = bl.sample_paths(grid, (1, 1), (4000, 64), seed=21)
+        paths = bl.sample_paths(grid, (4000, 64), seed=21)
         mc = bl.solve_lsmc(bl.driver_pair("zero", [], "g_constant", [1.0]),
                            bl.builtin_terminal("constant", [0.0]), grid,
                            bl.BasisSpec("poly", 1), paths)
@@ -176,7 +205,7 @@ class TestDiagnostics:
 
     def test_condition_numbers_finite(self):
         grid = bl.make_grid(1.0, 8)
-        paths = bl.sample_paths(grid, (1, 1), (2, 512), seed=2)
+        paths = bl.sample_paths(grid, (2, 512), seed=2)
         mc = bl.solve_lsmc(bl.builtin_driver("zero"),
                            bl.builtin_terminal("w_terminal"), grid,
                            bl.BasisSpec("poly", 2), paths)
@@ -188,7 +217,7 @@ class TestDiagnostics:
 
 class TestValidation:
     def test_inner_count_guard(self, grid8):
-        paths = bl.sample_paths(grid8, (1, 1), (2, 16), seed=0)
+        paths = bl.sample_paths(grid8, (2, 16), seed=0)
         with pytest.raises(ValueError):
             bl.solve_lsmc(bl.builtin_driver("zero"),
                           bl.builtin_terminal("w_terminal"), grid8,
@@ -201,7 +230,7 @@ class TestValidation:
             bl.BasisSpec("poly", -1)
 
     def test_grid_mismatch(self, grid8):
-        paths = bl.sample_paths(grid8, (1, 1), (2, 64), seed=0)
+        paths = bl.sample_paths(grid8, (2, 64), seed=0)
         with pytest.raises(ValueError):
             bl.solve_lsmc(bl.builtin_driver("zero"),
                           bl.builtin_terminal("w_terminal"),

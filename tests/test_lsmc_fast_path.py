@@ -66,10 +66,10 @@ def _lattice_batch(grid, m_outer, layout, rng):
 
 
 def _sampled_batch(grid, m_outer, m_inner, layout, seed):
-    batch = bl.sample_paths(grid, (1, 1), (m_outer, m_inner), seed)
+    batch = bl.sample_paths(grid, (m_outer, m_inner), seed)
     return bl.PathBatch.from_arrays(
-        grid, LAYOUTS[layout](batch.b_increments[:, :, 0]),
-        LAYOUTS[layout](batch.w_increments[:, :, 0]))
+        grid, LAYOUTS[layout](batch.b_increments),
+        LAYOUTS[layout](batch.w_increments))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
@@ -101,7 +101,7 @@ CUSTOM = custom_drivers()
 def test_custom_driver_matches_reference(name, basis):
     grid = bl.make_grid(1.0, 7)
     if basis == "poly":
-        paths = bl.sample_paths(grid, (1, 1), (3, 300), seed=8)
+        paths = bl.sample_paths(grid, (3, 300), seed=8)
     else:
         paths = _lattice_batch(grid, 3, "C", np.random.default_rng(8))
     xi = np.random.default_rng(1).normal(size=paths.m_inner)
@@ -119,7 +119,7 @@ def test_custom_driver_matches_reference(name, basis):
 @pytest.mark.parametrize("step,node", [(6, 37), (4, 3), (1, 199)])
 def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     grid = bl.make_grid(1.0, 6)
-    paths = bl.sample_paths(grid, (1, 1), (2, 200), seed=4)
+    paths = bl.sample_paths(grid, (2, 200), seed=4)
     terminal, basis = bl.builtin_terminal("w_terminal_sq"), bl.BasisSpec("poly", 2)
     at = nan_driver_target(lambda d: reference_solve_lsmc(
         d, terminal, grid, basis, paths), step, node)
@@ -140,13 +140,13 @@ def test_sweep_keeps_one_copy_of_the_increments():
     # with this driver, as the path-major sweep did.
     n, m_in = 16, 20_000
     grid = bl.make_grid(1.0, n)
-    paths = bl.sample_paths(grid, (1, 1), (2, m_in), seed=3)
+    paths = bl.sample_paths(grid, (2, m_in), seed=3)
     basis = bl.BasisSpec("poly", 2)
     driver = bl.driver_pair("f_linear", [1.0, 0.0], "g_constant", [0.5])
     terminal = bl.builtin_terminal("w_terminal")
     got, peak = traced_peak(
         lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
-    designs = 8 * m_in * sum(basis.widths(paths.w_increments[:, :, 0], grid.dt))
+    designs = 8 * m_in * sum(basis.widths(paths.w_increments, grid.dt))
     copy = 8 * n * m_in
     assert designs + copy <= peak < designs + copy + 2 * 2 ** 20
     _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
@@ -182,7 +182,7 @@ def test_counted_widths_are_the_design_widths(kind, source):
     grid = bl.make_grid(1.0, 16)
     m_in = 2 * lsmc.WIDTH_BLOCK + 77
     if source == "sampled":
-        w_inc = bl.sample_paths(grid, (1, 1), (2, m_in), seed=1).w_increments[:, :, 0]
+        w_inc = bl.sample_paths(grid, (2, m_in), seed=1).w_increments
     elif source == "lattice":
         w_inc = leaf_increments(grid)
     else:
@@ -244,13 +244,12 @@ def test_mc_convergence_writes_the_reference_bytes(tmp_path, monkeypatch, case):
 # --------------------------------------------------------------------------
 
 SAMPLES = {
-    "seed 0": dict(dims=(1, 1), counts=(4, 64), seed=0),
-    "seed 12345": dict(dims=(1, 1), counts=(4, 64), seed=12345),
-    "seed 2**64 - 1": dict(dims=(1, 1), counts=(4, 64), seed=2 ** 64 - 1),
-    "antithetic, odd m_outer": dict(dims=(1, 1), counts=(5, 7), seed=3,
+    "seed 0": dict(counts=(4, 64), seed=0),
+    "seed 12345": dict(counts=(4, 64), seed=12345),
+    "seed 2**64 - 1": dict(counts=(4, 64), seed=2 ** 64 - 1),
+    "antithetic, odd m_outer": dict(counts=(5, 7), seed=3,
                                     antithetic=True),
-    "dims (2, 3)": dict(dims=(2, 3), counts=(3, 10), seed=11),
-    "4,000 outer paths": dict(dims=(1, 1), counts=(4000, 64), seed=21),
+    "4,000 outer paths": dict(counts=(4000, 64), seed=21),
 }
 
 

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from conftest import sequential_transform_1d
+from conftest import catalog_driver_specs, sequential_transform_1d
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +182,25 @@ class TestScalarProbe:
         probe = scalar_drift(op)
         assert op._table is not None and op.boundary_hits == 0
         assert _bits(probe(0.0, 0.37)) == _bits(op(0.0, np.array([0.37]), np.zeros(1))[0])
+
+    @pytest.mark.parametrize("mode", ["inf", "sup"])
+    def test_table_from_a_0d_z_matches_a_zeros_array(self, mode):
+        # every z-independent catalog drift reads a 0-d z as it reads an
+        # array of zeros the size of the table's grid
+        entries = catalog_driver_specs()[0] + [(name, params)
+                                               for name, params, _, _ in TABLES]
+        drifts = [bl.builtin_driver(name, params) for name, params in entries]
+        drifts = [d for d in drifts if d.f_z_independent]
+        assert len(drifts) >= 4
+        spec = ConvGridSpec(radius=RADIUS, spacing=0.0125)
+        for driver in drifts:
+            op = ConvolvedPart(driver.f, 4.0, spec, mode, z_independent=True)
+            op._build_table_1d()
+            grid, tab = op._table
+            vals = np.asarray(driver.f(0.0, grid, np.zeros_like(grid)),
+                              dtype=float)
+            want = ConvolvedPart._transform_1d(vals, 4.0 * spec.spacing, mode)
+            assert tab.tobytes() == want.tobytes(), driver.descriptor
 
     def test_python_float_and_numpy_scalar_probes(self):
         op = _operator(0, "sup")

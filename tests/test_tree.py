@@ -1,5 +1,7 @@
+import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +87,23 @@ class TestResidual:
         # the integrand error enters scaled by the increment size
         assert bl.tree_residual(broken, driver, terminal) >= \
             0.1 * np.sqrt(grid4.dt) - 1e-10
+
+    def test_nan_node_propagates(self, grid4):
+        # one NaN node makes the residual NaN, where a fold with Python's
+        # max would skip it; a finite perturbation reads as before
+        driver = bl.driver_pair("f_linear", [0.5, 0.2], "g_linear", [0.5])
+        terminal = bl.builtin_terminal("w_terminal")
+        sol = bl.solve_tree(driver, terminal, grid4)
+
+        def moved(shift):
+            ys = [y.copy() for y in sol.ys]
+            ys[2][0, 0] += shift
+            return bl.TreeSolution(grid=grid4, ys=ys,
+                                   zs=[z.copy() for z in sol.zs])
+
+        assert math.isnan(bl.tree_residual(moved(np.nan), driver, terminal))
+        # the moved node enters step 1's identity as (1 + dt f_y) 1e3
+        assert bl.tree_residual(moved(1e3), driver, terminal) == 1125.0
 
     def test_accumulation_at_depth_12(self):
         grid = bl.make_grid(1.0, 12)
@@ -212,6 +231,15 @@ class TestForwardSwapped:
         assert seg.residual <= 1e-10 * (1.0 + 1.7)
         for y in seg.ys:
             np.testing.assert_allclose(y, 1.7, atol=1e-14)
+
+    def test_nan_node_propagates_to_the_residual(self):
+        grid = bl.make_grid(1.0, 4)
+        driver = bl.driver_pair("zero", [], "g_linear", [0.5])
+        seg = bl.solve_forward_swapped(driver, lambda t, y, zt: zt / 0.5,
+                                       np.full((4, 4), 1.7), grid, i0=2)
+        ys = [y.copy() for y in seg.ys]
+        ys[1][0, 0] = np.nan
+        assert math.isnan(bl.forward_residual(replace(seg, ys=ys), driver))
 
     def test_constant_noise_develops_backward_martingale(self):
         # g = gamma: the field moves by -gamma dB each step
