@@ -249,7 +249,7 @@ def glue_solution(driver: DriverSpec, h_inv, terminal: TerminalSpec, i0: int,
     tau = np.full(d_shape, n, dtype=np.int64)
     side_is_max = np.zeros(d_shape, dtype=bool)
     near_min = np.zeros(d_shape, dtype=bool)
-    splice = 0.0
+    splices = []
     for j in range(i0, n + 1):
         y_j = _expand(segment2.ys[j - i0], d_shape)
         lo, hi = (_expand(b, d_shape) for b in envelope.band_at(j))
@@ -262,7 +262,7 @@ def glue_solution(driver: DriverSpec, h_inv, terminal: TerminalSpec, i0: int,
         side_is_max[sel] = y_j[sel] >= (hi - snap_tol)[sel]
         near_min[sel] = y_j[sel] <= (lo + snap_tol)[sel]
         tail = np.where(side_is_max, hi, lo)
-        splice = max(splice, float(np.max(np.abs(tail - y_j)[sel])))
+        splices.append(float(np.max(np.abs(tail - y_j)[sel])))
     # counted over whole paths (s_0..s_{N-1}, r_0..r_{N-1}): a node of D
     # stands for the 2**i0 values of r_0..r_{i0-1}, which it does not store
     ambiguous = int(np.sum(side_is_max & near_min & (tau < n))) * 2 ** i0
@@ -292,7 +292,7 @@ def glue_solution(driver: DriverSpec, h_inv, terminal: TerminalSpec, i0: int,
         segment1_y=seg1_y, segment1_z=seg1_z, segment2=segment2,
         envelope=envelope, tau=tau, side_is_max=side_is_max,
         snap_tol=snap_tol, residual_off_splice=_worst(defects),
-        splice_mismatch=splice, ambiguous_exits=ambiguous,
+        splice_mismatch=_worst(splices), ambiguous_exits=ambiguous,
     )
 
 
@@ -395,7 +395,7 @@ def _scalar_glued_residual(driver, envelope, grid, y, i0, tau_index,
     its own recursion (tail against the envelope's regularized drift)."""
     side = envelope.maximal if side_is_max else envelope.minimal
     dt, t, at = grid.dt, memoryview(grid.nodes), memoryview(y)
-    worst = 0.0
+    defects = []
     # backward piece (an immediate exit splices at i0 - 1), then the
     # forward piece up to the step entering tau_index, which is the
     # splice, then the tail
@@ -407,11 +407,11 @@ def _scalar_glued_residual(driver, envelope, grid, y, i0, tau_index,
         for i in steps:
             if sign > 0:
                 pred = at[i + 1] + dt * step(t[i + 1], at[i + 1])
-                worst = max(worst, abs(at[i] - pred))
+                defects.append(abs(at[i] - pred))
             else:
                 pred = at[i] - dt * step(t[i], at[i])
-                worst = max(worst, abs(at[i + 1] - pred))
-    return worst
+                defects.append(abs(at[i + 1] - pred))
+    return _worst(defects)
 
 
 # --------------------------------------------------------------------------
@@ -492,7 +492,7 @@ def _lattice_scan(solutions: list, envelope: EnvelopeResult, tol: float):
             scan.add(i, y)
         for a in range(m):
             for b in range(a + 1, m):
-                d = max(distances[a, b], float(np.max(np.abs(steps[a] - steps[b]))))
+                d = np.maximum(distances[a, b], np.max(np.abs(steps[a] - steps[b])))
                 distances[a, b] = distances[b, a] = d
     return [scan.report(tol) for scan in scans], distances
 

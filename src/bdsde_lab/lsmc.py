@@ -18,10 +18,13 @@ dt^(3/2) and the convergence suite covers the simplification.  At i = 0 the
 basis degenerates to the intercept (W_0 = 0) and Y_0 is the inner-sample
 mean of the y target.
 
-The sweep reads the inner increments step-major: one (N, m_inner) copy whose
-row i is dW_i for every inner path, and whose running row sum gives the
-design states W_{t_i}.  The targets are formed in three m_inner buffers
-that are allocated once per solve.
+The sweep runs step-major: steps on the outside, outer paths on the inside.
+It stores the design states W_{t_i} as (N, m_inner) rows, builds design
+x_i from row i, and keeps only x_i and x_{i+1}; a path's Y_{i+1} and
+Z_{i+1} are re-formed from x_{i+1} and its coefficients while that design
+is still in cache.  The targets are formed in m_inner buffers allocated
+once per solve, and one stacked solve per step gives every path's
+coefficients.
 
 Randomness is counter-based: each path owns a Philox key derived from
 (seed, stream, path index), so any sub-batch reproduces identically no
@@ -94,8 +97,8 @@ def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
 
     Raises ``CapacityError`` before drawing when the increments would take
     more than ``BATCH_MEMORY_CAP`` bytes.  ``solve_lsmc`` holds its
-    regression designs to the same cap (``check_regression_bytes``), which
-    a caller can check before sampling."""
+    design states and designs to the same cap (``check_regression_bytes``),
+    which a caller can check before sampling."""
     m_outer, m_inner = counts
     if m_outer < 2 or m_inner < 2:
         raise ValueError("path counts must be >= 2")
@@ -199,26 +202,18 @@ class MCSolution:
         return self.y0.shape[0]
 
 
-def _regress(x: np.ndarray, gram: np.ndarray, target: np.ndarray, step: int):
-    try:
-        return np.linalg.solve(gram, x.T @ target)
-    except np.linalg.LinAlgError as exc:
-        raise RegressionError(
-            f"normal equations singular at step {step}: {exc}"
-        ) from exc
-
-
 def check_regression_bytes(m_inner: int, widths) -> None:
-    """Raise ``CapacityError`` unless the design matrices of ``solve_lsmc``
-    (at step i, m_inner rows of ``widths[i]`` floats) plus its step-major
-    copy of the inner increments fit in ``BATCH_MEMORY_CAP`` bytes."""
-    designs = 8 * m_inner * sum(widths)
-    copy = 8 * len(widths) * m_inner
-    if designs + copy > BATCH_MEMORY_CAP:
+    """Raise ``CapacityError`` unless what ``solve_lsmc`` holds fits in
+    ``BATCH_MEMORY_CAP`` bytes: the N rows of m_inner design states and the
+    two designs alive at once, x_i and x_{i+1} (m_inner rows of
+    ``widths[i]`` floats at step i), counted at the widest such pair."""
+    states = 8 * len(widths) * m_inner
+    pair = 8 * m_inner * max(a + b for a, b in zip(widths, widths[1:] + [0]))
+    if states + pair > BATCH_MEMORY_CAP:
         raise CapacityError(
-            f"regression designs would allocate {designs} bytes and the "
-            f"step-major increments {copy} more: {designs + copy} bytes, "
-            f"cap is {BATCH_MEMORY_CAP}"
+            f"regression design states would allocate {states} bytes and the "
+            f"widest two consecutive designs {pair} more: {states + pair} "
+            f"bytes, cap is {BATCH_MEMORY_CAP}"
         )
 
 
@@ -227,15 +222,23 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                ridge: float = 1e-8) -> MCSolution:
     """Backward regression sweep over every outer path in the batch.
 
-    Raises ``CapacityError`` before allocating when the design matrices
-    plus the step-major increments would take more than
+    Step-major: for i = N-1..0 the design x_i serves every outer path in
+    turn, and one stacked solve gives every path's two coefficient vectors.
+    Each path's arithmetic is that of a sweep run path by path, so the
+    estimates do not depend on the loop order; the first error raised
+    does.  It is the one at the highest step where any path fails, and at
+    one step a path's ``NumericError`` (lowest path first) comes before
+    the step's ``RegressionError``.
+
+    Raises ``CapacityError`` before allocating when the design states plus
+    the widest two consecutive designs would take more than
     ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``), each design
     counted at its own width (``BasisSpec.widths``)."""
     if paths.grid.steps != grid.steps or abs(paths.grid.dt - grid.dt) > 1e-15:
         raise ValueError("path batch lives on a different grid")
     n = grid.steps
     dt = grid.dt
-    m_in = paths.m_inner
+    m_out, m_in = paths.m_outer, paths.m_inner
     if basis.kind == "poly" and m_in <= 10 * (basis.degree + 1):
         raise ValueError(
             f"m_inner={m_in} too small for degree {basis.degree}; "
@@ -244,55 +247,73 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     w_inc = paths.w_increments
     check_regression_bytes(m_in, basis.widths(w_inc, dt))
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
-    w_steps = np.ascontiguousarray(w_inc.T)     # row i: dW_i of every path
 
-    # W_{t_i}: W_0 = 0, then a running sum over the rows that starts from
-    # the first row itself, the additions a cumsum makes
-    states = chain([np.zeros(m_in)], accumulate(w_steps[:-1]))
-    designs = [basis.design(w, grid.time(i), dt) for i, w in enumerate(states)]
-    grams = [x.T @ x + ridge * np.eye(x.shape[1]) for x in designs]
-    conds_step = np.array([np.linalg.cond(g) for g in grams])
-    conds = np.broadcast_to(conds_step, (paths.m_outer, n)).copy()
+    # W_{t_i}: W_0 = 0, W_1 the first increments themselves, then a running
+    # sum, the additions a cumsum makes
+    states = np.empty((n, m_in))
+    states[0] = 0.0
+    if n > 1:
+        states[1] = w_inc[:, 0]
+    for i in range(1, n - 1):
+        np.add(states[i], w_inc[:, i], out=states[i + 1])
 
-    y0 = np.empty(paths.m_outer)
-    final_se = np.empty(paths.m_outer)
-    y_coeffs_all, z_coeffs_all = [], []
+    conds_step = np.empty(n)
+    y_coeffs = [[None] * n for _ in range(m_out)]
+    z_coeffs = [[None] * n for _ in range(m_out)]
+    final_se = np.empty(m_out)
+    zero = np.zeros(m_in)
+    dw = np.empty(m_in)
     g_b = np.empty(m_in)
     z_target = np.empty(m_in)
     y_target = np.empty(m_in)
-    for k, b_inc in enumerate(paths.b_increments):
-        # y, z and the driver's outputs are only read: a driver may return
-        # its own argument, and y starts as the terminal values themselves
-        y, z = xi, np.zeros(m_in)
-        yc, zc = [None] * n, [None] * n
-        for i in range(n - 1, -1, -1):
-            t_next = grid.time(i + 1)
+    x_next = None
+    for i in range(n - 1, -1, -1):
+        t_next = grid.time(i + 1)
+        x = basis.design(states[i], grid.time(i), dt)
+        gram = x.T @ x + ridge * np.eye(x.shape[1])
+        conds_step[i] = np.linalg.cond(gram)
+        np.copyto(dw, w_inc[:, i])
+        rhs = np.empty((m_out, 2, x.shape[1]))
+        for k, b_k in enumerate(paths.b_increments[:, i]):
+            # y, z and the driver's outputs are only read: a driver may
+            # return its own argument, and y starts as the terminal values
+            if x_next is None:
+                y, z = xi, zero
+            else:
+                y, z = x_next @ y_coeffs[k][i + 1], x_next @ z_coeffs[k][i + 1]
             gv = np.asarray(driver.g(t_next, y, z), dtype=float)
             gv = np.broadcast_to(gv, y.shape)
             fv = np.asarray(driver.f(t_next, y, z), dtype=float)
-            np.multiply(gv, b_inc[i], out=g_b)
+            np.multiply(gv, b_k, out=g_b)
             # (y + g dB) dW / dt and y + dt f + g dB
             np.add(y, g_b, out=z_target)
-            np.multiply(z_target, w_steps[i], out=z_target)
+            np.multiply(z_target, dw, out=z_target)
             np.divide(z_target, dt, out=z_target)
             np.multiply(dt, fv, out=y_target)
             np.add(y, y_target, out=y_target)
             np.add(y_target, g_b, out=y_target)
             if not (np.all(np.isfinite(z_target)) and np.all(np.isfinite(y_target))):
                 raise NumericError(f"non-finite regression target at step {i}")
-            x = designs[i]
-            z_c = _regress(x, grams[i], z_target, i)
-            y_c = _regress(x, grams[i], y_target, i)
-            z = x @ z_c
-            y = x @ y_c
-            yc[i], zc[i] = y_c, z_c
+            rhs[k, 0] = x.T @ z_target
+            rhs[k, 1] = x.T @ y_target
             if i == 0:
                 final_se[k] = float(np.std(y_target) / np.sqrt(m_in))
-        y0[k] = float(np.mean(y))
-        y_coeffs_all.append(yc)
-        z_coeffs_all.append(zc)
+        # each right-hand side as its own column: one gesv call per vector
+        # with nrhs = 1, the bits of a single solve (a two-column solve or
+        # a product over a block of paths would change them)
+        try:
+            coeffs = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise RegressionError(
+                f"normal equations singular at step {i}: {exc}"
+            ) from exc
+        for k in range(m_out):
+            z_coeffs[k][i], y_coeffs[k][i] = coeffs[k]
+        x_next = x
+    y0 = np.array([float(np.mean(x_next @ yc[0])) for yc in y_coeffs])
+    conds = np.broadcast_to(conds_step, (m_out, n)).copy()
     return MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
-                      y_coeffs=y_coeffs_all, z_coeffs=z_coeffs_all,
+                      y_coeffs=y_coeffs, z_coeffs=z_coeffs,
                       cond_numbers=conds, final_se=final_se)
 
 

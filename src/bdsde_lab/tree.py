@@ -536,7 +536,7 @@ def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
         back = np.broadcast_to(np.asarray(h_inv(t_j, a, zt), dtype=float), a.shape)
         err = np.abs(back - c)
         bad = float(np.max(err))
-        if bad > 1e-8:
+        if not bad <= 1e-8:   # NaN included
             where = np.unravel_index(int(np.argmax(err)), err.shape)
             raise InversionError(
                 f"inverse inconsistency {bad:.3e} at step {j}",

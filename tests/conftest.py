@@ -6,7 +6,7 @@ import pytest
 
 import bdsde_lab as bl
 import bdsde_lab.lsmc as lsmc
-from bdsde_lab.errors import NumericError
+from bdsde_lab.errors import NumericError, RegressionError
 
 
 @pytest.fixture
@@ -325,7 +325,9 @@ def reference_sample_paths(grid, counts, seed, antithetic=False):
 
 def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
     """Oracle for ``lsmc.solve_lsmc``: design states from a cumsum over the
-    path-major increments and fresh temporaries for every target."""
+    path-major increments, fresh temporaries for every target, and one
+    sweep and one solve per target for each outer path in turn (so its
+    first error is the first failure of the lowest failing path)."""
     n = grid.steps
     dt = grid.dt
     m_in = paths.m_inner
@@ -357,8 +359,12 @@ def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
                     and np.all(np.isfinite(y_target))):
                 raise NumericError(f"non-finite regression target at step {i}")
             x = designs[i]
-            z_c = lsmc._regress(x, grams[i], z_target, i)
-            y_c = lsmc._regress(x, grams[i], y_target, i)
+            try:
+                z_c = np.linalg.solve(grams[i], x.T @ z_target)
+                y_c = np.linalg.solve(grams[i], x.T @ y_target)
+            except np.linalg.LinAlgError as exc:
+                raise RegressionError(
+                    f"normal equations singular at step {i}: {exc}") from exc
             z = x @ z_c
             y = x @ y_c
             yc[i], zc[i] = y_c, z_c

@@ -377,10 +377,10 @@ def test_glue_run_above_the_memory_cap_is_refused_before_computing(tmp_path):
 
 
 def test_regression_above_the_byte_cap_is_refused_before_sampling(tmp_path):
-    # 64 design matrices of 20,000 x 1,001 floats take 10.3 GB; the check
-    # runs before the 10 MB of increments are drawn
+    # 64 state rows and two design matrices of 200,000 x 1,001 floats take
+    # 3.3 GB; the check runs before the 102 MB of increments are drawn
     cfg = _base_cfg(backend="mc", grid={"horizon": 1, "steps": 64},
-                    solve={"m_outer": 2, "m_inner": 20000, "basis_degree": 1000})
+                    solve={"m_outer": 2, "m_inner": 200000, "basis_degree": 1000})
     path, out = _write(tmp_path, cfg), tmp_path / "o"
     tracemalloc.start()
     try:

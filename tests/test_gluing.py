@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,20 @@ class TestDeterministicGlue:
             bl.glue_deterministic(driver, terminal, grid, 0.5, eta=0.9,
                                   envelope=env)
 
+    def test_nan_node_reaches_the_residual(self):
+        # a fold with Python's max skips the NaN defects and reads 0.0
+        driver, terminal, grid, env = sqrt_setup(steps=64,
+                                                 schedule=(2, 4, 8, 16, 32))
+        glued = bl.glue_deterministic(driver, terminal, grid, 0.5, lam=0.5,
+                                      envelope=env)
+        args = (glued.i0, glued.tau_index, glued.side_is_max)
+        y = glued.y.copy()
+        assert gluing._scalar_glued_residual(driver, env, grid, y, *args) \
+            == glued.residual_off_splice
+        y[10] = np.nan
+        assert math.isnan(gluing._scalar_glued_residual(driver, env, grid, y,
+                                                        *args))
+
     def test_off_grid_time_rejected(self, sqrt_case):
         driver, terminal, grid, env = sqrt_case
         with pytest.raises(ValueError, match="grid node"):
@@ -256,6 +271,20 @@ class TestLatticeGlue:
             for i in range(11)
         )
         assert worst <= 10.0 * grid.dt * (1.0 + float(np.max(np.abs(ys[0]))))
+
+    def test_scan_distance_keeps_a_nan_node(self, stochastic_case):
+        # two candidates read as the envelope sides, one with a NaN node;
+        # a fold with Python's max drops it and reads a finite distance
+        env = stochastic_case[3]
+        lo = [np.asarray(y, dtype=float) for y in env.y_min]
+        hi = [np.asarray(y, dtype=float).copy() for y in env.y_max]
+        candidates = [SimpleNamespace(step_field=lambda i, f=f: f[i])
+                      for f in (lo, hi)]
+        _, clean = gluing._lattice_scan(candidates, env, 0.0)
+        assert np.all(np.isfinite(clean)) and clean[0, 1] > 0.0
+        hi[3].flat[0] = np.nan
+        _, distances = gluing._lattice_scan(candidates, env, 0.0)
+        assert math.isnan(distances[0, 1]) and math.isnan(distances[1, 0])
 
     def test_matches_scalar_glue_when_coupling_off(self):
         # z stays zero throughout, so the lattice glue and the scalar glue

@@ -1,5 +1,5 @@
-"""The regression sweep's step-major increments and buffered targets, and the
-re-keyed path generator, against the reference implementations in
+"""The step-major regression sweep, its buffered targets and stacked solves,
+and the re-keyed path generator, against the reference implementations in
 ``conftest``: every estimate and every increment bitwise equal."""
 
 import json
@@ -132,12 +132,12 @@ def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     assert f"step {step - 1}" in str(got.value)
 
 
-def test_sweep_keeps_one_copy_of_the_increments():
-    # the step-major copy replaces the (m_inner, N + 1) state array; keeping
-    # both would add 2.6 MiB here.  The sweep itself holds about eleven
-    # m_inner arrays at once (terminal values, three target buffers, y, z,
-    # their successors and the driver's outputs and temporaries), 1.7 MiB
-    # with this driver, as the path-major sweep did.
+def test_sweep_holds_the_states_and_two_designs():
+    # the sweep keeps the (N, m_inner) design states and builds each design
+    # when its step comes, so at most x_i and x_{i+1} are alive (the designs
+    # of all 16 steps would take 7.7 MB here).  Besides, it holds about
+    # eleven m_inner arrays at once (terminal values, four buffers, y, z and
+    # the driver's outputs and temporaries), 1.7 MiB with this driver.
     n, m_in = 16, 20_000
     grid = bl.make_grid(1.0, n)
     paths = bl.sample_paths(grid, (2, m_in), seed=3)
@@ -146,24 +146,93 @@ def test_sweep_keeps_one_copy_of_the_increments():
     terminal = bl.builtin_terminal("w_terminal")
     got, peak = traced_peak(
         lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
-    designs = 8 * m_in * sum(basis.widths(paths.w_increments, grid.dt))
-    copy = 8 * n * m_in
-    assert designs + copy <= peak < designs + copy + 2 * 2 ** 20
+    states = 8 * n * m_in
+    two_designs = 2 * 8 * m_in * (basis.degree + 1)
+    assert states <= peak < states + two_designs + 2 * 2 ** 20
     _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
                                                     basis, paths))
 
 
+def test_one_stacked_solve_per_step(monkeypatch):
+    grid = bl.make_grid(1.0, 6)
+    paths = bl.sample_paths(grid, (5, 200), seed=2)
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    bl.solve_lsmc(bl.driver_pair("f_linear", [1.0, 0.0], "g_constant", [0.5]),
+                  bl.builtin_terminal("w_terminal"), grid, bl.BasisSpec("poly", 2),
+                  paths)
+    assert calls == [(5, 2, 3, 1)] * 6
+
+
+def _infinite_b_batch(grid, m_inner, steps_of_path):
+    """Sampled inner paths and outer paths whose dB_i is +inf at the given
+    step (no step: every increment finite), so the target of path k turns
+    non-finite first at ``steps_of_path[k]``."""
+    batch = bl.sample_paths(grid, (len(steps_of_path), m_inner), seed=6)
+    b = batch.b_increments.copy()
+    for k, step in enumerate(steps_of_path):
+        if step is not None:
+            b[k, step] = np.inf
+    return bl.PathBatch.from_arrays(grid, b, batch.w_increments)
+
+
+def test_first_error_is_at_the_highest_failing_step():
+    # path 0 fails at step 2, path 1 at step 5: the step-major sweep meets
+    # step 5 first, a path-by-path sweep meets path 0's step 2 first
+    grid = bl.make_grid(1.0, 8)
+    args = (bl.driver_pair("f_linear", [1.0, 0.0], "g_constant", [0.5]),
+            bl.builtin_terminal("w_terminal"), grid, bl.BasisSpec("poly", 2),
+            _infinite_b_batch(grid, 200, [2, 5]))
+    with pytest.raises(NumericError, match="at step 5$"):
+        bl.solve_lsmc(*args)
+    with pytest.raises(NumericError, match="at step 2$"):
+        reference_solve_lsmc(*args)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
+def test_a_paths_non_finite_target_comes_before_the_steps_singular_gram():
+    # without a ridge the degree-2 Gram at W_0 = 0 is singular; path 1's
+    # target at step 0 is not finite, path 0's is
+    grid = bl.make_grid(1.0, 4)
+    args = (bl.driver_pair("f_linear", [1.0, 0.0], "g_constant", [0.5]),
+            bl.builtin_terminal("w_terminal"), grid, bl.BasisSpec("poly", 2),
+            _infinite_b_batch(grid, 200, [None, 0]))
+    with pytest.raises(NumericError, match="at step 0$"):
+        bl.solve_lsmc(*args, ridge=0.0)
+    with pytest.raises(RegressionError, match="singular at step 0"):
+        reference_solve_lsmc(*args, ridge=0.0)
+    # with every target finite the singular Gram is the error
+    args = args[:4] + (_infinite_b_batch(grid, 200, [None, None]),)
+    with pytest.raises(RegressionError, match="singular at step 0"):
+        bl.solve_lsmc(*args, ridge=0.0)
+
+
 def test_design_byte_cap():
-    with pytest.raises(CapacityError, match="allocate 10250240000 bytes and the "
-                       "step-major increments 10240000 more: 10260480000 "
-                       "bytes, cap is 2147483648"):
-        lsmc.check_regression_bytes(20_000, [1001] * 64)
-    # each step counts its own width: 8 * m * (sum of widths + N) in all
+    with pytest.raises(CapacityError, match="design states would allocate "
+                       "102400000 bytes and the widest two consecutive designs "
+                       "3203200000 more: 3305600000 bytes, cap is 2147483648"):
+        lsmc.check_regression_bytes(200_000, [1001] * 64)
+    # the states and the widest consecutive pair: 8 * m * (N + 63 + 64)
     widths = list(range(1, 65))
-    m = 2 ** 31 // (8 * (sum(widths) + 64))
+    m = 2 ** 31 // (8 * (64 + 63 + 64))
     lsmc.check_regression_bytes(m, widths)
     with pytest.raises(CapacityError):
         lsmc.check_regression_bytes(m + 1, widths)
+    # degree 2 at N = 64: 8 * m * (64 + 3 + 3)
+    lsmc.check_regression_bytes(3_834_792, [3] * 64)
+    with pytest.raises(CapacityError):
+        lsmc.check_regression_bytes(3_834_793, [3] * 64)
+    # one step holds one design
+    m = 2 ** 31 // (8 * (1 + 5))
+    lsmc.check_regression_bytes(m, [5])
+    with pytest.raises(CapacityError):
+        lsmc.check_regression_bytes(m + 1, [5])
 
 
 def _sliding_increments(grid, m_in, seed):
@@ -201,15 +270,15 @@ def test_counted_widths_are_the_design_widths(kind, source):
 
 
 def test_solve_above_the_design_cap_allocates_nothing():
-    # N + 1 columns per step would fit under the cap (8 * m * 16 * 18 bytes
-    # = 1.9 GiB), the counted widths of these Gaussian paths do not; the
-    # count runs over blocks of paths before the copy, the terminal values
-    # and the designs are made
+    # N + 1 columns per step would fit under the cap (8 * m * (16 + 2 * 17)
+    # bytes = 1.5 GiB), the counted widths of these Gaussian paths do not
+    # (38 + 39 columns at steps 14 and 15); the count runs over blocks of
+    # paths before the states, the terminal values and the designs are made
     grid = bl.make_grid(1.0, 16)
-    m_in = 900_000
+    m_in = 4_000_000
     paths = bl.PathBatch.from_arrays(grid, np.zeros((2, 16)),
                                      _sliding_increments(grid, m_in, seed=3))
-    assert 8 * m_in * 16 * 18 <= lsmc.BATCH_MEMORY_CAP
+    assert 8 * m_in * (16 + 2 * 17) <= lsmc.BATCH_MEMORY_CAP
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):

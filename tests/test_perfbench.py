@@ -1,11 +1,15 @@
-"""The traced benchmark (perfbench/spans.py) wraps package functions by
-attribute name; renaming or deleting one of them must fail the tests, not
-only the benchmark's smoke run."""
+"""The benchmark's own code run against the package: the traced benchmark
+(perfbench/spans.py) wraps package functions by attribute name, and its
+workload checks (perfbench/workloads.py) judge a scenario's output;
+breaking either must fail the tests, not only the benchmark's smoke run."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,3 +21,20 @@ def test_trace_instrumentation_finds_every_wrapped_name():
         [sys.executable, "-c", "import spans; spans.instrument(spans.Tracer())"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_toy_lsmc_sweep_passes_the_benchmark_check(tmp_path, monkeypatch, seed):
+    # the closed-form CI check the benchmark applies to every lsmc_sweep
+    # run, on the smoke check's toy size
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    from bdsde_lab import cli
+
+    cfg = workloads.make_config("lsmc_sweep", seed, toy=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.run_scenario(path, out=str(out)) == 0
+    assert workloads.CHECKS["lsmc_sweep"](cfg, out, None) == []

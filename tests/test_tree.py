@@ -279,6 +279,14 @@ class TestForwardSwapped:
                                      eta, grid, i0=1)
         assert err.value.witness["step"] == 1
 
+    def test_nan_inverse_raises(self):
+        # a NaN pullback fails the nodewise check, as a wrong one does
+        driver = bl.driver_pair("zero", [], "g_linear", [0.5])
+        with pytest.raises(InversionError, match="inconsistency nan"):
+            bl.solve_forward_swapped(driver, lambda t, y, zt: np.nan,
+                                     np.full((4, 4), 1.7), bl.make_grid(1.0, 4),
+                                     2)
+
     def test_start_field_dependence_reported(self):
         # a start field keyed to the first backward-noise coordinate after
         # i0 keeps that dependence visible in the diagnostic
