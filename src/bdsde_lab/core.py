@@ -121,8 +121,11 @@ class DriverSpec:
 
 
 def _const(c: float) -> DriverPart:
+    value = np.float64(c)
+
     def part(t, y, z):
-        return np.full_like(np.asarray(y, dtype=float), c)
+        # a read-only view of one value; outputs are only read
+        return np.broadcast_to(value, np.shape(y))
 
     return part
 
@@ -320,13 +323,29 @@ class TerminalSpec:
 
     ``evaluate`` must be row-wise: the value of a leaf depends on its own
     row of increments alone, never on its position in the array or on the
-    other rows.  The lattice solver evaluates the terminal on blocks of
+    other rows.  The lattice solver evaluates such a terminal on blocks of
     leaves, as drivers are evaluated on any subset of the nodes.
+
+    ``of_w_t``, when given, is the terminal as a vectorised function of
+    W_T, the sum of the increments, alone; ``evaluate`` must then equal
+    ``of_w_t(w.sum(axis=-1))`` (:func:`terminal_of_w_t` builds such a
+    pair).  The lattice solver then evaluates it once on the N + 1 lattice
+    levels of W_T and gives each leaf the level of its up-step count, so
+    leaves with equal counts hold equal bytes.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     descriptor: str = "custom"
     bound_c0: float | None = None
+    of_w_t: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def terminal_of_w_t(of_w_t: Callable[[np.ndarray], np.ndarray],
+                    descriptor: str, bound_c0: float | None = None) -> TerminalSpec:
+    """A terminal that depends on the path only through W_T: ``evaluate``
+    sums the increments and applies ``of_w_t``."""
+    return TerminalSpec(lambda w: of_w_t(np.asarray(w).sum(axis=-1)),
+                        descriptor, bound_c0, of_w_t)
 
 
 _T_CATALOG = {
@@ -342,32 +361,24 @@ def builtin_terminal(name: str, params: Sequence[float] = ()) -> TerminalSpec:
     """Instantiate a terminal functional from the catalog.
 
     Names: constant(c), w_terminal, w_terminal_sq, call(k), w_terminal_pos.
-    All depend on the increments only through their sum W_T.
+    All depend on the increments only through their sum W_T and declare
+    that form (:func:`terminal_of_w_t`).
     """
     params = tuple(float(p) for p in params)
     _check_arity(name, params, _T_CATALOG)
     if name == "constant":
         (c,) = params
-
-        def evaluate(w_inc):
-            return np.full(np.asarray(w_inc).shape[:-1], c)
-
-        return TerminalSpec(evaluate, f"constant({c!r})", bound_c0=abs(c))
+        return terminal_of_w_t(lambda w_t: np.full(np.shape(w_t), c),
+                               f"constant({c!r})", bound_c0=abs(c))
     if name == "w_terminal":
-        return TerminalSpec(lambda w: np.asarray(w).sum(axis=-1), "w_terminal")
+        return terminal_of_w_t(lambda w_t: w_t, "w_terminal")
     if name == "w_terminal_sq":
-        return TerminalSpec(lambda w: np.asarray(w).sum(axis=-1) ** 2, "w_terminal_sq")
+        return terminal_of_w_t(lambda w_t: w_t ** 2, "w_terminal_sq")
     if name == "call":
         (k,) = params
-
-        def evaluate(w_inc):
-            return np.maximum(np.asarray(w_inc).sum(axis=-1) - k, 0.0)
-
-        return TerminalSpec(evaluate, f"call({k!r})")
+        return terminal_of_w_t(lambda w_t: np.maximum(w_t - k, 0.0), f"call({k!r})")
     if name == "w_terminal_pos":
-        return TerminalSpec(
-            lambda w: np.maximum(np.asarray(w).sum(axis=-1), 0.0), "w_terminal_pos"
-        )
+        return terminal_of_w_t(lambda w_t: np.maximum(w_t, 0.0), "w_terminal_pos")
     raise CatalogError(f"unknown terminal name {name!r}")
 
 

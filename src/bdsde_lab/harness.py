@@ -26,6 +26,7 @@ from .core import (
     make_grid,
     scalar_drift,
     shifted_driver,
+    terminal_of_w_t,
 )
 from .envelope import _scalar_solve, compute_envelope
 from .errors import PremiseViolation
@@ -35,11 +36,17 @@ from .tree import solve_tree, stability_margin
 
 
 def shifted_terminal(base: TerminalSpec, offset: float) -> TerminalSpec:
-    """Terminal functional raised by a constant."""
+    """Terminal functional raised by a constant; a base given as a function
+    of W_T keeps that form, so both sides of a comparison recombine alike
+    on the lattice."""
+    descriptor = f"({base.descriptor}) + {offset!r}"
+    bound_c0 = None if base.bound_c0 is None else base.bound_c0 + abs(offset)
+    if base.of_w_t is not None:
+        return terminal_of_w_t(lambda w_t, _f=base.of_w_t, _o=offset: _f(w_t) + _o,
+                               descriptor, bound_c0)
     return TerminalSpec(
         evaluate=lambda w, _b=base.evaluate, _o=offset: _b(w) + _o,
-        descriptor=f"({base.descriptor}) + {offset!r}",
-        bound_c0=None if base.bound_c0 is None else base.bound_c0 + abs(offset),
+        descriptor=descriptor, bound_c0=bound_c0,
     )
 
 

@@ -266,6 +266,7 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     g_b = np.empty(m_in)
     z_target = np.empty(m_in)
     y_target = np.empty(m_in)
+    finite = np.empty(m_in, dtype=bool)
     x_next = None
     for i in range(n - 1, -1, -1):
         t_next = grid.time(i + 1)
@@ -292,7 +293,8 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             np.multiply(dt, fv, out=y_target)
             np.add(y, y_target, out=y_target)
             np.add(y_target, g_b, out=y_target)
-            if not (np.all(np.isfinite(z_target)) and np.all(np.isfinite(y_target))):
+            if not (np.isfinite(z_target, out=finite).all()
+                    and np.isfinite(y_target, out=finite).all()):
                 raise NumericError(f"non-finite regression target at step {i}")
             rhs[k, 0] = x.T @ z_target
             rhs[k, 1] = x.T @ y_target

@@ -19,11 +19,13 @@ Stored form
 A solution stores each step by classes of rows: one row of 2**(N-i)
 values per class and the int32 class of each of the 2**i rows, or no map
 when every row is its own class (then the rows are the step).  Rows of
-one class hold the same bytes.  Drivers are pointwise and every catalog
-terminal depends on the path only through W_T, so step i holds about
-i + 1 classes: the lattice recombines in the forward noise only (Cox,
-Ross & Rubinstein 1979), never in the backward noise.  A full step is
-built only when a caller indexes it (:class:`LatticeField`).
+one class hold the same bytes.  Every catalog terminal declares its form
+as a function of W_T, and the solver reads W_T = sqrt(dt) (2k - N) from
+the number k of up-steps of a leaf, so leaves with equal counts hold
+equal bytes.  Drivers are pointwise, so step i then holds at most i + 1
+classes: the lattice recombines in the forward noise only (Cox, Ross &
+Rubinstein 1979), never in the backward noise.  A full step is built only
+when a caller indexes it (:class:`LatticeField`).
 
 Scheme
 ------
@@ -66,8 +68,9 @@ TREE_MAX_STEPS = 20
 # Bytes of one float64 array over D = (2**N, 2**(N-i0)), the largest node
 # space of a forward segment and of the glue (N = 12 at i0 = 0).
 FORWARD_MAX_BYTES = 8 * 2 ** 24
-# Leaves per block of terminal evaluation: at N = 20 a block of increments
-# takes 2.5 MiB, where the whole (2**N, N) array would take 160 MiB.
+# Leaves per block of terminal evaluation (at N = 20 a block of increments
+# takes 2.5 MiB, where the whole (2**N, N) array would take 160 MiB), and
+# columns per block of a backward step.
 LEAF_BLOCK = 2 ** 14
 
 
@@ -93,13 +96,33 @@ def leaf_increments(grid: TimeGrid) -> np.ndarray:
     return _leaf_block(grid, 0, 2 ** grid.steps)
 
 
+def _up_counts(n: int) -> np.ndarray:
+    """The number of up-steps (set bits) of every leaf index below 2**n,
+    uint8: the counts below 2**j, then the same counts plus one for the
+    indices with bit j set."""
+    ups = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        ups = np.concatenate((ups, ups + 1))
+    return ups
+
+
 def _terminal_values(terminal: TerminalSpec, grid: TimeGrid) -> np.ndarray:
-    """The terminal at every leaf, shape (2**N,), evaluated on blocks of
-    ``LEAF_BLOCK`` leaves.  A terminal gives each leaf a value from its own
-    row of increments alone (the contract of ``TerminalSpec``), so the
-    values are those of one call on :func:`leaf_increments`, and no
-    (2**N, N) array is held."""
-    size = 2 ** grid.steps
+    """The terminal at every leaf, shape (2**N,).
+
+    A terminal with a W_T form is evaluated once on the N + 1 lattice
+    levels sqrt(dt) (2k - N), and each leaf takes the level of its k
+    up-steps: W_T exactly as the recombining lattice has it.  Any other
+    terminal is evaluated on blocks of ``LEAF_BLOCK`` leaves; it gives each
+    leaf a value from its own row of increments alone (the contract of
+    ``TerminalSpec``), so the values are those of one call on
+    :func:`leaf_increments`, and no (2**N, N) array is held."""
+    n = grid.steps
+    if terminal.of_w_t is not None:
+        levels = np.sqrt(grid.dt) * (2.0 * np.arange(n + 1) - n)
+        values = np.broadcast_to(
+            np.asarray(terminal.of_w_t(levels), dtype=float), levels.shape)
+        return values[_up_counts(n)]
+    size = 2 ** n
     xi = np.empty(size)
     for start in range(0, size, LEAF_BLOCK):
         stop = min(start + LEAF_BLOCK, size)
@@ -264,8 +287,13 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
     driver, the finiteness check and the step's ufuncs run once per class
     on compact ``(classes, columns)`` arrays, and these are what is stored.
 
-    Each step writes through ``out=`` into its two new arrays and into one
-    buffer of up to 2**(N-1) entries allocated once; the driver's values
+    Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
+    column c of the children gives columns c and c + m of the new rows
+    (r_i = -1 and +1, m child columns), and every operation is pointwise
+    per column, so the blocks give the values of one pass over the step.
+    The driver's values, the gathered child pairs and the pair means take
+    (classes, block) arrays, not whole steps; each block writes through
+    ``out=`` into its columns of the two new arrays.  The driver's values
     and the stored rows are only read, since a driver may return its own
     argument."""
     n = grid.steps
@@ -288,53 +316,66 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
     cz = np.zeros(cy.shape)
     y_rows, z_rows, maps = ([None] * (start_step + 1) for _ in range(3))
     y_rows[start_step], z_rows[start_step], maps[start_step] = cy, cz, cls
-    half = np.empty(2 ** (n - 1))
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
-        fv, gv = (np.broadcast_to(np.asarray(part(t_next, cy, cz), dtype=float),
-                                  cy.shape) for part in (driver.f, driver.g))
-        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
-            raise NumericError(f"non-finite driver value at step {i + 1}",
-                               where=_first_non_finite(fv, gv, cls))
-        m = cy.shape[1]
+        count, m = cy.shape
         if cls is None:
             # the children of row h are rows 2h and 2h+1
-            rows, pairs = 2 ** i, None
+            rows, pairs, new_cls = 2 ** i, None, None
         else:
-            cls, pairs = _pair_classes(cls, cy.shape[0])
+            new_cls, pairs = _pair_classes(cls, count)
             rows = pairs.shape[0]
         y_new, z_new = np.empty((rows, 2, m)), np.empty((rows, 2, m))
-        # y + dt f goes to the new z array (there are at most twice as many
-        # child classes as classes); its branch difference to the - branch
-        # of the new y, the g terms to the + branches
-        a = z_new.reshape(-1)[:cy.size].reshape(cy.shape)
-        np.multiply(fv, dt, out=a)
-        np.add(a, cy, out=a)
-        a3 = a.reshape(rows, 2, m) if pairs is None else \
-            np.take(a, pairs, axis=0, out=y_new, mode="clip")
-        a_mean = half[:rows * m].reshape(rows, m)
-        a_diff = y_new[:, 0, :]
-        np.add(a3[:, 1, :], a3[:, 0, :], out=a_mean)
-        np.multiply(a_mean, 0.5, out=a_mean)
-        np.subtract(a3[:, 1, :], a3[:, 0, :], out=a_diff)
-        g3 = gv.reshape(rows, 2, m) if pairs is None else \
-            np.take(gv, pairs, axis=0, out=z_new, mode="clip")
-        g_mean_sq, g_diff_sq = y_new[:, 1, :], z_new[:, 1, :]
-        np.add(g3[:, 1, :], g3[:, 0, :], out=g_mean_sq)
-        np.multiply(g_mean_sq, 0.5, out=g_mean_sq)
-        np.multiply(g_mean_sq, sq, out=g_mean_sq)
-        np.subtract(g3[:, 1, :], g3[:, 0, :], out=g_diff_sq)
-        np.multiply(g_diff_sq, sq, out=g_diff_sq)
-        np.subtract(a_diff, g_diff_sq, out=z_new[:, 0, :])
-        np.divide(z_new[:, 0, :], two_sq, out=z_new[:, 0, :])
-        np.add(a_diff, g_diff_sq, out=z_new[:, 1, :])
-        np.divide(z_new[:, 1, :], two_sq, out=z_new[:, 1, :])
-        np.subtract(a_mean, g_mean_sq, out=y_new[:, 0, :])
-        np.add(a_mean, g_mean_sq, out=y_new[:, 1, :])
-        del fv, gv, a3, g3      # free before the next driver call
+        for lo in range(0, m, LEAF_BLOCK):
+            hi = min(lo + LEAF_BLOCK, m)
+            fv, gv = _driver_values(driver, t_next, cy[:, lo:hi], cz[:, lo:hi])
+            if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+                # the first node in C order may sit in a later block
+                fv, gv = _driver_values(driver, t_next, cy, cz)
+                raise NumericError(f"non-finite driver value at step {i + 1}",
+                                   where=_first_non_finite(fv, gv, cls))
+            y_blk, z_blk = y_new[:, :, lo:hi], z_new[:, :, lo:hi]
+            # y + dt f goes to the block of the new z array (there are at
+            # most twice as many child classes as classes); its branch
+            # difference to the - branch of the new y, the g terms to the
+            # + branches
+            a = z_new.reshape(-1, m)[:count, lo:hi]
+            np.multiply(fv, dt, out=a)
+            np.add(a, cy[:, lo:hi], out=a)
+            a3 = a.reshape(rows, 2, -1) if pairs is None else \
+                np.take(a, pairs, axis=0, mode="clip")
+            a_mean = np.empty((rows, hi - lo))
+            a_diff = y_blk[:, 0, :]
+            np.add(a3[:, 1, :], a3[:, 0, :], out=a_mean)
+            np.multiply(a_mean, 0.5, out=a_mean)
+            np.subtract(a3[:, 1, :], a3[:, 0, :], out=a_diff)
+            del a3
+            g3 = gv.reshape(rows, 2, -1) if pairs is None else \
+                np.take(gv, pairs, axis=0, mode="clip")
+            g_mean_sq, g_diff_sq = y_blk[:, 1, :], z_blk[:, 1, :]
+            np.add(g3[:, 1, :], g3[:, 0, :], out=g_mean_sq)
+            np.multiply(g_mean_sq, 0.5, out=g_mean_sq)
+            np.multiply(g_mean_sq, sq, out=g_mean_sq)
+            np.subtract(g3[:, 1, :], g3[:, 0, :], out=g_diff_sq)
+            np.multiply(g_diff_sq, sq, out=g_diff_sq)
+            np.subtract(a_diff, g_diff_sq, out=z_blk[:, 0, :])
+            np.divide(z_blk[:, 0, :], two_sq, out=z_blk[:, 0, :])
+            np.add(a_diff, g_diff_sq, out=z_blk[:, 1, :])
+            np.divide(z_blk[:, 1, :], two_sq, out=z_blk[:, 1, :])
+            np.subtract(a_mean, g_mean_sq, out=y_blk[:, 0, :])
+            np.add(a_mean, g_mean_sq, out=y_blk[:, 1, :])
+            del fv, gv, g3      # free before the next driver call
+        cls = new_cls
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
         y_rows[i], z_rows[i], maps[i] = cy, cz, cls
     return LatticeField(y_rows, maps), LatticeField(z_rows, maps)
+
+
+def _driver_values(driver: DriverSpec, t: float, y: np.ndarray, z: np.ndarray):
+    """f and g at (t, y, z), each as a float array of y's shape (a driver
+    may return a scalar)."""
+    return tuple(np.broadcast_to(np.asarray(part(t, y, z), dtype=float), y.shape)
+                 for part in (driver.f, driver.g))
 
 
 def _first_non_finite(fv: np.ndarray, gv: np.ndarray, cls) -> tuple:
@@ -394,8 +435,7 @@ def _backward_defects(driver: DriverSpec, grid: TimeGrid, ys, zs, steps):
     for i in steps:
         t_next = grid.time(i + 1)
         y_next, z_next = ys[i + 1], zs[i + 1]
-        fv = np.asarray(driver.f(t_next, y_next, z_next), dtype=float)
-        gv = np.asarray(driver.g(t_next, y_next, z_next), dtype=float)
+        fv, gv = _driver_values(driver, t_next, y_next, z_next)
         b2, g2 = base.reshape(y_next.shape), g_sq.reshape(y_next.shape)
         np.multiply(dt, fv, out=b2)
         np.add(y_next, b2, out=b2)
@@ -444,13 +484,16 @@ def expectation_at(sol: TreeSolution, i: int) -> dict:
     """Summary of Y_i under the uniform product measure on the lattice."""
     if not 0 <= i <= sol.steps:
         raise ValueError(f"step index {i} out of range 0..{sol.steps}")
-    y = sol.ys[i]
-    return {
-        "mean": float(np.mean(y)),
-        "min": float(np.min(y)),
-        "max": float(np.max(y)),
-        "mean_square": float(np.mean(y * y)),
-    }
+    # one buffer of 2**N values: the step is built into it (or read where
+    # it is stored whole), then its square is written over it
+    buf = np.empty(2 ** sol.steps)
+    y = sol.ys.build(i, out=buf)
+    summary = {"mean": float(np.mean(y)), "min": float(np.min(y)),
+               "max": float(np.max(y))}
+    y_sq = buf.reshape(y.shape)
+    np.multiply(y, y, out=y_sq)
+    summary["mean_square"] = float(np.mean(y_sq))
+    return summary
 
 
 # --------------------------------------------------------------------------

@@ -202,6 +202,20 @@ def reference_leaf_increments(grid):
     return signs * np.sqrt(grid.dt)
 
 
+def reference_terminal_values(terminal, grid):
+    """Oracle for ``tree._terminal_values``: a terminal with a W_T form
+    reads it at W_T = sqrt(dt) (2k - N), k the number of + increments of
+    the leaf's row of :func:`reference_leaf_increments`; any other
+    terminal is one whole-array ``evaluate``."""
+    inc = reference_leaf_increments(grid)
+    if terminal.of_w_t is None:
+        return np.asarray(terminal.evaluate(inc), dtype=float)
+    ups = np.count_nonzero(inc > 0.0, axis=1)
+    w_t = np.sqrt(grid.dt) * (2 * ups - grid.steps).astype(float)
+    return np.broadcast_to(np.asarray(terminal.of_w_t(w_t), dtype=float),
+                           w_t.shape).copy()
+
+
 def reference_backward_sweep(driver, grid, start_step, start_y):
     """Oracle for ``tree._backward_sweep``: the backward recursion with a
     fresh temporary for every intermediate of every step."""
@@ -256,9 +270,7 @@ def reference_tree_residual(sol, driver, terminal):
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
-    parts = [np.abs(
-        sol.ys[n].ravel() - terminal.evaluate(reference_leaf_increments(grid))
-    )]
+    parts = [np.abs(sol.ys[n].ravel() - reference_terminal_values(terminal, grid))]
     for i in range(n):
         t_next = grid.time(i + 1)
         y_next, z_next = sol.ys[i + 1], sol.zs[i + 1]

@@ -99,6 +99,16 @@ class TestDriverCatalog:
             got = part(0.33, y, z)
             np.testing.assert_allclose(got, expected(), rtol=2e-16, atol=0.0)
 
+    def test_constant_parts_are_read_only_views(self):
+        y = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        for name in ("f_constant", "g_constant"):
+            d = bl.builtin_driver(name, [0.7])
+            got = (d.f if name.startswith("f") else d.g)(0.5, y, y)
+            assert got.shape == y.shape and got.dtype == np.float64
+            assert not got.flags.writeable
+            assert got.tobytes() == np.full_like(y, 0.7).tobytes()
+            assert float((d.f if name.startswith("f") else d.g)(0.5, 0.2, 0.0)) == 0.7
+
     def test_missing_growth_metadata_rejected(self):
         with pytest.raises(ContractViolation):
             bl.DriverSpec(f=lambda t, y, z: y, g=lambda t, y, z: 0 * y)
@@ -121,6 +131,25 @@ class TestTerminalCatalog:
     def test_unknown(self):
         with pytest.raises(CatalogError):
             bl.builtin_terminal("digital", [1.0])
+
+    def test_evaluate_applies_the_w_t_form_to_the_sum(self):
+        # Gaussian rows keep the bits of a sum over the increments followed
+        # by the closed form, as before the W_T form was declared
+        w = np.random.default_rng(5).standard_normal((257, 13)) * 0.3
+        w_t = w.sum(axis=-1)
+        formulas = {
+            ("constant", (1.5,)): np.full(257, 1.5),
+            ("w_terminal", ()): w_t,
+            ("w_terminal_sq", ()): w_t ** 2,
+            ("call", (0.1,)): np.maximum(w_t - 0.1, 0.0),
+            ("w_terminal_pos", ()): np.maximum(w_t, 0.0),
+        }
+        for (name, params), want in formulas.items():
+            term = bl.builtin_terminal(name, params)
+            assert term.evaluate(w).tobytes() == want.tobytes()
+            assert np.asarray(term.of_w_t(w_t), dtype=float).tobytes() \
+                == want.tobytes()
+        assert bl.TerminalSpec(lambda w: w.sum(axis=-1)).of_w_t is None
 
 
 # relative slack of the catalog metadata bounds; it also scales with the

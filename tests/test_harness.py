@@ -51,6 +51,25 @@ class TestCompareSolutions:
         for i in range(3):
             assert np.all(s1.ys[i] >= s2.ys[i])
 
+    def test_shifted_catalog_terminal_keeps_its_lattice_levels(self):
+        # both sides of a comparison read W_T from the up-step count
+        grid = bl.make_grid(1.0, 11)
+        w = np.random.default_rng(3).standard_normal((64, 11)) * 0.3
+        for name, params in (("call", [0.1]), ("w_terminal_sq", []),
+                             ("constant", [1.5])):
+            base = bl.builtin_terminal(name, params)
+            shifted = bl.shifted_terminal(base, 0.37)
+            assert shifted.of_w_t is not None
+            got = bl.tree._terminal_values(shifted, grid)
+            want = bl.tree._terminal_values(base, grid) + 0.37
+            assert got.tobytes() == want.tobytes()
+            assert shifted.evaluate(w).tobytes() \
+                == (base.evaluate(w) + 0.37).tobytes()
+        custom = bl.TerminalSpec(lambda w: np.maximum(w.sum(axis=-1), 0.0))
+        shifted = bl.shifted_terminal(custom, 0.37)
+        assert shifted.of_w_t is None
+        assert shifted.evaluate(w).tobytes() == (custom.evaluate(w) + 0.37).tobytes()
+
     def test_violated_terminal_premise_rejected_with_witness(self):
         d = bl.builtin_driver("zero")
         case = _case(d, bl.builtin_terminal("constant", [0.0]),

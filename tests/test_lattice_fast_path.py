@@ -21,8 +21,8 @@ from bdsde_lab.errors import NumericError
 from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
                       nan_base_driver, nan_driver, nan_driver_target,
                       reference_backward_sweep, reference_leaf_increments,
-                      reference_save_tree_solution, reference_tree_residual,
-                      traced_peak)
+                      reference_save_tree_solution, reference_terminal_values,
+                      reference_tree_residual, traced_peak)
 
 F_ENTRIES, G_ENTRIES = catalog_driver_specs()
 PAIRS = [(f, g) for f in F_ENTRIES for g in G_ENTRIES]
@@ -63,8 +63,7 @@ def test_catalog_solve_matches_reference(f_entry, g_entry, n, terminal, data):
     driver = bl.driver_pair(*f_entry, *g_entry)
     term = bl.builtin_terminal(*terminal)
     grid = bl.make_grid(1.0, n)
-    xi = np.asarray(term.evaluate(reference_leaf_increments(grid)),
-                    dtype=float).reshape(2 ** n, 1)
+    xi = reference_terminal_values(term, grid).reshape(2 ** n, 1)
     sol = bl.solve_tree(driver, term, grid)
     want_y, want_z = reference_backward_sweep(driver, grid, n, xi)
     _assert_bitwise(sol.ys, want_y)
@@ -107,8 +106,7 @@ def test_custom_driver_matches_reference(name, n, data):
 def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
     grid = bl.make_grid(1.0, 6)
     terminal = bl.builtin_terminal("w_terminal_sq")
-    xi = np.asarray(terminal.evaluate(reference_leaf_increments(grid)),
-                    dtype=float).reshape(2 ** 6, 1)
+    xi = reference_terminal_values(terminal, grid).reshape(2 ** 6, 1)
     at = nan_driver_target(
         lambda d: reference_backward_sweep(d, grid, 6, xi), step, node)
     driver = nan_driver(part, step, at)
@@ -253,8 +251,7 @@ def test_path_dependent_terminal_matches_reference(f_entry, g_entry, n):
     driver = bl.driver_pair(*f_entry, *g_entry)
     grid = bl.make_grid(1.0, n)
     term = _binary_terminal()
-    xi = np.asarray(term.evaluate(reference_leaf_increments(grid)),
-                    dtype=float).reshape(2 ** n, 1)
+    xi = reference_terminal_values(term, grid).reshape(2 ** n, 1)
     assert tree._row_classes(xi)[0] is None
     sol = bl.solve_tree(driver, term, grid)
     want_y, want_z = reference_backward_sweep(driver, grid, n, xi)
@@ -273,17 +270,30 @@ def _counting(driver):
     return dataclasses.replace(driver, f=f), sizes
 
 
-@pytest.mark.parametrize("strike", [-0.5, 0.0, 0.3])
-def test_call_driver_points_stay_within_the_lattice_bound(strike):
-    # dt = 1/16 makes sqrt(dt) = 0.25, so W_{t_k} takes k + 1 values exactly
-    # and step k holds at most k + 1 distinct rows of 2**(N-k) entries
-    n = 16
+def _assert_call_points_within_the_lattice_bound(n, strike):
     driver, sizes = _counting(bl.driver_pair("f_sqrt_pos", [2.0],
                                              "g_sine", [0.5, 0.3]))
-    bl.solve_tree(driver, bl.builtin_terminal("call", [strike]),
-                  bl.make_grid(1.0, n))
-    assert len(sizes) == n
+    sol = bl.solve_tree(driver, bl.builtin_terminal("call", [strike]),
+                        bl.make_grid(1.0, n))
+    # one call per block of LEAF_BLOCK columns of each step 1..N
+    assert len(sizes) == sum(-(-2 ** (n - k) // tree.LEAF_BLOCK)
+                             for k in range(1, n + 1))
+    assert all(sol.ys.rows[k].shape[0] <= k + 1 for k in range(n + 1))
     assert sum(sizes) <= sum((k + 1) * 2 ** (n - k) for k in range(1, n + 1))
+
+
+@pytest.mark.parametrize("strike", [-0.5, 0.0, 0.3])
+def test_call_driver_points_stay_within_the_lattice_bound(strike):
+    # W_T is read from the up-step count, so W_{t_k} takes k + 1 values
+    # and step k holds at most k + 1 distinct rows of 2**(N-k) entries
+    _assert_call_points_within_the_lattice_bound(16, strike)
+
+
+def test_call_points_stay_within_the_bound_where_sqrt_dt_is_not_dyadic():
+    # at N = 20 a floating-point sum of the increments gave W_T 29 bit
+    # patterns for 21 levels; the bound is 3,145,705 points
+    assert sum((k + 1) * 2 ** (20 - k) for k in range(1, 21)) == 3_145_705
+    _assert_call_points_within_the_lattice_bound(20, 0.1)
 
 
 @pytest.mark.parametrize("terminal", ["call", "binary"])
@@ -362,8 +372,7 @@ def _reference_solution(driver, term, grid):
     """The reference sweep's fields from the whole-array terminal, as a
     solution of full step arrays."""
     n = grid.steps
-    xi = np.asarray(term.evaluate(reference_leaf_increments(grid)),
-                    dtype=float).reshape(2 ** n, 1)
+    xi = reference_terminal_values(term, grid).reshape(2 ** n, 1)
     ys, zs = reference_backward_sweep(driver, grid, n, xi)
     return tree.TreeSolution(grid=grid, ys=ys, zs=zs,
                              driver_descriptor=driver.descriptor,
@@ -447,14 +456,20 @@ def _signed_rows(data, n, start):
     return pool[np.concatenate([[0, 1, 1], pick])]
 
 
-@pytest.mark.parametrize("terminal", catalog_terminals(),
-                         ids=[t[0] for t in catalog_terminals()])
+# terminals without a W_T form: each catalog terminal's row-wise
+# ``evaluate`` with the form dropped
+CUSTOM_TERMINALS = {
+    name: dataclasses.replace(bl.builtin_terminal(name, params), of_w_t=None)
+    for name, params in catalog_terminals()}
+
+
+@pytest.mark.parametrize("terminal", sorted(CUSTOM_TERMINALS))
 @pytest.mark.parametrize("n,block", [(n, block) for n in (1, 5, 12, 15, 16)
                                      for block in (tree.LEAF_BLOCK, 64)]
                          + [(5, 3), (12, 3)])
 def test_blocked_terminal_matches_whole_array(monkeypatch, block, terminal, n):
     # a block of 3 leaves ends every block of a power of two off its edge
-    term = bl.builtin_terminal(*terminal)
+    term = CUSTOM_TERMINALS[terminal]
     grid = bl.make_grid(1.0, n)
     want = np.asarray(term.evaluate(reference_leaf_increments(grid)),
                       dtype=float)
@@ -462,6 +477,24 @@ def test_blocked_terminal_matches_whole_array(monkeypatch, block, terminal, n):
     got = tree._terminal_values(term, grid)
     assert got.shape == want.shape == (2 ** n,)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("terminal", catalog_terminals(),
+                         ids=[t[0] for t in catalog_terminals()])
+@pytest.mark.parametrize("n", [1, 5, 12, 15])
+def test_catalog_terminal_reads_the_lattice_levels(terminal, n):
+    # every leaf holds the terminal at W_T = sqrt(dt) (2k - N), k its
+    # number of up-steps, so W_T takes N + 1 bit patterns at most
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    ups = np.array([bin(k).count("1") for k in range(2 ** n)])
+    want = np.broadcast_to(term.of_w_t(np.sqrt(grid.dt) * (2 * ups - n)),
+                           (2 ** n,))
+    got = tree._terminal_values(term, grid)
+    assert got.dtype == np.float64 and got.shape == (2 ** n,)
+    assert got.tobytes() == np.ascontiguousarray(want, dtype=float).tobytes()
+    assert got.tobytes() == reference_terminal_values(term, grid).tobytes()
+    assert np.unique(got.view(np.int64)).size <= n + 1
 
 
 def test_pair_keys_past_the_int32_range_match_reference():
@@ -486,6 +519,97 @@ def test_solve_peak_stays_below_the_full_fields():
         driver, bl.builtin_terminal("call", [0.1]), bl.make_grid(1.0, n)))
     assert peak < 16 * (n + 1) * 2 ** n
     assert sol.ys[n].shape == (2 ** n, 1)
+
+
+# --------------------------------------------------------------------------
+# the sweep over blocks of columns
+# --------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SWEEP_DRIVERS))
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, 8), repeated=st.booleans(), data=st.data())
+def test_blocked_sweep_matches_reference(block, name, n, repeated, data):
+    # blocks of 1-4 columns split every step with more columns, and a
+    # block of 3 ends off the edge of each power of two
+    start = data.draw(st.integers(0, n), label="start_step")
+    if repeated:
+        eta = _repeated_rows(data, n, start)
+    else:
+        eta = data.draw(hnp.arrays(np.float64, (2 ** start, 2 ** (n - start)),
+                                   elements=st.floats(-1e3, 1e3)), label="eta")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "LEAF_BLOCK", block)
+        _assert_sweep_matches(SWEEP_DRIVERS[name], bl.make_grid(1.0, n),
+                              start, eta)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terminal", catalog_terminals(),
+                         ids=[t[0] for t in catalog_terminals()])
+def test_blocked_solve_matches_reference(monkeypatch, terminal):
+    n = 9
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    term = bl.builtin_terminal(*terminal)
+    grid = bl.make_grid(1.0, n)
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 4)
+    sol = bl.solve_tree(driver, term, grid)
+    want = _reference_solution(driver, term, grid)
+    _assert_bitwise(sol.ys, list(want.ys))
+    _assert_bitwise(sol.zs, list(want.zs))
+
+
+@pytest.mark.parametrize("part", ["f", "g"])
+@pytest.mark.parametrize("repeated", [False, True],
+                         ids=["distinct rows", "repeated rows"])
+@pytest.mark.parametrize("nodes", [[(1, 0), (0, 12)], [(0, 12)], [(1, 0)]])
+def test_witness_is_the_first_node_across_column_blocks(monkeypatch, part,
+                                                        repeated, nodes):
+    # N = 6 from step 2: 4 rows of 16 columns, swept in blocks of 4; a
+    # poisoned value at (1, 0) is seen in the first block, one at (0, 12)
+    # only in the last, and (0, 12) comes first in C order
+    n, start = 6, 2
+    grid = bl.make_grid(1.0, n)
+    eta = np.arange(2 ** n, dtype=float).reshape(4, 16) / 2 ** n
+    for node in nodes:
+        eta[node] = 7.5
+    if repeated:
+        eta[2:] = eta[:2]
+    driver = nan_driver(part, start, (7.5, 0.0))
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 4)
+    with pytest.raises(NumericError) as got:
+        tree._backward_sweep(driver, grid, start, eta)
+    with pytest.raises(NumericError) as want:
+        reference_backward_sweep(driver, grid, start, eta)
+    assert got.value.where == want.value.where == min(nodes)
+    assert str(got.value) == str(want.value)
+
+
+def test_solve_holds_the_stored_form_and_a_few_blocks(monkeypatch):
+    # beyond the class rows and maps it returns, a solve holds a few
+    # (classes, block) arrays: with whole steps its driver values and pair
+    # means took 1.3 MB more here
+    n = 16
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 2 ** 10)
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    sol, peak = traced_peak(lambda: bl.solve_tree(
+        driver, bl.builtin_terminal("call", [0.1]), bl.make_grid(1.0, n)))
+    stored = sum(a.nbytes for steps in (sol.ys, sol.zs) for a in steps.rows)
+    maps = sum(c.nbytes for c in sol.ys.classes if c is not None)
+    assert stored + maps <= peak < stored + maps + 16 * 8 * tree.LEAF_BLOCK + 2 ** 16
+
+
+def test_expectation_holds_one_step_buffer():
+    n = 16
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    sol = bl.solve_tree(driver, bl.builtin_terminal("call", [0.1]),
+                        bl.make_grid(1.0, n))
+    one_step = 8 * 2 ** n
+    for i in (0, n // 2, n):
+        _, peak = traced_peak(lambda: tree.expectation_at(sol, i))
+        # the buffer, and np.take's intp copy of a chunk of the class map
+        assert one_step <= peak < one_step + one_step // 8 + 2 ** 15
 
 
 # --------------------------------------------------------------------------

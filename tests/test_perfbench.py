@@ -23,18 +23,31 @@ def test_trace_instrumentation_finds_every_wrapped_name():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_toy_lsmc_sweep_passes_the_benchmark_check(tmp_path, monkeypatch, seed):
-    # the closed-form CI check the benchmark applies to every lsmc_sweep
-    # run, on the smoke check's toy size
+def _toy_check(workload, seed, tmp_path, monkeypatch):
+    """The failures the benchmark's own check finds in ``workload``'s
+    output on the smoke check's toy size."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
     import workloads
 
     from bdsde_lab import cli
 
-    cfg = workloads.make_config("lsmc_sweep", seed, toy=True)
+    cfg = workloads.make_config(workload, seed, toy=True)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert cli.run_scenario(path, out=str(out)) == 0
-    assert workloads.CHECKS["lsmc_sweep"](cfg, out, None) == []
+    return workloads.CHECKS[workload](cfg, out, spans.NullTracer())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_toy_lsmc_sweep_passes_the_benchmark_check(tmp_path, monkeypatch, seed):
+    # the closed-form CI check the benchmark applies to every lsmc_sweep run
+    assert _toy_check("lsmc_sweep", seed, tmp_path, monkeypatch) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_toy_tree_oracle_passes_the_benchmark_check(tmp_path, monkeypatch, seed):
+    # the dump-size check and the reloaded dump's residual, which the
+    # benchmark applies to every tree_oracle run
+    assert _toy_check("tree_oracle", seed, tmp_path, monkeypatch) == []
