@@ -49,10 +49,8 @@ from .lsmc import (
     BasisSpec,
     MCSolution,
     PathBatch,
-    load_path_batch,
     mc_diagnostics,
     sample_paths,
-    save_path_batch,
     solve_lsmc,
 )
 from .regularize import (

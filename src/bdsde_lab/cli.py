@@ -123,6 +123,7 @@ _KINDS = {
     "a non-empty list of numbers or null": lambda v: v is None or (
         isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))),
     "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
 }
 _KEY_KINDS = {
     **dict.fromkeys(("horizon", "t0", "eps_bar", "delta", "h_inv_slope"),
@@ -135,6 +136,7 @@ _KEY_KINDS = {
     "Ns": "a list of integers",
     "schedule": "a non-empty list of numbers or null",
     **dict.fromkeys(("name", "mode", "case", "out"), "a string"),
+    "dump": "a boolean",
 }
 
 
@@ -169,7 +171,8 @@ def _validate_config(cfg, overrides: dict) -> None:
     _require(backend in ("tree", "scalar", "mc"),
              "backend must be tree, scalar, or mc")
     seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64,
+    _require(isinstance(seed, int) and not isinstance(seed, bool)
+             and 0 <= seed < 2 ** 64,
              "seed must be an unsigned 64-bit integer")
 
 

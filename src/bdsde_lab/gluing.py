@@ -19,9 +19,16 @@ segment is checked against its own defining recursion,
 
 Each path has a single splice step, where the forward value is replaced by
 the envelope side it exited toward; the jump there is reported separately
-as ``splice_mismatch`` (at most the snap tolerance plus one forward step's
-overshoot); everywhere else the assembled field satisfies its recursion to
-round-off by construction, and a NaN defect there makes the residual NaN.
+as ``splice_mismatch`` and is not bounded by any check.  It can be far
+larger than the snap tolerance: ``tree._forward_step`` forms its
+forward-noise integrand as a difference that is exactly zero, so the
+forward segment never picks up the forward noise and is not adapted, and
+its exit value can land far from the side it is spliced to (with
+``f_sqrt_pos(2)`` + ``g_linear(0.9)``, N = 8, t0 = 0.5 and snap 0.01 the
+jump is 0.93-0.95 for ``call(0.1)`` at weights 0.3-0.7, and 1.01 for
+``w_terminal`` at weight 0.52).  Everywhere else the assembled field
+satisfies its recursion to round-off by construction, and a NaN defect
+there makes the residual NaN.
 
 The snap rule exists because a discrete path generically overshoots the
 band edge rather than touching it; exits are detected against the band

@@ -35,7 +35,6 @@ fresh generator with that key would.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -43,8 +42,7 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
-from .tree import (_check_dump_size, _distinct, _header_grid, _read_array,
-                   _read_header)
+from .tree import _distinct
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 WIDTH_BLOCK = 2 ** 13       # paths per block when indicator widths are counted
@@ -62,8 +60,6 @@ class PathBatch:
     grid: TimeGrid
     b_increments: np.ndarray
     w_increments: np.ndarray
-    seed: int | None
-    antithetic: bool
 
     def __post_init__(self):
         self.b_increments.setflags(write=False)
@@ -85,8 +81,7 @@ class PathBatch:
         w = np.asarray(w_increments, dtype=float)
         if any(a.ndim != 2 or a.shape[1] != grid.steps for a in (b, w)):
             raise ValueError("increment arrays are not (paths, N) on the grid")
-        return PathBatch(grid=grid, b_increments=b, w_increments=w,
-                         seed=None, antithetic=False)
+        return PathBatch(grid=grid, b_increments=b, w_increments=w)
 
 
 def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
@@ -129,8 +124,6 @@ def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
         grid=grid,
         b_increments=draw(_STREAM_OUTER, m_outer),
         w_increments=draw(_STREAM_INNER, m_inner),
-        seed=seed,
-        antithetic=antithetic,
     )
 
 
@@ -334,47 +327,3 @@ def mc_diagnostics(sol: MCSolution) -> dict:
         "inner_ci_half_width": float(1.96 * np.max(sol.final_se)),
         "max_condition_per_step": np.max(sol.cond_numbers, axis=0).tolist(),
     }
-
-
-# --------------------------------------------------------------------------
-# binary dump (same conventions as the lattice dumps: little-endian header
-# then raw float64 arrays)
-# --------------------------------------------------------------------------
-
-_MAGIC = b"BDLPATH1"
-
-
-def save_path_batch(path, batch: PathBatch) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IddI", batch.grid.steps, batch.grid.dt,
-                             batch.grid.horizon, 1 if batch.antithetic else 0))
-        fh.write(struct.pack("<qIIII",
-                             -1 if batch.seed is None else batch.seed,
-                             batch.m_outer, 1, batch.m_inner, 1))  # 1: scalar noise
-        for a in (batch.b_increments, batch.w_increments):
-            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
-
-
-def load_path_batch(path) -> PathBatch:
-    """Read a dump, checking its whole header before any array is read."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError("not a path batch dump")
-        steps, dt, horizon, anti = struct.unpack("<IddI", _read_header(fh, 24))
-        seed, m_outer, dim_l, m_inner, dim_d = struct.unpack(
-            "<qIIII", _read_header(fh, 24))
-        if (dim_l, dim_d) != (1, 1):
-            raise ValueError(f"dump header gives noise dimensions ({dim_l}, "
-                             f"{dim_d}), only scalar noise (1, 1) is read")
-        _check_dump_size(fh, 8 * steps * (m_outer + m_inner))
-        grid = _header_grid(horizon, steps, dt)
-        b = _read_array(fh, (m_outer, steps))
-        w = _read_array(fh, (m_inner, steps))
-    return PathBatch(
-        grid=grid,
-        b_increments=b,
-        w_increments=w,
-        seed=None if seed < 0 else int(seed),
-        antithetic=bool(anti),
-    )

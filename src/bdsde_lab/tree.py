@@ -742,14 +742,6 @@ def _read_array(fh, shape) -> np.ndarray:
     return arr
 
 
-def _header_grid(horizon: float, steps: int, dt: float) -> TimeGrid:
-    """The grid of a dump header; raises ValueError unless dt = T / N."""
-    grid = make_grid(horizon, steps)
-    if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
-        raise ValueError("dump header dt inconsistent with horizon/steps")
-    return grid
-
-
 def load_tree_solution(path) -> TreeSolution:
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
@@ -762,7 +754,9 @@ def load_tree_solution(path) -> TreeSolution:
         if n > TREE_MAX_STEPS:
             raise ValueError(f"dump header gives N = {n}, above the lattice "
                              f"cap {TREE_MAX_STEPS}")
-        grid = _header_grid(horizon, n, dt)
+        grid = make_grid(horizon, n)
+        if abs(grid.dt - dt) > 1e-12 * max(1.0, abs(dt)):
+            raise ValueError("dump header dt inconsistent with horizon/steps")
         _check_dump_size(fh, 16 * (n + 1) * 2 ** n)
         ys, zs = [], []
         for i in range(n + 1):

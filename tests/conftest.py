@@ -331,8 +331,7 @@ def reference_sample_paths(grid, counts, seed, antithetic=False):
         return out
 
     return bl.PathBatch(grid=grid, b_increments=draw(0, m_outer),
-                        w_increments=draw(1, m_inner), seed=seed,
-                        antithetic=antithetic)
+                        w_increments=draw(1, m_inner))
 
 
 def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):

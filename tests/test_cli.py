@@ -303,6 +303,8 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     _base_cfg(scenario="compare", compare={
         "driver2": _UNKNOWN_F, "terminal2": {"name": "constant", "params": [1.0]}}),
     _base_cfg(grid={"horizon": 1.0, "steps": 0}),
+    _base_cfg(seed=True),
+    _base_cfg(solve={"dump": "no"}),
     # refused while the scenario runs
     _demo_cfg("sqrt_envelope", schedule=[4, 2]),
     _demo_cfg("linear_convergence", case="no_such_case"),
@@ -314,8 +316,9 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     _kneser_cfg("tree", math.inf),
     _base_cfg(backend="scalar", terminal={"name": "w_terminal", "params": []}),
 ], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
-        "unknown_driver", "unknown_driver2", "zero_steps",
-        "decreasing_schedule", "unknown_convergence_case", "t0_off_grid",
+        "unknown_driver", "unknown_driver2", "zero_steps", "bool_seed",
+        "string_dump", "decreasing_schedule", "unknown_convergence_case",
+        "t0_off_grid",
         "scalar_t0_past_horizon", "scalar_t0_negative", "tree_t0_off_grid",
         "scalar_t0_infinite", "tree_t0_infinite",
         "scalar_solve_stochastic_terminal"])

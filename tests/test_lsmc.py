@@ -1,10 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
-import bdsde_lab.lsmc as lsmc
 from bdsde_lab.errors import CapacityError
 from bdsde_lab.tree import leaf_increments
 
@@ -50,57 +47,6 @@ class TestPathSampling:
     def test_preconditions(self, grid8):
         with pytest.raises(ValueError):
             bl.sample_paths(grid8, (1, 4), seed=0)
-
-    def test_dump_round_trip(self, tmp_path, grid8):
-        batch = bl.sample_paths(grid8, (3, 8), seed=9,
-                                antithetic=True)
-        p = tmp_path / "batch.bin"
-        bl.save_path_batch(p, batch)
-        loaded = bl.load_path_batch(p)
-        assert loaded.seed == 9 and loaded.antithetic
-        np.testing.assert_array_equal(loaded.w_increments, batch.w_increments)
-        np.testing.assert_array_equal(loaded.b_increments, batch.b_increments)
-
-    def test_truncated_dump_rejected_before_reading(self, tmp_path, grid8):
-        batch = bl.sample_paths(grid8, (3, 8), seed=9)
-        p = tmp_path / "batch.bin"
-        bl.save_path_batch(p, batch)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-5])
-        with pytest.raises(ValueError, match=f"holds {len(raw) - 5} bytes, "
-                                             f"its header implies {len(raw)}"):
-            bl.load_path_batch(p)
-        p.write_bytes(raw[:40])
-        with pytest.raises(ValueError, match="holds 40 bytes, its header needs 56"):
-            bl.load_path_batch(p)
-
-    def _corrupt_header(self, tmp_path, offset, fmt, value):
-        batch = bl.sample_paths(bl.make_grid(1.0, 8), (3, 8), seed=9)
-        p = tmp_path / "batch.bin"
-        bl.save_path_batch(p, batch)
-        raw = bytearray(p.read_bytes())
-        raw[offset:offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
-        p.write_bytes(bytes(raw))
-        return p
-
-    def test_wrong_dt_rejected_before_reading(self, tmp_path, monkeypatch):
-        # dt sits after the magic and the step count
-        p = self._corrupt_header(tmp_path, 12, "<d", 2.0 / 8)
-        monkeypatch.setattr(lsmc, "_read_array", _no_array_read)
-        with pytest.raises(ValueError, match="dt inconsistent"):
-            bl.load_path_batch(p)
-
-    @pytest.mark.parametrize("offset", [44, 52])     # outer, inner dimension
-    def test_non_scalar_noise_rejected_before_reading(self, tmp_path,
-                                                      monkeypatch, offset):
-        p = self._corrupt_header(tmp_path, offset, "<I", 2)
-        monkeypatch.setattr(lsmc, "_read_array", _no_array_read)
-        with pytest.raises(ValueError, match="noise dimensions"):
-            bl.load_path_batch(p)
-
-
-def _no_array_read(fh, shape):
-    raise AssertionError("an array was read")
 
 
 def _binary_outer(grid, bits):
