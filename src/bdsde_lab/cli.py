@@ -3,7 +3,10 @@
 A scenario is a JSON config naming a grid, a driver pair, a terminal, a
 backend, and one scenario block.  The scenario computes first; only then
 is the output directory created and are its artifacts, the manifest and
-``run.log`` written, so a run that raises writes nothing.  Exit codes:
+``run.log`` written, so a run that raises writes nothing.  The one
+artifact written while the scenario computes, the lattice dump, is staged
+as a hidden file beside the output directory and moved into place with
+the others; a run that raises removes it.  Exit codes:
 0 success, 1 property-suite failure, 2 configuration error (an output
 path that cannot be created or written included), 3 numeric/capacity
 error, 4 failed internal invariant.
@@ -21,6 +24,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import platform
 import sys
 import time
@@ -56,7 +60,7 @@ from .harness import (
     convergence_study,
 )
 from .lsmc import BasisSpec, check_regression_bytes, sample_paths, solve_lsmc
-from .tree import expectation_at, save_tree_solution, solve_tree
+from .tree import solve_tree_steps, stream_tree_solution
 
 log = logging.getLogger("bdsde_lab")
 
@@ -245,18 +249,58 @@ def _csv(header: list, rows: list):
     return write
 
 
-# a runner only computes; it returns (exit status, {file name: writer})
+class _Staging:
+    """Artifacts written while the scenario computes.  Each goes to a hidden
+    temporary file in the nearest existing ancestor of the output
+    directory, so on its filesystem, and is moved into place by its
+    writer; ``discard`` removes every staged file not moved."""
 
-def _run_solve(block, grid, driver, terminal, backend, seed):
+    def __init__(self, outdir: Path):
+        self.outdir = outdir
+        self.paths = {}
+
+    def stage(self, name: str) -> Path:
+        """A new empty staged file for the artifact ``name``."""
+        ancestor = next((p for p in (self.outdir, *self.outdir.parents)
+                         if p.exists()), self.outdir)
+        path = ancestor / f".{name}.{os.urandom(6).hex()}"
+        # O_EXCL: never an existing file; the mode is that of open(path, "w")
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        self.paths[name] = path
+        return path
+
+    def writer(self, name: str):
+        """The writer that moves the staged ``name`` to its path."""
+        def move(path: Path) -> None:
+            os.replace(self.paths[name], path)
+            del self.paths[name]
+        return move
+
+    def discard(self) -> None:
+        for path in self.paths.values():
+            try:
+                os.unlink(path)
+            except OSError as exc:
+                log.warning("cannot remove the staged file %s: %s", path, exc)
+
+
+# a runner only computes, staging any artifact it writes meanwhile; it
+# returns (exit status, {file name: writer})
+
+def _run_solve(block, grid, driver, terminal, backend, seed, staging):
     if backend == "tree":
-        sol = solve_tree(driver, terminal, grid)
-        # the columns after step and t are the keys of expectation_at
+        # the cap check comes first, before anything is staged
+        steps = solve_tree_steps(driver, terminal, grid)
+        dump = staging.stage("solution.bin") if block.get("dump") else None
+        summaries = stream_tree_solution(
+            steps, grid, dump, (driver.descriptor, terminal.descriptor))
+        # the columns after step and t are the keys of the summaries
         header = ["step", "t", "mean", "min", "max", "mean_square"]
-        rows = [[i, grid.time(i), *map(expectation_at(sol, i).get, header[2:])]
-                for i in range(grid.steps + 1)]
+        rows = [[i, grid.time(i), *map(summary.get, header[2:])]
+                for i, summary in enumerate(summaries)]
         artifacts = {"solve.csv": _csv(header, rows)}
-        if block.get("dump"):
-            artifacts["solution.bin"] = lambda path: save_tree_solution(path, sol)
+        if dump is not None:
+            artifacts["solution.bin"] = staging.writer("solution.bin")
         return 0, artifacts
     if backend == "mc":
         m_outer = int(block.get("m_outer", 16))
@@ -281,7 +325,7 @@ def _envelope_rows(side) -> list:
             for k, rec in enumerate(side.iterates)]
 
 
-def _run_envelope(block, grid, driver, terminal, backend, seed):
+def _run_envelope(block, grid, driver, terminal, backend, seed, staging):
     env = compute_envelope(
         driver, terminal, grid,
         schedule=block.get("schedule"),
@@ -295,7 +339,7 @@ def _run_envelope(block, grid, driver, terminal, backend, seed):
                "envelope_min.csv": _csv(header, _envelope_rows(env.minimal))}
 
 
-def _run_kneser(block, grid, driver, terminal, backend, seed):
+def _run_kneser(block, grid, driver, terminal, backend, seed, staging):
     slope = float(block["h_inv_slope"]) if backend == "tree" else None
     report = continuum_sample(
         driver, terminal, grid,
@@ -314,7 +358,7 @@ def _run_kneser(block, grid, driver, terminal, backend, seed):
          "sandwichPass"], rows)}
 
 
-def _run_compare(block, grid, driver, terminal, backend, seed):
+def _run_compare(block, grid, driver, terminal, backend, seed, staging):
     case = ComparisonCase(
         grid=grid,
         driver1=driver, terminal1=terminal,
@@ -338,7 +382,7 @@ def _run_compare(block, grid, driver, terminal, backend, seed):
          "stability_margin"], [row])}
 
 
-def _run_convergence(block, grid, driver, terminal, backend, seed):
+def _run_convergence(block, grid, driver, terminal, backend, seed, staging):
     table = convergence_study(
         block["case"], [int(n) for n in block["Ns"]],
         backend=backend, horizon=grid.horizon,
@@ -357,8 +401,11 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
     except (OSError, json.JSONDecodeError) as exc:
         log.error("cannot read config: %s", exc)
         return 2
+    staging = None
     try:
         _validate_config(cfg, {"seed": seed, "backend": backend, "out": out})
+        outdir = Path(cfg.get("out", "bdsde_out"))
+        staging = _Staging(outdir)
         backend = cfg.get("backend", "tree")
         grid = _build_grid(cfg["grid"])
         driver = _build_driver(cfg.get("driver", {}))
@@ -373,24 +420,24 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
             "convergence": _run_convergence,
         }[cfg["scenario"]]
         status, artifacts = runner(block, grid, driver, terminal, backend,
-                                   cfg.get("seed", 0))
-        outdir = Path(cfg.get("out", "bdsde_out"))
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            for name, write in artifacts.items():
-                write(outdir / name)
-            _write_manifest(outdir, cfg)
-            elapsed = time.monotonic() - started
-            (outdir / "run.log").write_text(
-                f"scenario={cfg['scenario']} status={status} "
-                f"wall_time_s={elapsed:.3f}\n"
-            )
-        except OSError as exc:
-            log.error("cannot write the output directory: %s", exc)
-            return 2
+                                   cfg.get("seed", 0), staging)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, write in artifacts.items():
+            write(outdir / name)
+        _write_manifest(outdir, cfg)
+        elapsed = time.monotonic() - started
+        (outdir / "run.log").write_text(
+            f"scenario={cfg['scenario']} status={status} "
+            f"wall_time_s={elapsed:.3f}\n"
+        )
         log.info("scenario %s finished with status %d in %.3fs",
                  cfg["scenario"], status, elapsed)
         return status
+    except OSError as exc:
+        # staging an artifact, writing it while computing, or writing the
+        # output directory
+        log.error("cannot write the output directory: %s", exc)
+        return 2
     except PremiseViolation as exc:
         log.error("premise violation: %s (witness: %s)", exc, exc.witness)
         return 1
@@ -404,6 +451,9 @@ def run_scenario(config_path, seed: int | None = None, out: str | None = None,
     except InvariantError as exc:
         log.error("internal invariant failed: %s", exc)
         return 4
+    finally:
+        if staging is not None:
+            staging.discard()
 
 
 def list_catalog() -> str:

@@ -25,7 +25,9 @@ the number k of up-steps of a leaf, so leaves with equal counts hold
 equal bytes.  Drivers are pointwise, so step i then holds at most i + 1
 classes: the lattice recombines in the forward noise only (Cox, Ross &
 Rubinstein 1979), never in the backward noise.  A full step is built only
-when a caller indexes it (:class:`LatticeField`).
+when a caller indexes it (:class:`LatticeField`).  A ``solve`` run keeps no
+stored form: :func:`stream_tree_solution` takes each step's summary and
+dump bytes as the sweep forms it, and holds about two steps.
 
 Scheme
 ------
@@ -53,6 +55,7 @@ one-step identity.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import warnings
@@ -168,24 +171,29 @@ class LatticeField(Sequence):
         return rows.shape if cls is None else (cls.size, rows.shape[1])
 
     def build(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Step i: the stored array when every row is its own class, else
-        its rows gathered through the class map, into the flat buffer
-        ``out`` of 2**N entries when one is given.  Into ``out`` the rows
-        are gathered in chunks, so that np.take's intp copy of the map
-        takes at most an eighth of the buffer's size."""
-        rows, cls = self.rows[i], self.classes[i]
-        if cls is None:
-            return rows
-        if out is None:
-            step = np.take(rows, cls, axis=0, mode="clip")
-        else:
-            step = out.reshape(cls.size, rows.shape[1])
-            chunk = max(1, out.size // 8)
-            for a in range(0, cls.size, chunk):
-                np.take(rows, cls[a:a + chunk], axis=0,
-                        out=step[a:a + chunk], mode="clip")
-        step.setflags(write=False)
-        return step
+        """Step i, as :func:`_build` gives it from the stored form."""
+        return _build(self.rows[i], self.classes[i], out)
+
+
+def _build(rows: np.ndarray, cls, out: np.ndarray | None = None) -> np.ndarray:
+    """The step stored as class ``rows`` and row map ``cls``: ``rows`` itself
+    when every row is its own class (``cls`` None), else the rows gathered
+    through the map, into the flat buffer ``out`` of 2**N entries when one
+    is given.  Into ``out`` the rows are gathered in chunks, so that
+    np.take's intp copy of the map takes at most an eighth of the buffer's
+    size."""
+    if cls is None:
+        return rows
+    if out is None:
+        step = np.take(rows, cls, axis=0, mode="clip")
+    else:
+        step = out.reshape(cls.size, rows.shape[1])
+        chunk = max(1, out.size // 8)
+        for a in range(0, cls.size, chunk):
+            np.take(rows, cls[a:a + chunk], axis=0,
+                    out=step[a:a + chunk], mode="clip")
+    step.setflags(write=False)
+    return step
 
 
 @dataclass(frozen=True)
@@ -273,19 +281,21 @@ def _row_classes(rows: np.ndarray):
     return cls, (rows if cls is None else compact)
 
 
-def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
-                    start_y: np.ndarray):
+def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
+                 start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
-    to step 0.  The z field at the start step is zero.  Returns the Y and
-    Z fields of steps 0..start_step as :class:`LatticeField` sequences with
-    one class map per step.
+    to step 0, as a generator: ``(i, y_rows, z_rows, classes)`` for i =
+    start_step, ..., 0, each step in the stored form of
+    :class:`LatticeField`.  The z field at the start step is zero.  The
+    generator drops step i + 1 once step i is formed, so it holds two steps
+    at most; a consumer that keeps no earlier step holds no more.
 
     The sweep runs on classes of rows, not on rows.  The start field's rows
     are grouped by their bytes; at each step a row's class is the pair of
     its two children's classes.  Rows of one class hold the same bytes,
     because the step is a pointwise map of the two children's rows, so the
     driver, the finiteness check and the step's ufuncs run once per class
-    on compact ``(classes, columns)`` arrays, and these are what is stored.
+    on compact ``(classes, columns)`` arrays, and these are what is yielded.
 
     Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
     column c of the children gives columns c and c + m of the new rows
@@ -294,7 +304,7 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
     The driver's values, the gathered child pairs and the pair means take
     (classes, block) arrays, not whole steps; each block writes through
     ``out=`` into its columns of the two new arrays.  The driver's values
-    and the stored rows are only read, since a driver may return its own
+    and the yielded rows are only read, since a driver may return its own
     argument."""
     n = grid.steps
     dt = grid.dt
@@ -309,13 +319,12 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
     # cls: class of every row of the step last written (None: each row is
     # its own class); cy, cz: one row per class
     cls, cy = _row_classes(y_start)
-    # when the caller passed its only reference (a temporary, as in
-    # solve_tree), this frees a start field that was grouped into classes;
-    # CPython 3.11+ hands call arguments to the callee's frame
+    # when the generator holds the only reference (a temporary passed in,
+    # as solve_tree_steps does), this frees a start field that was grouped
+    # into classes; CPython 3.11+ hands call arguments to the callee's frame
     del start_y, y_start
     cz = np.zeros(cy.shape)
-    y_rows, z_rows, maps = ([None] * (start_step + 1) for _ in range(3))
-    y_rows[start_step], z_rows[start_step], maps[start_step] = cy, cz, cls
+    yield start_step, cy, cz, cls
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
         count, m = cy.shape
@@ -367,8 +376,28 @@ def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
             del fv, gv, g3      # free before the next driver call
         cls = new_cls
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
-        y_rows[i], z_rows[i], maps[i] = cy, cz, cls
+        yield i, cy, cz, cls
+
+
+def _fields(steps, last: int):
+    """The Y and Z fields of steps 0..``last`` as :class:`LatticeField`
+    sequences, collected from the sweep's ``steps``."""
+    y_rows, z_rows, maps = ([None] * (last + 1) for _ in range(3))
+    for i, y, z, cls in steps:
+        y_rows[i], z_rows[i], maps[i] = y, z, cls
     return LatticeField(y_rows, maps), LatticeField(z_rows, maps)
+
+
+def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
+                    start_y: np.ndarray):
+    """The Y and Z fields of steps 0..start_step that :func:`_sweep_steps`
+    forms from ``start_y``, as :class:`LatticeField` sequences with one
+    class map per step."""
+    steps = _sweep_steps(driver, grid, start_step, start_y)
+    # the generator holds the only reference now, if the caller passed a
+    # temporary, and frees a start field it groups into classes
+    del start_y
+    return _fields(steps, start_step)
 
 
 def _driver_values(driver: DriverSpec, t: float, y: np.ndarray, z: np.ndarray):
@@ -388,28 +417,39 @@ def _first_non_finite(fv: np.ndarray, gv: np.ndarray, cls) -> tuple:
     return (row, col)
 
 
-def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
-               grid: TimeGrid) -> TreeSolution:
-    """Solve the equation exactly on the binary lattice.
+def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
+                     grid: TimeGrid):
+    """The one entry of a lattice solve: check the step cap and the
+    step-size guard, evaluate the terminal and return the backward sweep
+    from it, the generator of :func:`_sweep_steps` (steps N down to 0).
 
-    Requires N <= 20 (2**N values per step).  Deterministic: node
-    iteration order cannot affect the result because every step is a
-    closed-form map of the previous step's arrays.
+    Requires N <= 20; a larger N raises ``CapacityError`` before anything
+    is allocated.  Deterministic: node iteration order cannot affect the
+    result because every step is a closed-form map of the previous step's
+    arrays.
     """
     n = grid.steps
     if n > TREE_MAX_STEPS:
         raise CapacityError(f"steps={n} exceeds the lattice cap {TREE_MAX_STEPS}")
     margin = stability_margin(driver, grid.dt)
     if margin > 0.5:
+        # stacklevel 3: the caller of solve_tree, or of the CLI's runner
         warnings.warn(
             f"step-size guard exceeded (margin {margin:.3g} > 0.5); "
             "ordering-type properties are not guaranteed at this resolution",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     # a temporary start field, so that the sweep can free it
-    ys, zs = _backward_sweep(driver, grid, n,
-                             _terminal_values(terminal, grid).reshape(2 ** n, 1))
+    return _sweep_steps(driver, grid, n,
+                        _terminal_values(terminal, grid).reshape(2 ** n, 1))
+
+
+def solve_tree(driver: DriverSpec, terminal: TerminalSpec,
+               grid: TimeGrid) -> TreeSolution:
+    """Solve the equation exactly on the binary lattice and keep every
+    step in the stored form (:func:`solve_tree_steps`)."""
+    ys, zs = _fields(solve_tree_steps(driver, terminal, grid), grid.steps)
     return TreeSolution(grid=grid, ys=ys, zs=zs,
                         driver_descriptor=driver.descriptor,
                         terminal_descriptor=terminal.descriptor)
@@ -487,7 +527,12 @@ def expectation_at(sol: TreeSolution, i: int) -> dict:
     # one buffer of 2**N values: the step is built into it (or read where
     # it is stored whole), then its square is written over it
     buf = np.empty(2 ** sol.steps)
-    y = sol.ys.build(i, out=buf)
+    return _summary(sol.ys.build(i, out=buf), buf)
+
+
+def _summary(y: np.ndarray, buf: np.ndarray) -> dict:
+    """Mean, min, max and mean square of the step ``y``; its squares are
+    written over ``buf``, 2**N entries, which may hold ``y`` itself."""
     summary = {"mean": float(np.mean(y)), "min": float(np.min(y)),
                "max": float(np.max(y))}
     y_sq = buf.reshape(y.shape)
@@ -690,25 +735,85 @@ def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
 _MAGIC = b"BDLTREE1"
 
 
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all bytes of the C-contiguous ``data`` at ``offset`` of ``fd``
+    (one write may take fewer)."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+@contextlib.contextmanager
+def _dump_writer(path, grid: TimeGrid, driver_descriptor: str,
+                 terminal_descriptor: str):
+    """Open ``path``, write the header of the layout above and yield
+    ``put(i, k, step)``: Y_i (k = 0) or Z_i (k = 1) written, in any order,
+    at its offset header + 8 * 2**N * (2 i + k), from the step's own buffer
+    when it is little-endian and C-ordered."""
+    head = [_MAGIC, struct.pack("<Idd", grid.steps, grid.dt, grid.horizon)]
+    for text in (driver_descriptor, terminal_descriptor):
+        raw = text.encode("utf-8")
+        head += [struct.pack("<I", len(raw)), raw]
+    head = b"".join(head)
+    step_bytes = 8 * 2 ** grid.steps
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        # truncated as by open(path, "wb"), unless already empty (a staged
+        # dump): ext4 flushes a file truncated to empty when it is closed,
+        # which took 0.05-0.16 s per 336 MiB dump
+        if os.fstat(fd).st_size:
+            os.ftruncate(fd, 0)
+        _pwrite(fd, head, 0)
+
+        def put(i: int, k: int, step: np.ndarray) -> None:
+            _pwrite(fd, np.ascontiguousarray(step, dtype="<f8"),
+                    len(head) + step_bytes * (2 * i + k))
+
+        yield put
+    finally:
+        os.close(fd)
+
+
 def save_tree_solution(path, sol: TreeSolution) -> None:
     """Write ``sol`` in the layout above, one step at a time: a step stored
     by classes of rows is built into one buffer of 2**N values, reused for
     every step."""
     maps = sol.ys.classes + sol.zs.classes
     buf = None if all(cls is None for cls in maps) else np.empty(2 ** sol.steps)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", sol.steps))
-        fh.write(struct.pack("<d", sol.grid.dt))
-        fh.write(struct.pack("<d", sol.grid.horizon))
-        for text in (sol.driver_descriptor, sol.terminal_descriptor):
-            raw = text.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    with _dump_writer(path, sol.grid, sol.driver_descriptor,
+                      sol.terminal_descriptor) as put:
         for i in range(sol.steps + 1):
-            for steps in (sol.ys, sol.zs):
-                step = steps.build(i, out=buf)
-                fh.write(np.ascontiguousarray(step, dtype="<f8").data)
+            for k, steps in enumerate((sol.ys, sol.zs)):
+                put(i, k, steps.build(i, out=buf))
+
+
+def stream_tree_solution(steps, grid: TimeGrid, path=None,
+                         descriptors: tuple = ("", "")) -> list:
+    """Consume a lattice solve's ``steps`` (:func:`solve_tree_steps`) one at
+    a time and return the summary of every Y_i (the dict of
+    :func:`expectation_at`), in step order.  When ``path`` is given, the
+    solution is written there in the layout above, with the driver and
+    terminal ``descriptors``: the bytes of :func:`save_tree_solution`.
+
+    Y_i is built into a new buffer of 2**N values, written, and summarized
+    (which squares over the buffer); then Z_i is built into the buffer and
+    written.  The buffer goes before the sweep forms the next step, so the
+    largest arrays held are the sweep's two steps, or one step and the
+    buffer."""
+    summaries = [None] * (grid.steps + 1)
+    with (contextlib.nullcontext() if path is None
+          else _dump_writer(path, grid, *descriptors)) as put:
+        for i, y_rows, z_rows, cls in steps:
+            buf = np.empty(2 ** grid.steps)
+            y = _build(y_rows, cls, buf)
+            if put is not None:
+                put(i, 0, y)
+            summaries[i] = _summary(y, buf)
+            if put is not None:
+                put(i, 1, _build(z_rows, cls, buf))
+            del buf, y
+    return summaries
 
 
 def _read_header(fh, count: int) -> bytes:

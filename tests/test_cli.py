@@ -1,10 +1,13 @@
 import copy
+import dataclasses
+import errno
 import json
 import math
 import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 import bdsde_lab.cli as cli
 import bdsde_lab.envelope as envelope
 import bdsde_lab.gluing as gluing
+import bdsde_lab.tree as tree
 from bdsde_lab.errors import (CapacityError, CatalogError, ConfigError,
                               ContractViolation)
 
@@ -344,6 +348,108 @@ def test_out_naming_an_existing_file_exits_2(tmp_path):
     assert cli.run_scenario(CONFIG_DIR / "linear_convergence.json",
                             out=str(out)) == 2
     assert out.read_text() == "kept"
+
+
+# --------------------------------------------------------------------------
+# the lattice dump, staged while the scenario computes
+# --------------------------------------------------------------------------
+
+def _staged(where):
+    """The staged dumps left in the directory ``where``."""
+    return [p.name for p in where.iterdir()
+            if p.name.startswith(".solution.bin.")]
+
+
+def test_staged_dump_is_moved_into_place(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert cli.run_scenario(CONFIG_DIR / "tree_solve.json", out=str(out)) == 0
+    assert _staged(out) == [] and _staged(tmp_path) == []
+    # the staged file takes the permissions of a file the run creates
+    assert (out / "solution.bin").stat().st_mode == \
+        (out / "solve.csv").stat().st_mode
+
+
+def test_numeric_error_mid_sweep_removes_the_staged_dump(tmp_path, monkeypatch):
+    # f goes non-finite at t_4 of 8 steps, when steps 8..4 are in the dump
+    build = cli._build_driver
+    t_bad = cli.make_grid(1.0, 8).time(4)
+    seen = []
+
+    def poisoned(block):
+        driver = build(block)
+
+        def f(t, y, z):
+            if t == t_bad:
+                seen.append(_staged(tmp_path))
+                return np.full(np.shape(y), np.nan)
+            return driver.f(t, y, z)
+
+        return dataclasses.replace(driver, f=f)
+
+    monkeypatch.setattr(cli, "_build_driver", poisoned)
+    out = tmp_path / "o"
+    assert cli.run_scenario(CONFIG_DIR / "tree_solve.json", out=str(out)) == 3
+    assert len(seen[0]) == 1
+    assert not out.exists()
+    assert _staged(tmp_path) == []
+
+
+def test_dump_over_an_existing_file_exits_2(tmp_path):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert cli.run_scenario(CONFIG_DIR / "tree_solve.json", out=str(out)) == 2
+    assert out.read_text() == "kept"
+    assert _staged(tmp_path) == []
+
+
+def test_dump_that_cannot_be_staged_exits_2(tmp_path, caplog):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / "o"
+    assert cli.run_scenario(CONFIG_DIR / "tree_solve.json", out=str(out)) == 2
+    assert [r.levelname for r in caplog.records] == ["ERROR"]
+    assert "cannot write the output directory" in caplog.records[0].getMessage()
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_dump_write_error_mid_sweep_exits_2(tmp_path, monkeypatch, caplog):
+    # the disk fills after the header and two arrays are written
+    written = []
+
+    def pwrite(fd, data, offset):
+        if len(written) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        written.append(offset)
+
+    monkeypatch.setattr(tree, "_pwrite", pwrite)
+    out = tmp_path / "o"
+    assert cli.run_scenario(CONFIG_DIR / "tree_solve.json", out=str(out)) == 2
+    assert "No space left on device" in caplog.text
+    assert not out.exists()
+    assert _staged(tmp_path) == []
+
+
+def test_dump_above_the_lattice_cap_is_refused_before_staging(tmp_path,
+                                                              monkeypatch):
+    cfg = json.loads((CONFIG_DIR / "tree_solve.json").read_text())
+    cfg["grid"]["steps"] = 21
+    path, out = _write(tmp_path, cfg), tmp_path / "o"
+    staged = []
+    monkeypatch.setattr(cli._Staging, "stage",
+                        lambda self, name: staged.append(name))
+    tracemalloc.start()
+    try:
+        code = cli.run_scenario(path, out=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2 ** 20
+    assert staged == []
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_glue_above_the_byte_cap_exits_3(tmp_path):

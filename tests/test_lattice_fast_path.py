@@ -661,6 +661,19 @@ def test_writer_matches_reference_and_round_trips(tmp_path, layout):
         assert a.tobytes() == np.asarray(b, dtype="<f8").tobytes()
 
 
+def test_writer_replaces_a_longer_file(tmp_path):
+    # the writer truncates a file that holds bytes, as open(path, "wb")
+    # would, and leaves an empty one as it is
+    sol = _solution(lambda a: a)
+    want = tmp_path / "want.bin"
+    reference_save_tree_solution(want, sol)
+    for old in (b"x" * 10_000, b""):
+        path = tmp_path / "sol.bin"
+        path.write_bytes(old)
+        bl.save_tree_solution(path, sol)
+        assert path.read_bytes() == want.read_bytes()
+
+
 def test_dump_writer_and_reader_copy_no_array(tmp_path):
     n = 14
     sol = bl.solve_tree(bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3]),
@@ -691,3 +704,65 @@ def test_short_read_names_both_byte_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(tree, "_check_dump_size", lambda fh, payload: None)
     with pytest.raises(ValueError, match="dump ended after 116 of 128 bytes"):
         bl.load_tree_solution(path)
+
+
+# --------------------------------------------------------------------------
+# the streamed solve: summaries and dump bytes step by step
+# --------------------------------------------------------------------------
+
+# every catalog terminal, and a row-wise one without a W_T form
+STREAM_TERMINALS = {name: bl.builtin_terminal(name, params)
+                    for name, params in catalog_terminals()}
+STREAM_TERMINALS["binary"] = _binary_terminal()
+
+
+def _stream(driver, term, grid, path):
+    return tree.stream_tree_solution(tree.solve_tree_steps(driver, term, grid),
+                                     grid, path,
+                                     (driver.descriptor, term.descriptor))
+
+
+def _summary_bytes(summary):
+    return [(key, np.float64(value).tobytes()) for key, value in summary.items()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terminal", sorted(STREAM_TERMINALS))
+@pytest.mark.parametrize("n", [10, 14])
+def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
+                                                 terminal, n):
+    # blocks of 64 columns: every step from N - 7 down spans several
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 64)
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    term = STREAM_TERMINALS[terminal]
+    grid = bl.make_grid(1.0, n)
+    streamed = tmp_path / "streamed.bin"
+    summaries = _stream(driver, term, grid, streamed)
+    sol = bl.solve_tree(driver, term, grid)
+    assert [_summary_bytes(s) for s in summaries] == \
+        [_summary_bytes(tree.expectation_at(sol, i)) for i in range(n + 1)]
+    assert [_summary_bytes(s) for s in _stream(driver, term, grid, None)] == \
+        [_summary_bytes(s) for s in summaries]
+    saved, want = tmp_path / "saved.bin", tmp_path / "want.bin"
+    bl.save_tree_solution(saved, sol)
+    reference_save_tree_solution(want, _reference_solution(driver, term, grid))
+    assert streamed.read_bytes() == saved.read_bytes() == want.read_bytes()
+
+
+def test_streamed_solve_holds_two_steps_and_one_buffer(tmp_path, monkeypatch):
+    # each step leaves memory once it is summarized and written; the sweep
+    # holds the step it reads and the one it forms, and the buffer of the
+    # built step is gone before the next is formed
+    n = 16
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 2 ** 10)
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    term = bl.builtin_terminal("call", [0.1])
+    grid = bl.make_grid(1.0, n)
+    path = tmp_path / "sol.bin"
+    _, peak = traced_peak(lambda: _stream(driver, term, grid, path))
+    sol = bl.solve_tree(driver, term, grid)
+    rows = [sol.ys.rows[i].nbytes + sol.zs.rows[i].nbytes for i in range(n + 1)]
+    two_steps = max(a + b for a, b in zip(rows, rows[1:]))
+    stored = sum(rows) + sum(c.nbytes for c in sol.ys.classes if c is not None)
+    assert peak < two_steps + 8 * 2 ** n + 16 * 8 * tree.LEAF_BLOCK + 2 ** 16
+    assert peak < stored / 2
