@@ -307,7 +307,8 @@ def _run_solve(block, grid, driver, terminal, backend, seed, staging):
         m_inner = int(block.get("m_inner", 4096))
         basis = BasisSpec("poly", int(block.get("basis_degree", 2)))
         # before sampling: a polynomial design has degree + 1 columns
-        check_regression_bytes(m_inner, [basis.degree + 1] * grid.steps)
+        check_regression_bytes(m_inner, [basis.degree + 1] * grid.steps,
+                               m_outer)
         paths = sample_paths(grid, (m_outer, m_inner), seed)
         sol = solve_lsmc(driver, terminal, grid, basis, paths)
         return 0, {"solve.csv": _csv(["outer_path", "y0"],

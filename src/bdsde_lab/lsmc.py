@@ -16,15 +16,32 @@ both projected onto a basis in W_{t_i} by ridge-stabilised least squares.
 The drift term is omitted from the z target; it contributes at order
 dt^(3/2) and the convergence suite covers the simplification.  At i = 0 the
 basis degenerates to the intercept (W_0 = 0) and Y_0 is the inner-sample
-mean of the y target.
+mean of the fitted values.
 
-The sweep runs step-major: steps on the outside, outer paths on the inside.
-It stores the design states W_{t_i} as (N, m_inner) rows, builds design
-x_i from row i, and keeps only x_i and x_{i+1}; a path's Y_{i+1} and
-Z_{i+1} are re-formed from x_{i+1} and its coefficients while that design
-is still in cache.  The targets are formed in m_inner buffers allocated
-once per solve, and one stacked solve per step gives every path's
-coefficients.
+Each target is linear in Y_{i+1} = x_{i+1} C_y and in the driver values
+F = f(t_{i+1}, Y_{i+1}, Z_{i+1}) and G = g(...), so the sweep projects
+those instead of the targets.  With D = diag(dW_i) / dt, C_y the
+(w_{i+1}, m_outer) stacked y-coefficients of every outer path, F and G
+(m_inner, m_outer), and dB_i scaling each path's column:
+
+    x_i' z target = (x_i' D x_{i+1}) C_y + dB_i (x_i' D G)
+    x_i' y target = (x_i' x_{i+1}) C_y + dt x_i' F + dB_i (x_i' G)
+
+At the top step the terminal values stand in for x_{i+1} C_y (a one-column
+design with coefficients 1) and Z_N = 0.
+
+The sweep runs step-major: steps on the outside, then fixed blocks of
+``BLOCK_ROWS`` inner rows, each serving every outer path at once with one
+matmul each for Y_b and Z_b, one call each to f and g on (rows, m_outer),
+and the products x_b' F, [x_b | D_b x_b]' G and [x_b | D_b x_b]' x_{i+1,b}
+added into the step's sums.  One stacked solve per step then gives every
+path's coefficients.  It stores the design states W_{t_i} as (N, m_inner)
+rows, builds design x_i from row i, and keeps only x_i and x_{i+1}.
+
+Blocks are counted in rows, not bytes, and every operation on a path's
+column reads that column alone, so a path's estimates are bitwise the same
+in any batch of two or more outer paths.  (A one-path batch turns the
+block matmuls into matrix-vector products, which round differently.)
 
 Randomness is counter-based: each path owns a Philox key derived from
 (seed, stream, path index), so any sub-batch reproduces identically no
@@ -46,6 +63,10 @@ from .tree import _distinct
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 WIDTH_BLOCK = 2 ** 13       # paths per block when indicator widths are counted
+BLOCK_ROWS = 256            # inner rows per block of the regression sweep
+# (rows, m_outer) arrays the sweep holds at once: the block's Y, Z, F and G,
+# and at step 0 up to three temporaries of the y target
+_BLOCK_ARRAYS = 7
 
 _STREAM_OUTER = 0
 _STREAM_INNER = 1
@@ -92,8 +113,9 @@ def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
 
     Raises ``CapacityError`` before drawing when the increments would take
     more than ``BATCH_MEMORY_CAP`` bytes.  ``solve_lsmc`` holds its
-    design states and designs to the same cap (``check_regression_bytes``),
-    which a caller can check before sampling."""
+    design states, designs and blocks to the same cap
+    (``check_regression_bytes``), which a caller can check before
+    sampling."""
     m_outer, m_inner = counts
     if m_outer < 2 or m_inner < 2:
         raise ValueError("path counts must be >= 2")
@@ -188,26 +210,75 @@ class MCSolution:
     y_coeffs: list                    # y_coeffs[k][i]: coefficient vector
     z_coeffs: list
     cond_numbers: np.ndarray          # (m_outer, N) Gram condition numbers
-    final_se: np.ndarray              # (m_outer,) inner-sample SE of y0
+    final_se: np.ndarray              # (m_outer,) inner-sample SE of the
+                                      # step-0 y target (``_final_se``)
 
     @property
     def m_outer(self) -> int:
         return self.y0.shape[0]
 
 
-def check_regression_bytes(m_inner: int, widths) -> None:
+def check_regression_bytes(m_inner: int, widths, m_outer: int) -> None:
     """Raise ``CapacityError`` unless what ``solve_lsmc`` holds fits in
-    ``BATCH_MEMORY_CAP`` bytes: the N rows of m_inner design states and the
+    ``BATCH_MEMORY_CAP`` bytes: the N rows of m_inner design states; the
     two designs alive at once, x_i and x_{i+1} (m_inner rows of
-    ``widths[i]`` floats at step i), counted at the widest such pair."""
+    ``widths[i]`` floats at step i), counted at the widest such pair; and
+    the sweep's blocks of min(``BLOCK_ROWS``, m_inner) rows, seven of
+    m_outer floats and one [x_i | D x_i] of twice the widest design."""
     states = 8 * len(widths) * m_inner
     pair = 8 * m_inner * max(a + b for a, b in zip(widths, widths[1:] + [0]))
-    if states + pair > BATCH_MEMORY_CAP:
+    blocks = 8 * min(BLOCK_ROWS, m_inner) * (_BLOCK_ARRAYS * m_outer
+                                             + 2 * max(widths))
+    total = states + pair + blocks
+    if total > BATCH_MEMORY_CAP:
         raise CapacityError(
-            f"regression design states would allocate {states} bytes and the "
-            f"widest two consecutive designs {pair} more: {states + pair} "
-            f"bytes, cap is {BATCH_MEMORY_CAP}"
+            f"regression design states would allocate {states} bytes, the "
+            f"widest two consecutive designs {pair} and the sweep's blocks "
+            f"{blocks} more: {total} bytes, cap is {BATCH_MEMORY_CAP}"
         )
+
+
+def _dense(value, buf: np.ndarray) -> np.ndarray:
+    """A driver's output as a C-contiguous float array of ``buf``'s shape:
+    itself when it is one, else broadcast into ``buf`` (a matmul on the
+    stride-0 broadcast of a constant runs 2.5x slower)."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == buf.shape and value.flags.c_contiguous:
+        return value
+    np.copyto(buf, value)
+    return buf
+
+
+def _driver_blocks(driver: DriverSpec, t: float, x_next: np.ndarray,
+                   c_y: np.ndarray, c_z: np.ndarray, bufs: np.ndarray):
+    """For each block of ``BLOCK_ROWS`` inner rows: (lo, hi, Y, F, G) with
+    Y = x_next C_y and Z = x_next C_z on rows lo:hi and the driver's values
+    F = f(t, Y, Z), G = g(t, Y, Z), each (rows, m_outer).  Y and Z live in
+    ``bufs[0:2]``; F and G are the driver's own arrays or ``bufs[2:4]``.
+    All of them are only read, and are overwritten by the next block."""
+    m_in = x_next.shape[0]
+    for lo in range(0, m_in, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, m_in)
+        y, z, f_buf, g_buf = bufs[:, :hi - lo]
+        np.matmul(x_next[lo:hi], c_y, out=y)
+        np.matmul(x_next[lo:hi], c_z, out=z)
+        g = _dense(driver.g(t, y, z), g_buf)
+        f = _dense(driver.f(t, y, z), f_buf)
+        yield lo, hi, y, f, g
+
+
+def _final_se(blocks, b: np.ndarray, dt: float, m_in: int) -> np.ndarray:
+    """Inner-sample standard error of each path's step-0 y target
+    T = (Y_1 + dt F) + G dB_0, in two passes over ``blocks()``: the first
+    sums T into its mean T_bar, the second sums (T - T_bar)^2 into S, and
+    the result is sqrt(S / m_inner) / sqrt(m_inner)."""
+    def targets():
+        for _, _, y, f, g in blocks():
+            yield y + dt * f + g * b
+
+    mean = sum(t.sum(axis=0) for t in targets()) / m_in
+    square = sum(((t - mean) * (t - mean)).sum(axis=0) for t in targets())
+    return np.sqrt(square / m_in) / np.sqrt(m_in)
 
 
 def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
@@ -215,18 +286,26 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                ridge: float = 1e-8) -> MCSolution:
     """Backward regression sweep over every outer path in the batch.
 
-    Step-major: for i = N-1..0 the design x_i serves every outer path in
-    turn, and one stacked solve gives every path's two coefficient vectors.
-    Each path's arithmetic is that of a sweep run path by path, so the
-    estimates do not depend on the loop order; the first error raised
-    does.  It is the one at the highest step where any path fails, and at
-    one step a path's ``NumericError`` (lowest path first) comes before
-    the step's ``RegressionError``.
+    Step-major: for i = N-1..0 the design x_i and the blocks of inner rows
+    serve every outer path at once, projecting x_{i+1}, F and G rather than
+    the targets (see the module docstring), and one stacked solve gives
+    every path's two coefficient vectors.  A path's estimates are bitwise
+    the same in any batch of two or more outer paths.  ``final_se`` is
+    formed as ``_final_se`` documents.
 
-    Raises ``CapacityError`` before allocating when the design states plus
-    the widest two consecutive designs would take more than
-    ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``), each design
-    counted at its own width (``BasisSpec.widths``)."""
+    Raises ``NumericError`` ("non-finite regression target at step i") when
+    a path's right-hand side at step i is not finite.  That is the case when
+    f or g is non-finite anywhere in a block of the step (a non-finite value
+    makes the block's products, and so the step's sums, non-finite) and
+    when the terms are finite but their sum is not, as with an infinite
+    dB_i and a g of 0.  The first error raised is the one at the highest
+    step where any path fails, and at one step the ``NumericError`` comes
+    before the step's ``RegressionError``.
+
+    Raises ``CapacityError`` before allocating when the design states, the
+    widest two consecutive designs and the sweep's blocks would take more
+    than ``BATCH_MEMORY_CAP`` bytes (``check_regression_bytes``), each
+    design counted at its own width (``BasisSpec.widths``)."""
     if paths.grid.steps != grid.steps or abs(paths.grid.dt - grid.dt) > 1e-15:
         raise ValueError("path batch lives on a different grid")
     n = grid.steps
@@ -238,7 +317,7 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             f"need more than {10 * (basis.degree + 1)} inner paths"
         )
     w_inc = paths.w_increments
-    check_regression_bytes(m_in, basis.widths(w_inc, dt))
+    check_regression_bytes(m_in, basis.widths(w_inc, dt), m_out)
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
 
     # W_{t_i}: W_0 = 0, W_1 the first increments themselves, then a running
@@ -253,46 +332,43 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     conds_step = np.empty(n)
     y_coeffs = [[None] * n for _ in range(m_out)]
     z_coeffs = [[None] * n for _ in range(m_out)]
-    final_se = np.empty(m_out)
-    zero = np.zeros(m_in)
-    dw = np.empty(m_in)
-    g_b = np.empty(m_in)
-    z_target = np.empty(m_in)
-    y_target = np.empty(m_in)
-    finite = np.empty(m_in, dtype=bool)
-    x_next = None
+    rows = min(BLOCK_ROWS, m_in)
+    bufs = np.empty((4, rows, m_out))
+    d = np.empty(m_in)
+    # the terminal values are only read: a terminal may hand out its own array
+    x_next = xi.reshape(m_in, 1)
+    c_y, c_z = np.ones((1, m_out)), np.zeros((1, m_out))
     for i in range(n - 1, -1, -1):
         t_next = grid.time(i + 1)
         x = basis.design(states[i], grid.time(i), dt)
-        gram = x.T @ x + ridge * np.eye(x.shape[1])
+        w = x.shape[1]
+        gram = x.T @ x + ridge * np.eye(w)
         conds_step[i] = np.linalg.cond(gram)
-        np.copyto(dw, w_inc[:, i])
-        rhs = np.empty((m_out, 2, x.shape[1]))
-        for k, b_k in enumerate(paths.b_increments[:, i]):
-            # y, z and the driver's outputs are only read: a driver may
-            # return its own argument, and y starts as the terminal values
-            if x_next is None:
-                y, z = xi, zero
-            else:
-                y, z = x_next @ y_coeffs[k][i + 1], x_next @ z_coeffs[k][i + 1]
-            gv = np.asarray(driver.g(t_next, y, z), dtype=float)
-            gv = np.broadcast_to(gv, y.shape)
-            fv = np.asarray(driver.f(t_next, y, z), dtype=float)
-            np.multiply(gv, b_k, out=g_b)
-            # (y + g dB) dW / dt and y + dt f + g dB
-            np.add(y, g_b, out=z_target)
-            np.multiply(z_target, dw, out=z_target)
-            np.divide(z_target, dt, out=z_target)
-            np.multiply(dt, fv, out=y_target)
-            np.add(y, y_target, out=y_target)
-            np.add(y_target, g_b, out=y_target)
-            if not (np.isfinite(z_target, out=finite).all()
-                    and np.isfinite(y_target, out=finite).all()):
-                raise NumericError(f"non-finite regression target at step {i}")
-            rhs[k, 0] = x.T @ z_target
-            rhs[k, 1] = x.T @ y_target
-            if i == 0:
-                final_se[k] = float(np.std(y_target) / np.sqrt(m_in))
+        np.divide(w_inc[:, i], dt, out=d)
+        b = paths.b_increments[:, i]
+        xd = np.empty((rows, 2 * w))
+        s_f = np.zeros((w, m_out))
+        s_g = np.zeros((2 * w, m_out))
+        s_x = np.zeros((2 * w, x_next.shape[1]))
+        for lo, hi, _, f, g in _driver_blocks(driver, t_next, x_next, c_y,
+                                              c_z, bufs):
+            x_b, xd_b = x[lo:hi], xd[:hi - lo]
+            xd_b[:, :w] = x_b
+            np.multiply(x_b, d[lo:hi, None], out=xd_b[:, w:])
+            s_f += x_b.T @ f
+            s_g += xd_b.T @ g
+            s_x += xd_b.T @ x_next[lo:hi]
+        # rows :w of each sum belong to x_i, rows w: to D x_i
+        proj = s_x @ c_y
+        rhs = np.empty((m_out, 2, w))
+        rhs[:, 0] = (proj[w:] + b * s_g[w:]).T
+        rhs[:, 1] = (proj[:w] + dt * s_f + b * s_g[:w]).T
+        if not np.isfinite(rhs).all():
+            raise NumericError(f"non-finite regression target at step {i}")
+        if i == 0:
+            final_se = _final_se(
+                lambda: _driver_blocks(driver, t_next, x_next, c_y, c_z, bufs),
+                b, dt, m_in)
         # each right-hand side as its own column: one gesv call per vector
         # with nrhs = 1, the bits of a single solve (a two-column solve or
         # a product over a block of paths would change them)
@@ -304,6 +380,8 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             ) from exc
         for k in range(m_out):
             z_coeffs[k][i], y_coeffs[k][i] = coeffs[k]
+        c_z = np.ascontiguousarray(coeffs[:, 0].T)
+        c_y = np.ascontiguousarray(coeffs[:, 1].T)
         x_next = x
     y0 = np.array([float(np.mean(x_next @ yc[0])) for yc in y_coeffs])
     conds = np.broadcast_to(conds_step, (m_out, n)).copy()

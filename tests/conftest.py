@@ -123,7 +123,8 @@ def nan_driver(part, step, at):
 
 
 def nan_driver_target(solve, step, node):
-    """The argument (y, z) at ``node`` of the first evaluation of the
+    """The argument (y, z) at ``node`` (an index tuple, or an int counted
+    over the arguments in C order) of the first evaluation of the
     unpoisoned :func:`nan_driver` at the time of ``step`` when
     ``solve(driver)`` runs it."""
     base = nan_base_driver()
@@ -133,7 +134,9 @@ def nan_driver_target(solve, step, node):
     def f(t, y, z):
         if t == t_step and not seen:
             y_b, z_b = np.broadcast_arrays(y, z)
-            seen.append((float(y_b[node]), float(z_b[node])))
+            at = node if isinstance(node, tuple) else \
+                np.unravel_index(node, y_b.shape)
+            seen.append((float(y_b[at]), float(z_b[at])))
         return base.f(t, y, z)
 
     solve(bl.DriverSpec(f=f, g=base.g, g_lip_z_sq=0.64, f_lipschitz=0.6))
@@ -335,10 +338,94 @@ def reference_sample_paths(grid, counts, seed, antithetic=False):
 
 
 def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
-    """Oracle for ``lsmc.solve_lsmc``: design states from a cumsum over the
+    """Oracle for ``lsmc.solve_lsmc``: the projected sweep written plainly.
+    Design states from a cumsum over the path-major increments, every
+    design built up front, a fresh temporary for every intermediate, the
+    inner rows in blocks of ``lsmc.BLOCK_ROWS`` in the same order, every
+    driver value made contiguous by ``np.ascontiguousarray``, and one solve
+    per target for each outer path in turn."""
+    n = grid.steps
+    dt = grid.dt
+    m_out, m_in = paths.m_outer, paths.m_inner
+    w_inc = paths.w_increments
+    w_state = np.concatenate(
+        [np.zeros((m_in, 1)), np.cumsum(w_inc, axis=1)], axis=1
+    )
+    xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
+    designs = [basis.design(w_state[:, i], grid.time(i), dt) for i in range(n)]
+    grams = [x.T @ x + ridge * np.eye(x.shape[1]) for x in designs]
+    conds_step = np.array([np.linalg.cond(g) for g in grams])
+    conds = np.broadcast_to(conds_step, (m_out, n)).copy()
+    blocks = [(lo, min(lo + lsmc.BLOCK_ROWS, m_in))
+              for lo in range(0, m_in, lsmc.BLOCK_ROWS)]
+
+    def driver_values(t, x_b, c_y, c_z):
+        y = x_b @ c_y
+        z = x_b @ c_z
+        g = np.ascontiguousarray(np.broadcast_to(
+            np.asarray(driver.g(t, y, z), dtype=float), y.shape))
+        f = np.ascontiguousarray(np.broadcast_to(
+            np.asarray(driver.f(t, y, z), dtype=float), y.shape))
+        return y, f, g
+
+    y_coeffs = [[None] * n for _ in range(m_out)]
+    z_coeffs = [[None] * n for _ in range(m_out)]
+    final_se = None
+    x_next = xi.reshape(m_in, 1)
+    c_y, c_z = np.ones((1, m_out)), np.zeros((1, m_out))
+    for i in range(n - 1, -1, -1):
+        t_next = grid.time(i + 1)
+        x = designs[i]
+        w = x.shape[1]
+        d = w_inc[:, i] / dt
+        b = paths.b_increments[:, i]
+        s_f = np.zeros((w, m_out))
+        s_g = np.zeros((2 * w, m_out))
+        s_x = np.zeros((2 * w, x_next.shape[1]))
+        for lo, hi in blocks:
+            _, f, g = driver_values(t_next, x_next[lo:hi], c_y, c_z)
+            xd = np.concatenate([x[lo:hi], x[lo:hi] * d[lo:hi, None]], axis=1)
+            s_f = s_f + x[lo:hi].T @ f
+            s_g = s_g + xd.T @ g
+            s_x = s_x + xd.T @ x_next[lo:hi]
+        proj = s_x @ c_y
+        rhs_z = proj[w:] + b * s_g[w:]
+        rhs_y = proj[:w] + dt * s_f + b * s_g[:w]
+        if not (np.all(np.isfinite(rhs_z)) and np.all(np.isfinite(rhs_y))):
+            raise NumericError(f"non-finite regression target at step {i}")
+        if i == 0:
+            # two passes: the mean of the y target, then its spread
+            targets = []
+            for lo, hi in blocks:
+                y, f, g = driver_values(t_next, x_next[lo:hi], c_y, c_z)
+                targets.append(y + dt * f + g * b)
+            mean = sum(t.sum(axis=0) for t in targets) / m_in
+            square = sum(((t - mean) * (t - mean)).sum(axis=0)
+                         for t in targets)
+            final_se = np.sqrt(square / m_in) / np.sqrt(m_in)
+        for k in range(m_out):
+            try:
+                z_coeffs[k][i] = np.linalg.solve(grams[i], rhs_z[:, k])
+                y_coeffs[k][i] = np.linalg.solve(grams[i], rhs_y[:, k])
+            except np.linalg.LinAlgError as exc:
+                raise RegressionError(
+                    f"normal equations singular at step {i}: {exc}") from exc
+        c_y = np.stack([y_coeffs[k][i] for k in range(m_out)], axis=1)
+        c_z = np.stack([z_coeffs[k][i] for k in range(m_out)], axis=1)
+        x_next = x
+    y0 = np.array([float(np.mean(x_next @ yc[0])) for yc in y_coeffs])
+    return lsmc.MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
+                           y_coeffs=y_coeffs, z_coeffs=z_coeffs,
+                           cond_numbers=conds, final_se=final_se)
+
+
+def oracle_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
+    """Independent oracle for ``lsmc.solve_lsmc``: the target regression
+    the projected sweep rewrites, with design states from a cumsum over the
     path-major increments, fresh temporaries for every target, and one
     sweep and one solve per target for each outer path in turn (so its
-    first error is the first failure of the lowest failing path)."""
+    first error is the first failure of the lowest failing path).  It
+    agrees with the projected sweep up to rounding."""
     n = grid.steps
     dt = grid.dt
     m_in = paths.m_inner

@@ -505,6 +505,24 @@ def test_regression_above_the_byte_cap_is_refused_before_sampling(tmp_path):
     assert not out.exists()
 
 
+def test_regression_blocks_above_the_byte_cap_are_refused_before_sampling(
+        tmp_path):
+    # 200,000 outer paths: their 104 MB of increments fit under the cap, the
+    # sweep's seven blocks of 256 x 200,000 floats (2.9 GB) do not
+    cfg = _base_cfg(backend="mc", grid={"horizon": 1, "steps": 64},
+                    solve={"m_outer": 200000, "m_inner": 4096})
+    path, out = _write(tmp_path, cfg), tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = cli.run_scenario(path, out=str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
 def test_glue_at_twelve_steps_and_half_horizon_runs(tmp_path):
     # the lattice_glue benchmark config at N = 12 (t0 = 0.5, five weights)
     cfg = _kneser_cfg("tree", 0.5)

@@ -1,6 +1,8 @@
-"""The step-major regression sweep, its buffered targets and stacked solves,
-and the re-keyed path generator, against the reference implementations in
-``conftest``: every estimate and every increment bitwise equal."""
+"""The step-major projected regression sweep, its blocks and stacked
+solves, and the re-keyed path generator, against the reference
+implementations in ``conftest``: every estimate and every increment bitwise
+equal.  The target regression the sweep rewrites is checked beside it, to
+rounding."""
 
 import json
 import tracemalloc
@@ -18,8 +20,9 @@ from bdsde_lab.errors import CapacityError, NumericError, RegressionError
 from bdsde_lab.tree import leaf_increments
 
 from conftest import (catalog_driver_specs, catalog_terminals, custom_drivers,
-                      nan_driver, nan_driver_target, reference_sample_paths,
-                      reference_solve_lsmc, traced_peak)
+                      nan_driver, nan_driver_target, oracle_solve_lsmc,
+                      reference_sample_paths, reference_solve_lsmc,
+                      traced_peak)
 
 F_ENTRIES, G_ENTRIES = catalog_driver_specs()
 
@@ -93,6 +96,81 @@ def test_catalog_solve_matches_reference(n, f, g, terminal, basis, ridge,
     _assert_same_solution(got, want)
 
 
+def _assert_close_solution(got, want, tol=1e-10):
+    """Every estimate within ``tol (1 + |want|)`` of the oracle's."""
+    def close(a, b):
+        assert np.all(np.abs(a - b) <= tol * (1.0 + np.abs(b)))
+
+    close(got.y0, want.y0)
+    close(got.final_se, want.final_se)
+    assert got.cond_numbers.tobytes() == want.cond_numbers.tobytes()
+    for name in ("y_coeffs", "z_coeffs"):
+        for row_a, row_b in zip(getattr(got, name), getattr(want, name),
+                                strict=True):
+            for a, b in zip(row_a, row_b, strict=True):
+                close(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), f=st.sampled_from(F_ENTRIES),
+       g=st.sampled_from(G_ENTRIES), terminal=st.sampled_from(catalog_terminals()),
+       basis=st.sampled_from([("poly", d) for d in range(3)] + [("indicator", 0)]),
+       ridge=st.sampled_from([0.0, 1e-8, 1e-4]), block_rows=st.sampled_from([7, 256]),
+       seed=st.integers(0, 2 ** 32))
+def test_projected_sweep_matches_the_target_regression(n, f, g, terminal, basis,
+                                                       ridge, block_rows, seed):
+    # the sweep projects Y_{i+1}, F and G where the oracle projects the
+    # targets: the same estimates up to rounding.  The square-root drift is
+    # only Hoelder-1/2 at 0, where a rounding difference e of Y moves f by
+    # 2 sqrt(e), so its bound is the square root of the Lipschitz drifts'
+    # (up to 8.8e-7 was seen on 400 random cases, against 3.4e-14 for the
+    # other drifts).
+    grid = bl.make_grid(1.0, n)
+    spec = bl.BasisSpec(*basis)
+    if spec.kind == "indicator":
+        paths = _lattice_batch(grid, 3, "C", np.random.default_rng(seed))
+    else:
+        paths = bl.sample_paths(grid, (3, 300 + seed % 200), seed)
+    args = (bl.driver_pair(*f, *g), bl.builtin_terminal(*terminal), grid, spec,
+            paths, ridge)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsmc, "BLOCK_ROWS", block_rows)
+        try:
+            got = bl.solve_lsmc(*args)
+        except RegressionError as exc:
+            with pytest.raises(RegressionError) as want:
+                oracle_solve_lsmc(*args)
+            assert str(exc) == str(want.value)
+            return
+    _assert_close_solution(got, oracle_solve_lsmc(*args),
+                           1e-5 if f[0] == "f_sqrt_pos" else 1e-10)
+
+
+def test_a_path_is_the_same_in_any_batch(monkeypatch):
+    # path k's estimates depend on its own column alone: bitwise the same
+    # in a batch of 64 paths, of 5 and of 13, over inner samples that end
+    # in a part block
+    monkeypatch.setattr(lsmc, "BLOCK_ROWS", 64)
+    grid = bl.make_grid(1.0, 9)
+    batch = bl.sample_paths(grid, (64, 5 * 64 + 37), seed=12)
+    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    terminal = bl.builtin_terminal("call", [0.2])
+    full = bl.solve_lsmc(driver, terminal, grid, bl.BasisSpec("poly", 2), batch)
+    for lo, size in ((20, 5), (40, 13), (51, 13)):
+        sub = bl.PathBatch.from_arrays(
+            grid, batch.b_increments[lo:lo + size], batch.w_increments)
+        part = bl.solve_lsmc(driver, terminal, grid, bl.BasisSpec("poly", 2),
+                             sub)
+        for k in range(size):
+            for name in ("y0", "final_se", "cond_numbers"):
+                assert (getattr(part, name)[k].tobytes()
+                        == getattr(full, name)[lo + k].tobytes()), name
+            for name in ("y_coeffs", "z_coeffs"):
+                assert ([c.tobytes() for c in getattr(part, name)[k]]
+                        == [c.tobytes() for c in getattr(full, name)[lo + k]])
+
+
 CUSTOM = custom_drivers()
 
 
@@ -135,9 +213,11 @@ def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
 def test_sweep_holds_the_states_and_two_designs():
     # the sweep keeps the (N, m_inner) design states and builds each design
     # when its step comes, so at most x_i and x_{i+1} are alive (the designs
-    # of all 16 steps would take 7.7 MB here).  Besides, it holds about
-    # eleven m_inner arrays at once (terminal values, four buffers, y, z and
-    # the driver's outputs and temporaries), 1.7 MiB with this driver.
+    # of all 16 steps would take 7.7 MB here).  Its blocks of BLOCK_ROWS
+    # inner rows take 8 * 256 * (7 * 2 + 2 * 3) = 40,960 bytes: seven
+    # arrays of the two outer paths and one [x_i | D x_i].  Besides, it holds a few
+    # m_inner arrays (terminal values, dW_i / dt and the design's
+    # temporaries), about 0.5 MB.
     n, m_in = 16, 20_000
     grid = bl.make_grid(1.0, n)
     paths = bl.sample_paths(grid, (2, m_in), seed=3)
@@ -148,7 +228,9 @@ def test_sweep_holds_the_states_and_two_designs():
         lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
     states = 8 * n * m_in
     two_designs = 2 * 8 * m_in * (basis.degree + 1)
-    assert states <= peak < states + two_designs + 2 * 2 ** 20
+    blocks = 8 * lsmc.BLOCK_ROWS * (7 * 2 + 2 * (basis.degree + 1))
+    assert blocks == 40_960
+    assert states <= peak < states + two_designs + blocks + 2 ** 20
     _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
                                                     basis, paths))
 
@@ -192,7 +274,7 @@ def test_first_error_is_at_the_highest_failing_step():
     with pytest.raises(NumericError, match="at step 5$"):
         bl.solve_lsmc(*args)
     with pytest.raises(NumericError, match="at step 2$"):
-        reference_solve_lsmc(*args)
+        oracle_solve_lsmc(*args)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
@@ -206,33 +288,62 @@ def test_a_paths_non_finite_target_comes_before_the_steps_singular_gram():
     with pytest.raises(NumericError, match="at step 0$"):
         bl.solve_lsmc(*args, ridge=0.0)
     with pytest.raises(RegressionError, match="singular at step 0"):
-        reference_solve_lsmc(*args, ridge=0.0)
+        oracle_solve_lsmc(*args, ridge=0.0)
     # with every target finite the singular Gram is the error
     args = args[:4] + (_infinite_b_batch(grid, 200, [None, None]),)
     with pytest.raises(RegressionError, match="singular at step 0"):
         bl.solve_lsmc(*args, ridge=0.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
+@pytest.mark.parametrize("g", [("g_constant", [0.5]), ("g_zero", [])])
+def test_non_finite_target_at_the_highest_step_before_a_singular_gram(g):
+    # without a ridge the degree-2 Gram at W_0 = 0 is singular; path 0's dB
+    # is infinite at step 1, path 1's at step 3.  With g = 0 the terms are
+    # finite and their sum is not (an infinite dB_i times x_i' G = 0).
+    grid = bl.make_grid(1.0, 5)
+    args = (bl.driver_pair("f_linear", [1.0, 0.0], *g),
+            bl.builtin_terminal("w_terminal"), grid, bl.BasisSpec("poly", 2),
+            _infinite_b_batch(grid, 200, [1, 3]))
+    with pytest.raises(NumericError,
+                       match="^non-finite regression target at step 3$"):
+        bl.solve_lsmc(*args, ridge=0.0)
+    with pytest.raises(NumericError,
+                       match="^non-finite regression target at step 3$"):
+        reference_solve_lsmc(*args, ridge=0.0)
+    # the path-by-path oracle meets path 0's step 1 first
+    with pytest.raises(NumericError, match="at step 1$"):
+        oracle_solve_lsmc(*args, ridge=0.0)
+
+
 def test_design_byte_cap():
+    # the blocks: 8 * 256 rows * (7 * 64 outer paths + 2 * 1001 columns)
     with pytest.raises(CapacityError, match="design states would allocate "
-                       "102400000 bytes and the widest two consecutive designs "
-                       "3203200000 more: 3305600000 bytes, cap is 2147483648"):
-        lsmc.check_regression_bytes(200_000, [1001] * 64)
-    # the states and the widest consecutive pair: 8 * m * (N + 63 + 64)
+                       "102400000 bytes, the widest two consecutive designs "
+                       "3203200000 and the sweep's blocks 5017600 more: "
+                       "3310617600 bytes, cap is 2147483648"):
+        lsmc.check_regression_bytes(200_000, [1001] * 64, 64)
+    # the states and the widest consecutive pair, 8 * m * (N + 63 + 64), and
+    # the blocks of two outer paths, 8 * 256 * (7 * 2 + 2 * 64)
     widths = list(range(1, 65))
-    m = 2 ** 31 // (8 * (64 + 63 + 64))
-    lsmc.check_regression_bytes(m, widths)
+    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 64)) // (8 * (64 + 63 + 64))
+    lsmc.check_regression_bytes(m, widths, 2)
     with pytest.raises(CapacityError):
-        lsmc.check_regression_bytes(m + 1, widths)
-    # degree 2 at N = 64: 8 * m * (64 + 3 + 3)
-    lsmc.check_regression_bytes(3_834_792, [3] * 64)
+        lsmc.check_regression_bytes(m + 1, widths, 2)
+    # degree 2 at N = 64 with 64 outer paths: 8 * m * (64 + 3 + 3) and
+    # 8 * 256 * (7 * 64 + 2 * 3)
+    lsmc.check_regression_bytes(3_833_131, [3] * 64, 64)
     with pytest.raises(CapacityError):
-        lsmc.check_regression_bytes(3_834_793, [3] * 64)
+        lsmc.check_regression_bytes(3_833_132, [3] * 64, 64)
     # one step holds one design
-    m = 2 ** 31 // (8 * (1 + 5))
-    lsmc.check_regression_bytes(m, [5])
+    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 5)) // (8 * (1 + 5))
+    lsmc.check_regression_bytes(m, [5], 2)
     with pytest.raises(CapacityError):
-        lsmc.check_regression_bytes(m + 1, [5])
+        lsmc.check_regression_bytes(m + 1, [5], 2)
+    # fewer inner paths than a block: the blocks have m_inner rows,
+    # 8 * 100 * (7 * 500,000 + 2 * 1) bytes
+    with pytest.raises(CapacityError, match="blocks 2800001600 more"):
+        lsmc.check_regression_bytes(100, [1] * 4, 500_000)
 
 
 def _sliding_increments(grid, m_in, seed):
