@@ -211,7 +211,7 @@ class MCSolution:
     z_coeffs: list
     cond_numbers: np.ndarray          # (m_outer, N) Gram condition numbers
     final_se: np.ndarray              # (m_outer,) inner-sample SE of the
-                                      # step-0 y target (``_final_se``)
+                                      # step-0 y target (``solve_lsmc``)
 
     @property
     def m_outer(self) -> int:
@@ -268,10 +268,9 @@ def _driver_blocks(driver: DriverSpec, t: float, x_next: np.ndarray,
 
 
 def _final_se(blocks, b: np.ndarray, dt: float, m_in: int) -> np.ndarray:
-    """Inner-sample standard error of each path's step-0 y target
-    T = (Y_1 + dt F) + G dB_0, in two passes over ``blocks()``: the first
-    sums T into its mean T_bar, the second sums (T - T_bar)^2 into S, and
-    the result is sqrt(S / m_inner) / sqrt(m_inner)."""
+    """``final_se`` as ``solve_lsmc`` defines it, in two passes over
+    ``blocks()``: the step-0 y targets' mean, then their squared
+    deviations."""
     def targets():
         for _, _, y, f, g in blocks():
             yield y + dt * f + g * b
@@ -290,8 +289,12 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     serve every outer path at once, projecting x_{i+1}, F and G rather than
     the targets (see the module docstring), and one stacked solve gives
     every path's two coefficient vectors.  A path's estimates are bitwise
-    the same in any batch of two or more outer paths.  ``final_se`` is
-    formed as ``_final_se`` documents.
+    the same in any batch of two or more outer paths.
+
+    ``final_se`` is the inner-sample standard error of the step-0 y target
+    T = (Y_1 + dt F) + G dB_0: sqrt(S / m_inner) / sqrt(m_inner), with S
+    the sum of (T - T_bar)^2 over the inner sample, from two blocked
+    passes at step 0 (the first for the mean T_bar, the second for S).
 
     Raises ``NumericError`` ("non-finite regression target at step i") when
     a path's right-hand side at step i is not finite.  That is the case when
