@@ -122,10 +122,16 @@ class DriverSpec:
 
 def _const(c: float) -> DriverPart:
     value = np.float64(c)
+    views = {}
 
     def part(t, y, z):
-        # a read-only view of one value; outputs are only read
-        return np.broadcast_to(value, np.shape(y))
+        # one read-only zero-stride view of the value per shape, made on
+        # the first call with that shape; outputs are only read
+        shape = np.shape(y)
+        out = views.get(shape)
+        if out is None:
+            out = views[shape] = np.broadcast_to(value, shape)
+        return out
 
     return part
 

@@ -15,11 +15,12 @@ Backends:
   recursion with Z == 0; grids up to 10**6 steps.
 * ``tree``: the exact lattice solver; N <= 20.
 
-All iterates of one schedule share a single fixed convolution grid centred
-at the origin, so the monotonicity of the regularized drifts in the slope
-carries to the solved fields exactly (the logged violations are pure
-round-off).  The convolution tables read the drift at t = 0, so the drift
-must be declared time-invariant.
+All iterates of one envelope, on both sides, share a single fixed
+convolution grid centred at the origin, so the monotonicity of the
+regularized drifts in the slope carries to the solved fields exactly (the
+logged violations are pure round-off).  The convolution tables read the
+drift at t = 0, so the drift must be declared time-invariant; a drift free
+of z is sampled on the grid once per envelope.
 
 Convergence is declared in the sup-node distance between consecutive
 iterates.  The slope schedule cannot outrun the time grid: the explicit
@@ -194,11 +195,12 @@ def _lower_bound_field(driver: DriverSpec, terminal: TerminalSpec,
     return solve_tree(u_spec, terminal, grid).ys
 
 
-def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
-                   grid: TimeGrid, schedule, tol, backend,
-                   conv_tol, conv_radius, u_field=None) -> EnvelopeSide:
-    """One envelope side; ``u_field`` is the companion's solved field when
-    the other side already has it."""
+def _shared_inputs(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
+                   schedule, tol, backend, conv_tol, conv_radius):
+    """What both sides of one envelope share, checked and computed once:
+    the slope schedule, the convolution grid (which keeps the drift's
+    samples for every table of the envelope), the scalar backend's terminal
+    constant and the lower-bound companion's solved field."""
     if driver.growth_k is None or driver.growth_d is None:
         raise ValueError("envelope computation needs the growth constants K, D")
     if backend not in ("scalar", "tree"):
@@ -223,10 +225,14 @@ def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
     xi_const = None
     if backend == "scalar":
         xi_const = _check_scalar_applicable(driver, terminal, grid)
+    u_field = _lower_bound_field(driver, terminal, grid, backend, xi_const)
+    return schedule, grid_spec, xi_const, u_field
 
-    if u_field is None:
-        u_field = _lower_bound_field(driver, terminal, grid, backend, xi_const)
 
+def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
+                   grid: TimeGrid, tol, backend, shared) -> EnvelopeSide:
+    """One envelope side from the :func:`_shared_inputs` of its envelope."""
+    schedule, grid_spec, xi_const, u_field = shared
     iterates: list[IterateRecord] = []
     prev_y = None
     y_field = z_field = None
@@ -281,8 +287,9 @@ def maximal_solution(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     consecutive iterates (0 always exhausts the schedule); ``conv_tol``
     bounds the convolution grid error 2 n spacing (defaults to ``tol``).
     """
-    return _envelope_side("sup", driver, terminal, grid, schedule, tol,
-                          backend, conv_tol, conv_radius)
+    return _envelope_side("sup", driver, terminal, grid, tol, backend,
+                          _shared_inputs(driver, terminal, grid, schedule, tol,
+                                         backend, conv_tol, conv_radius))
 
 
 def minimal_solution(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
@@ -290,8 +297,9 @@ def minimal_solution(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                      conv_tol: float | None = None,
                      conv_radius: float | None = None) -> EnvelopeSide:
     """Smallest solution: inf-convolved drifts, nondecreasing iterates."""
-    return _envelope_side("inf", driver, terminal, grid, schedule, tol,
-                          backend, conv_tol, conv_radius)
+    return _envelope_side("inf", driver, terminal, grid, tol, backend,
+                          _shared_inputs(driver, terminal, grid, schedule, tol,
+                                         backend, conv_tol, conv_radius))
 
 
 def compute_envelope(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
@@ -299,11 +307,12 @@ def compute_envelope(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
                      conv_tol: float | None = None,
                      conv_radius: float | None = None) -> EnvelopeResult:
     """Both envelope sides on a common grid and convolution resolution,
-    sharing one solve of the lower-bound companion."""
-    mx = maximal_solution(driver, terminal, grid, schedule, tol, backend,
-                          conv_tol, conv_radius)
-    mn = _envelope_side("inf", driver, terminal, grid, schedule, tol, backend,
-                        conv_tol, conv_radius, u_field=mx.u)
+    sharing one solve of the lower-bound companion and one sampling of the
+    drift on the convolution grid."""
+    shared = _shared_inputs(driver, terminal, grid, schedule, tol, backend,
+                            conv_tol, conv_radius)
+    mx = _envelope_side("sup", driver, terminal, grid, tol, backend, shared)
+    mn = _envelope_side("inf", driver, terminal, grid, tol, backend, shared)
     ok, worst, where = fld.nodewise_leq(mn.y, mx.y, 10.0 * grid.dt * (1.0 + fld.max_abs(mx.y)))
     if not ok:
         raise InvariantError(

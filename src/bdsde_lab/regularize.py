@@ -43,7 +43,13 @@ GRID_CAPACITY = 10_000_000
 class ConvGridSpec:
     """Candidate grid for the truncated convolutions: the nodes
     ``spacing * k`` for k = -m..m, m = ceil(radius / spacing), one fixed grid
-    centred at the origin along y and along z."""
+    centred at the origin along y and along z.
+
+    A spec also keeps, outside its fields, the 1-d samples of the drift
+    parts convolved on it: per part, the grid and the part's values on it
+    at t = 0, both read-only, made by the first table build and read by
+    every later one whatever its slope and mode.  They live as long as the
+    spec does; an envelope makes one spec for its two sides."""
 
     radius: float
     spacing: float
@@ -55,6 +61,8 @@ class ConvGridSpec:
             raise ValueError("radius must be positive")
         if self.spacing > self.radius:
             raise ValueError("spacing must not exceed radius")
+        # id(part) -> (part, grid, values); holding the part keeps its id
+        object.__setattr__(self, "_samples_1d", {})
 
     def half_count(self, dims: int = 2) -> int:
         m = int(np.ceil(self.radius / self.spacing))
@@ -75,17 +83,19 @@ class ConvolvedPart:
     """Callable (t, y, z) -> value computing the truncated convolution of a
     time-invariant base on the fixed grid.
 
-    The base is read at t = 0 once, when the first probe builds a value
-    table; later probes interpolate that table whatever their t.  Two
-    tables, picked by ``z_independent``:
+    The first probe builds a value table; later probes interpolate that
+    table whatever their t.  Two tables, picked by ``z_independent``:
 
     * z-independent base: a 1-d table on the grid, built by the exact
       two-pass distance transform and evaluated by linear interpolation
       (which preserves both the n-Lipschitz property and monotonicity in n
-      exactly); :meth:`scalar_drift` hands the scalar recursion a
-      plain-float probe of it, bitwise as ``np.interp``;
+      exactly), from the grid and base values at t = 0 kept on ``spec``
+      for as long as it lives (see :class:`ConvGridSpec`); each table is
+      the transform's own copy; :meth:`scalar_drift` hands the scalar
+      recursion a plain-float probe of it, bitwise as ``np.interp``;
     * z-dependent base: a separable two-stage table (inner transform along
-      z, outer scan along y) with the same exactness properties.
+      z, outer scan along y) with the same exactness properties, the base
+      read at t = 0 by each table build.
 
     ``boundary_hits`` counts evaluations whose optimizer landed on the edge
     of the candidate box, the failure signature of too small a radius.  It
@@ -159,9 +169,15 @@ class ConvolvedPart:
         return self.spec.spacing * np.arange(-m, m + 1)
 
     def _build_table_1d(self):
-        grid = self._fixed_grid(dims=1)
-        # a 0-d z, not a grid-sized zeros array; the transform copies anyway
-        vals = np.broadcast_to(self.base(0.0, grid, _ZERO), grid.shape)
+        samples = self.spec._samples_1d
+        hit = samples.get(id(self.base))
+        if hit is None:
+            grid = self._fixed_grid(dims=1)
+            # a 0-d z, not a grid-sized zeros array; the transform copies
+            vals = np.broadcast_to(self.base(0.0, grid, _ZERO), grid.shape)
+            grid.flags.writeable = False
+            hit = samples[id(self.base)] = (self.base, grid, vals)
+        _, grid, vals = hit
         tab = self._transform_1d(vals, self.n * self.spec.spacing, self.mode)
         self._table = (grid, tab)
 
@@ -202,13 +218,13 @@ class ConvolvedPart:
         """The plain-float step function ``(t, y) -> value`` of a 1-d
         table: one probe with the operations of ``np.interp`` in the same
         order, so the value is bitwise the one of :meth:`_eval_table_1d`,
-        and the same boundary-hit count.  The first probe builds the table
-        as any first evaluation does; the probe reads it through a
-        memoryview, not a copy.  A 2-d table has none (``None``)."""
+        and the same boundary-hit count.  It builds the table if no
+        evaluation has; the probe reads it through a memoryview, not a
+        copy.  A 2-d table has none (``None``)."""
         if not self.z_independent:
             return None
         if self._table is None:
-            self(0.0, 0.0, 0.0)
+            self._build_table_1d()
         grid, tab = self._table
         last = grid.size - 1
         half = last // 2

@@ -109,6 +109,22 @@ class TestDriverCatalog:
             assert got.tobytes() == np.full_like(y, 0.7).tobytes()
             assert float((d.f if name.startswith("f") else d.g)(0.5, 0.2, 0.0)) == 0.7
 
+    def test_constant_parts_keep_one_read_only_view_per_shape(self):
+        inputs = [0.2, np.asarray(0.2), np.linspace(-1.0, 1.0, 5),
+                  np.zeros((3, 4)), np.zeros((4, 3))]
+        for name in ("f_constant", "g_constant"):
+            d = bl.builtin_driver(name, [0.7])
+            part = d.f if name.startswith("f") else d.g
+            # twice over, so the second pass reads the views of the first
+            outs = [[part(0.5, y, y) for y in inputs] for _ in range(2)]
+            for y, first, again in zip(inputs, *outs):
+                assert again is first
+                assert first.shape == np.shape(y) and first.dtype == np.float64
+                assert not first.flags.writeable
+                assert first.tobytes() == np.full(np.shape(y), 0.7).tobytes()
+                with pytest.raises(ValueError):
+                    first[...] = 0.0
+
     def test_missing_growth_metadata_rejected(self):
         with pytest.raises(ContractViolation):
             bl.DriverSpec(f=lambda t, y, z: y, g=lambda t, y, z: 0 * y)

@@ -189,10 +189,11 @@ class TestLowerBoundCompanion:
         env = bl.compute_envelope(dataclasses.replace(driver, f=counted),
                                   terminal, grid, schedule=[2, 4, 8], tol=0.0,
                                   backend="scalar", conv_tol=0.05)
-        # the companion base f(0, 0, 0) is read once; every other call is
-        # one convolution table build over the whole grid
-        assert shapes.count((1,)) == 1
-        assert len(shapes) == 1 + len(env.maximal.iterates) + len(env.minimal.iterates)
+        # the companion base f(0, 0, 0) is read once, and the drift is
+        # sampled on the whole convolution grid once for all six tables
+        assert len(env.maximal.iterates) == len(env.minimal.iterates) == 3
+        grid_size = 2 * env.maximal.final_reg_spec.f.spec.half_count(dims=1) + 1
+        assert shapes == [(1,), (grid_size,)]
         assert env.minimal.u is env.maximal.u
         # the per-step companion, reading f(t, 0, 0) through numpy each step
         k, zero = driver.growth_k, np.zeros(1)

@@ -223,6 +223,147 @@ class TestScalarProbe:
             assert _bits(step(0.0, y)) == _bits(op(0.0, np.asarray(y), ZERO))
 
 
+# --------------------------------------------------------------------------
+# the drift's samples on the grid, shared by every table of an envelope
+# --------------------------------------------------------------------------
+
+def _table_sampled_per_build(base, n, spec, mode):
+    """(grid, table) as a build sampling the base on its own grid forms it."""
+    m = spec.half_count(dims=1)
+    grid = spec.spacing * np.arange(-m, m + 1)
+    vals = np.broadcast_to(base(0.0, grid, ZERO), grid.shape)
+    return grid, ConvolvedPart._transform_1d(vals, n * spec.spacing, mode)
+
+
+def _fresh_table(base, n, spec, mode):
+    """The table of a fresh operator on a fresh spec equal to ``spec``."""
+    op = ConvolvedPart(base, n, ConvGridSpec(spec.radius, spec.spacing), mode,
+                       z_independent=True)
+    op._build_table_1d()
+    return op._table
+
+
+def _z_free_catalog_drifts():
+    entries = catalog_driver_specs()[0] + [(name, params)
+                                           for name, params, _, _ in TABLES]
+    drifts = [bl.driver_pair(name, params) for name, params in entries]
+    return [d for d in drifts if d.f_z_independent]
+
+
+class TestSharedSamples:
+    def test_envelope_tables_match_fresh_operators(self, monkeypatch):
+        build = ConvolvedPart._build_table_1d
+        built = []
+
+        def recording(op):
+            build(op)
+            built.append(op)
+
+        monkeypatch.setattr(ConvolvedPart, "_build_table_1d", recording)
+        terminal = bl.builtin_terminal("constant", [0.25])
+        grid = bl.make_grid(1.0, 64)
+        drifts = _z_free_catalog_drifts()
+        assert len(drifts) >= 4
+        for driver in drifts:
+            built.clear()
+            first = max(driver.growth_k, 1.0)
+            schedule = [first, 2.0 * first, 4.0 * first]
+            env = bl.compute_envelope(driver, terminal, grid, schedule=schedule,
+                                      tol=0.0, backend="scalar", conv_tol=0.05)
+            ops = list(built)           # the fresh builds below record too
+            # every slope on both sides, all on one spec and one sampling
+            assert sorted((op.mode, op.n) for op in ops) == sorted(
+                (mode, n) for mode in ("inf", "sup") for n in schedule)
+            spec = env.maximal.final_reg_spec.f.spec
+            assert all(op.spec is spec for op in ops)
+            assert list(spec._samples_1d) == [id(driver.f)]
+            for op in ops:
+                grid_nodes, tab = op._table
+                want_grid, want_tab = _fresh_table(driver.f, op.n, spec, op.mode)
+                assert grid_nodes.tobytes() == want_grid.tobytes(), driver.descriptor
+                assert tab.tobytes() == want_tab.tobytes(), (driver.descriptor,
+                                                             op.mode, op.n)
+
+    def test_samples_read_only_and_unchanged_by_builds(self):
+        base = bl.builtin_driver("f_sqrt_pos", [2.0]).f
+        spec = ConvGridSpec(radius=RADIUS, spacing=0.0125)
+        sup = ConvolvedPart(base, 16.0, spec, "sup", z_independent=True)
+        sup._build_table_1d()
+        part, grid, vals = spec._samples_1d[id(base)]
+        assert part is base
+        before = grid.tobytes(), vals.tobytes()
+        assert not grid.flags.writeable and not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0] = 1.0
+        inf = ConvolvedPart(base, 16.0, spec, "inf", z_independent=True)
+        inf._build_table_1d()
+        assert (grid.tobytes(), vals.tobytes()) == before
+        assert sup._table[0] is inf._table[0] is grid
+        # each table is its own array, apart from the samples and each other
+        for a, b in [(sup._table[1], vals), (inf._table[1], vals),
+                     (sup._table[1], inf._table[1])]:
+            assert not np.shares_memory(a, b)
+        assert len(spec._samples_1d) == 1
+
+    def test_samples_are_per_part_and_per_spec(self):
+        first = bl.builtin_driver("f_sqrt_pos", [2.0]).f
+        second = bl.builtin_driver("f_constant", [0.8]).f
+        spec, equal = (ConvGridSpec(radius=RADIUS, spacing=0.0125) for _ in range(2))
+        other = ConvGridSpec(radius=RADIUS, spacing=0.03)
+        assert spec == equal and hash(spec) == hash(equal)
+        ops = [ConvolvedPart(base, 4.0, s, "sup", z_independent=True)
+               for base, s in [(first, spec), (second, spec), (first, equal),
+                               (first, other)]]
+        for op in ops:
+            op._build_table_1d()
+            want_grid, want_tab = _table_sampled_per_build(op.base, 4.0, op.spec, "sup")
+            assert op._table[0].tobytes() == want_grid.tobytes()
+            assert op._table[1].tobytes() == want_tab.tobytes()
+        assert sorted(spec._samples_1d) == sorted([id(first), id(second)])
+        assert list(equal._samples_1d) == [id(first)]
+        assert list(other._samples_1d) == [id(first)]
+        samples = [spec._samples_1d[id(first)], spec._samples_1d[id(second)],
+                   equal._samples_1d[id(first)], other._samples_1d[id(first)]]
+        for i, a in enumerate(samples):
+            for b in samples[i + 1:]:
+                assert a[1] is not b[1] and a[2] is not b[2]
+
+    @pytest.mark.parametrize("base", [
+        lambda t, y, z: y,                      # its own argument
+        lambda t, y, z: np.float64(0.7),        # a 0-d value
+        lambda t, y, z: 1.5,                    # a plain float
+    ], ids=["own_argument", "numpy_0d", "python_float"])
+    def test_custom_drifts_give_the_per_build_table(self, base):
+        spec = ConvGridSpec(radius=RADIUS, spacing=0.03)
+        for n in (2.0, 8.0):
+            for mode in ("sup", "inf"):
+                op = ConvolvedPart(base, n, spec, mode, z_independent=True)
+                op._build_table_1d()
+                want_grid, want_tab = _table_sampled_per_build(base, n, spec, mode)
+                assert op._table[0].tobytes() == want_grid.tobytes()
+                assert op._table[1].tobytes() == want_tab.tobytes()
+
+    def test_boundary_hits_of_probes_leaving_the_box(self):
+        # the maximal side climbs to about 1, out of a box of radius 0.5
+        driver = bl.driver_pair("f_sqrt_pos", [2.0])
+        terminal = bl.builtin_terminal("constant", [0.0])
+        grid = bl.make_grid(1.0, 64)
+        env = bl.compute_envelope(driver, terminal, grid, schedule=[2, 4, 8],
+                                  tol=0.0, backend="scalar", conv_tol=0.05,
+                                  conv_radius=0.5)
+        spec = env.maximal.final_reg_spec.f.spec
+        for side in (env.maximal, env.minimal):
+            hits = 0
+            for rec in side.iterates:
+                op = ConvolvedPart(driver.f, rec.n,
+                                   ConvGridSpec(spec.radius, spec.spacing),
+                                   side.mode, z_independent=True)
+                assert _scalar_solve(op, grid, 0.0).tobytes() == rec.field.tobytes()
+                hits += op.boundary_hits
+            assert side.boundary_hits == hits
+        assert env.maximal.boundary_hits > 0
+
+
 # floats of every kind: signed zeros, subnormals, infinities and NaN
 any_float = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
