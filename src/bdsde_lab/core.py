@@ -198,7 +198,12 @@ def _build_f(name: str, params: Sequence[float]) -> dict:
         a_z0 = a_z * 0.0
 
         def f(t, y, z):
-            return a_y * np.asarray(y, dtype=float) + a_z * np.asarray(z, dtype=float)
+            out = a_y * np.asarray(y, dtype=float)
+            z_part = a_z * np.asarray(z, dtype=float)
+            if np.shape(out) != np.shape(z_part):     # broadcast
+                return out + z_part
+            out += z_part       # one temporary fewer than out + z_part
+            return out
 
         lip = max(abs(a_y), abs(a_z))
         return dict(f=_with_twin(f, lambda t, y: a_y * y + a_z0), growth_k=lip,

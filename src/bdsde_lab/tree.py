@@ -75,6 +75,10 @@ FORWARD_MAX_BYTES = 8 * 2 ** 24
 # takes 2.5 MiB, where the whole (2**N, N) array would take 160 MiB), and
 # columns per block of a backward step.
 LEAF_BLOCK = 2 ** 14
+# Values per chunk of the pass that writes and summarizes a step (256 KiB,
+# reduced while in cache); a power of two of at least numpy's pairwise
+# summation block of 128.
+CHUNK = 2 ** 15
 
 
 def stability_margin(driver: DriverSpec, dt: float) -> float:
@@ -109,22 +113,30 @@ def _up_counts(n: int) -> np.ndarray:
     return ups
 
 
-def _terminal_values(terminal: TerminalSpec, grid: TimeGrid) -> np.ndarray:
-    """The terminal at every leaf, shape (2**N,).
-
-    A terminal with a W_T form is evaluated once on the N + 1 lattice
-    levels sqrt(dt) (2k - N), and each leaf takes the level of its k
-    up-steps: W_T exactly as the recombining lattice has it.  Any other
-    terminal is evaluated on blocks of ``LEAF_BLOCK`` leaves; it gives each
-    leaf a value from its own row of increments alone (the contract of
-    ``TerminalSpec``), so the values are those of one call on
-    :func:`leaf_increments`, and no (2**N, N) array is held."""
+def _terminal_levels(terminal: TerminalSpec, grid: TimeGrid):
+    """A terminal's W_T form on the N + 1 lattice levels sqrt(dt) (2k - N),
+    the value at every leaf of k up-steps; None without that form."""
+    if terminal.of_w_t is None:
+        return None
     n = grid.steps
-    if terminal.of_w_t is not None:
-        levels = np.sqrt(grid.dt) * (2.0 * np.arange(n + 1) - n)
-        values = np.broadcast_to(
-            np.asarray(terminal.of_w_t(levels), dtype=float), levels.shape)
-        return values[_up_counts(n)]
+    levels = np.sqrt(grid.dt) * (2.0 * np.arange(n + 1) - n)
+    return np.array(np.broadcast_to(
+        np.asarray(terminal.of_w_t(levels), dtype=float), levels.shape))
+
+
+def _terminal_values(terminal: TerminalSpec, grid: TimeGrid) -> np.ndarray:
+    """The terminal at every leaf, shape (2**N,), for the residual and the
+    glue; a solve from a W_T form starts from its levels instead.
+
+    A leaf takes the level of its k up-steps (:func:`_terminal_levels`).
+    A terminal without a W_T form is evaluated on blocks of ``LEAF_BLOCK``
+    leaves; it gives each leaf a value from its own row of increments
+    alone (the contract of ``TerminalSpec``), so the values are those of
+    one call on :func:`leaf_increments`, and no (2**N, N) array is held."""
+    n = grid.steps
+    levels = _terminal_levels(terminal, grid)
+    if levels is not None:
+        return levels[_up_counts(n)]
     size = 2 ** n
     xi = np.empty(size)
     for start in range(0, size, LEAF_BLOCK):
@@ -170,28 +182,18 @@ class LatticeField(Sequence):
         rows, cls = self.rows[i], self.classes[i]
         return rows.shape if cls is None else (cls.size, rows.shape[1])
 
-    def build(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+    def build(self, i: int) -> np.ndarray:
         """Step i, as :func:`_build` gives it from the stored form."""
-        return _build(self.rows[i], self.classes[i], out)
+        return _build(self.rows[i], self.classes[i])
 
 
-def _build(rows: np.ndarray, cls, out: np.ndarray | None = None) -> np.ndarray:
+def _build(rows: np.ndarray, cls) -> np.ndarray:
     """The step stored as class ``rows`` and row map ``cls``: ``rows`` itself
     when every row is its own class (``cls`` None), else the rows gathered
-    through the map, into the flat buffer ``out`` of 2**N entries when one
-    is given.  Into ``out`` the rows are gathered in chunks, so that
-    np.take's intp copy of the map takes at most an eighth of the buffer's
-    size."""
+    through the map."""
     if cls is None:
         return rows
-    if out is None:
-        step = np.take(rows, cls, axis=0, mode="clip")
-    else:
-        step = out.reshape(cls.size, rows.shape[1])
-        chunk = max(1, out.size // 8)
-        for a in range(0, cls.size, chunk):
-            np.take(rows, cls[a:a + chunk], axis=0,
-                    out=step[a:a + chunk], mode="clip")
+    step = np.take(rows, cls, axis=0, mode="clip")
     step.setflags(write=False)
     return step
 
@@ -281,6 +283,41 @@ def _row_classes(rows: np.ndarray):
     return cls, (rows if cls is None else compact)
 
 
+def _level_start(levels: np.ndarray):
+    """``(lev, rows)``: the leaves of the N + 1 ``levels`` grouped as
+    :func:`_row_classes` groups the leaf field, ``lev[k]`` the class of the
+    leaves of k up-steps; ``lev`` None and the leaf field when every leaf
+    is its own class (N <= 1).  Every level is some leaf's."""
+    n = levels.size - 1
+    keys = levels.view(np.int64)
+    distinct = _distinct(keys)
+    if distinct.size == 2 ** n:
+        return None, levels[_up_counts(n)].reshape(-1, 1)
+    return (np.searchsorted(distinct, keys).astype(np.int32),
+            distinct.view(np.float64).reshape(-1, 1))
+
+
+def _level_classes(lev: np.ndarray, count: int, i: int):
+    """:func:`_pair_classes` for step i from ``lev``, the level map of step
+    i + 1: ``(lev, pairs)`` with the level map of step i.  The children of
+    a row of k up-steps have k and k + 1, and every k = 0..i occurs, so
+    the pairs are those of the levels; when they number 2**i (steps 0 and
+    1 alone), each row is its own class, in row order, and ``lev`` None."""
+    keys = lev[:-1].astype(np.int64)
+    keys *= count
+    keys += lev[1:]
+    distinct = _distinct(keys)
+    if distinct.size == 2 ** i:
+        return None, lev[_up_counts(i + 1)].reshape(-1, 2)
+    return (np.searchsorted(distinct, keys).astype(np.int32),
+            np.stack(np.divmod(distinct, count), axis=1))
+
+
+def _row_map(cls, lev, i: int):
+    """Step i's row map: ``cls``, or ``lev`` at each row's up-step count."""
+    return cls if lev is None else lev[_up_counts(i)]
+
+
 def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
                  start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
@@ -290,12 +327,18 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     generator drops step i + 1 once step i is formed, so it holds two steps
     at most; a consumer that keeps no earlier step holds no more.
 
+    ``start_y`` is the field at the start step s, shape (2**s, 2**(N-s)),
+    or at s = N the N + 1 levels of :func:`_terminal_levels`.
+
     The sweep runs on classes of rows, not on rows.  The start field's rows
     are grouped by their bytes; at each step a row's class is the pair of
     its two children's classes.  Rows of one class hold the same bytes,
     because the step is a pointwise map of the two children's rows, so the
     driver, the finiteness check and the step's ufuncs run once per class
     on compact ``(classes, columns)`` arrays, and these are what is yielded.
+    From levels the classes are formed per up-step count, with no leaf
+    field built and no row key sorted; the maps and numbering are the
+    same.
 
     Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
     column c of the children gives columns c and c + m of the new rows
@@ -311,26 +354,35 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     sq = np.sqrt(dt)
     two_sq = 2.0 * sq
     y_start = np.asarray(start_y, dtype=float)
-    if y_start.shape != (2 ** start_step, 2 ** (n - start_step)):
+    # cls: class of every row of the step last written, or lev: class of
+    # its rows of each up-step count (both None: each row is its own
+    # class); cy, cz: one row per class
+    cls = lev = None
+    if start_step == n and y_start.shape == (n + 1,):
+        lev, cy = _level_start(y_start)
+    elif y_start.shape == (2 ** start_step, 2 ** (n - start_step)):
+        cls, cy = _row_classes(y_start)
+    else:
         raise ValueError(
             f"start field has shape {y_start.shape}, expected "
             f"{(2 ** start_step, 2 ** (n - start_step))}"
         )
-    # cls: class of every row of the step last written (None: each row is
-    # its own class); cy, cz: one row per class
-    cls, cy = _row_classes(y_start)
     # when the generator holds the only reference (a temporary passed in,
     # as solve_tree_steps does), this frees a start field that was grouped
     # into classes; CPython 3.11+ hands call arguments to the callee's frame
     del start_y, y_start
     cz = np.zeros(cy.shape)
-    yield start_step, cy, cz, cls
+    yield start_step, cy, cz, _row_map(cls, lev, start_step)
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
         count, m = cy.shape
-        if cls is None:
+        new_cls = new_lev = None
+        if lev is not None:
+            new_lev, pairs = _level_classes(lev, count, i)
+            rows = pairs.shape[0]
+        elif cls is None:
             # the children of row h are rows 2h and 2h+1
-            rows, pairs, new_cls = 2 ** i, None, None
+            rows, pairs = 2 ** i, None
         else:
             new_cls, pairs = _pair_classes(cls, count)
             rows = pairs.shape[0]
@@ -342,7 +394,8 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
                 # the first node in C order may sit in a later block
                 fv, gv = _driver_values(driver, t_next, cy, cz)
                 raise NumericError(f"non-finite driver value at step {i + 1}",
-                                   where=_first_non_finite(fv, gv, cls))
+                                   where=_first_non_finite(
+                                       fv, gv, _row_map(cls, lev, i + 1)))
             y_blk, z_blk = y_new[:, :, lo:hi], z_new[:, :, lo:hi]
             # y + dt f goes to the block of the new z array (there are at
             # most twice as many child classes as classes); its branch
@@ -374,9 +427,9 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
             np.subtract(a_mean, g_mean_sq, out=y_blk[:, 0, :])
             np.add(a_mean, g_mean_sq, out=y_blk[:, 1, :])
             del fv, gv, g3      # free before the next driver call
-        cls = new_cls
+        cls, lev = new_cls, new_lev
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
-        yield i, cy, cz, cls
+        yield i, cy, cz, _row_map(cls, lev, i)
 
 
 def _fields(steps, last: int):
@@ -423,6 +476,9 @@ def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
     step-size guard, evaluate the terminal and return the backward sweep
     from it, the generator of :func:`_sweep_steps` (steps N down to 0).
 
+    A terminal with a W_T form enters the sweep as its N + 1 levels, any
+    other as its leaf field.
+
     Requires N <= 20; a larger N raises ``CapacityError`` before anything
     is allocated.  Deterministic: node iteration order cannot affect the
     result because every step is a closed-form map of the previous step's
@@ -440,6 +496,9 @@ def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
             RuntimeWarning,
             stacklevel=3,
         )
+    levels = _terminal_levels(terminal, grid)
+    if levels is not None:
+        return _sweep_steps(driver, grid, n, levels)
     # a temporary start field, so that the sweep can free it
     return _sweep_steps(driver, grid, n,
                         _terminal_values(terminal, grid).reshape(2 ** n, 1))
@@ -521,24 +580,116 @@ def tree_residual(sol: TreeSolution, driver: DriverSpec,
 
 
 def expectation_at(sol: TreeSolution, i: int) -> dict:
-    """Summary of Y_i under the uniform product measure on the lattice."""
+    """Summary of Y_i under the uniform product measure on the lattice
+    (:func:`_pass`)."""
     if not 0 <= i <= sol.steps:
         raise ValueError(f"step index {i} out of range 0..{sol.steps}")
-    # one buffer of 2**N values: the step is built into it (or read where
-    # it is stored whole), then its square is written over it
-    buf = np.empty(2 ** sol.steps)
-    return _summary(sol.ys.build(i, out=buf), buf)
+    return _pass(sol.ys.rows[i], sol.ys.classes[i], summarize=True)
 
 
-def _summary(y: np.ndarray, buf: np.ndarray) -> dict:
-    """Mean, min, max and mean square of the step ``y``; its squares are
-    written over ``buf``, 2**N entries, which may hold ``y`` itself."""
-    summary = {"mean": float(np.mean(y)), "min": float(np.min(y)),
-               "max": float(np.max(y))}
-    y_sq = buf.reshape(y.shape)
-    np.multiply(y, y, out=y_sq)
-    summary["mean_square"] = float(np.mean(y_sq))
-    return summary
+def _chunks(rows: np.ndarray, cls, size: int):
+    """The step stored as ``rows`` and ``cls`` (:func:`_build`) in chunks of
+    ``size`` float64 values, a power of two no larger than the step:
+    ``(starts, chunk)``, each chunk once with every start at which the
+    step holds it.  A chunk is a view of the step or of one class row, or
+    gathered over several rows into one buffer.  Chunks over rows of the
+    same classes are gathered once: in a solve from levels, a chunk of
+    2**j rows from row h holds the classes of up-step counts popcount(h) +
+    0..j, so step N has at most N - j + 1 distinct chunks."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if cls is None:
+        flat = rows.reshape(-1)
+        for start in range(0, flat.size, size):
+            yield [start], flat[start:start + size]
+        return
+    width = rows.shape[1]
+    if width >= size:
+        for c in _distinct(cls):
+            members = np.flatnonzero(cls == c) * width
+            for a in range(0, width, size):
+                yield (members + a).tolist(), rows[c, a:a + size]
+        return
+    per = size // width
+    # one group per run of equal map slices, found through their first and
+    # last class and checked whole
+    groups, latest = [], {}
+    for h in range(0, cls.size, per):
+        part = cls[h:h + per]
+        group = latest.get((part[0], part[-1]))
+        if group is None or not np.array_equal(cls[group[0]:group[0] + per],
+                                               part):
+            group = latest[part[0], part[-1]] = (h, [])
+            groups.append(group)
+        group[1].append(h * width)
+    buf = np.empty(size)
+    for h, starts in groups:
+        np.take(rows, cls[h:h + per], axis=0, out=buf.reshape(per, width),
+                mode="clip")
+        yield starts, buf
+
+
+def _pairwise(sums: list):
+    """The sum of a power-of-two count of partial sums, added in adjacent
+    pairs level by level."""
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
+def _pass(rows: np.ndarray, cls, write=None, summarize: bool = False):
+    """One pass over the step stored as ``rows`` and ``cls`` in chunks of
+    ``CHUNK`` values (:func:`_chunks`), each handed to ``write(start,
+    chunk)`` at every start that holds it and, with ``summarize``, reduced
+    once while in cache: returns the mean, min, max and mean square of the
+    step, else None.
+
+    These hold the bits numpy gives over the step built whole.  numpy sums
+    a contiguous array pairwise, halving a power-of-two count down to
+    blocks of 128, so the chunk sums are nodes of its tree and
+    :func:`_pairwise` adds them as it does.  A step that holds a NaN (its
+    extremes are NaN), or zeros of both signs where an extreme is zero, is
+    summarized from the step built whole: there the sign a sum or an
+    extreme takes follows numpy's order over the whole step.  (The NaN of inf - inf has
+    one sign, whatever the order.)"""
+    size = rows.shape[1] * (rows.shape[0] if cls is None else cls.size)
+    size_chunk = min(CHUNK, size)
+    if summarize:
+        squares = np.empty(size_chunk)
+        # sums by chunk position, extremes by distinct chunk
+        count = size // size_chunk
+        sums, square_sums, lows, highs = [None] * count, [None] * count, [], []
+        zero_signs = set()      # signs of the zeros of chunks with a zero extreme
+    for starts, chunk in _chunks(rows, cls, size_chunk):
+        if write is not None:
+            for start in starts:
+                write(start, chunk)
+        if not summarize:
+            continue
+        total = np.add.reduce(chunk)
+        np.multiply(chunk, chunk, out=squares)
+        total_square = np.add.reduce(squares)
+        for start in starts:
+            sums[start // size_chunk] = total
+            square_sums[start // size_chunk] = total_square
+        lows.append(chunk.min())
+        highs.append(chunk.max())
+        if lows[-1] == 0.0 or highs[-1] == 0.0:
+            signs = np.signbit(chunk[chunk == 0.0])
+            zero_signs.update((signs.min(), signs.max()))
+    if not summarize:
+        return None
+    mean = _pairwise(sums) / size
+    mean_square = _pairwise(square_sums) / size
+    # a zero extreme is held by every zero of the step, each the extreme of
+    # its chunk: of one sign, any of them has its bytes
+    lo, hi = np.min(lows), np.max(highs)
+    if np.isnan(lo) or np.isnan(hi) or \
+            (len(zero_signs) == 2 and (lo == 0.0 or hi == 0.0)):
+        step = np.ascontiguousarray(_build(rows, cls), dtype=float)
+        mean, mean_square = np.mean(step), np.mean(step * step)
+        lo, hi = step.min(), step.max()
+    return {"mean": float(mean), "min": float(lo), "max": float(hi),
+            "mean_square": float(mean_square)}
 
 
 # --------------------------------------------------------------------------
@@ -748,9 +899,10 @@ def _pwrite(fd: int, data, offset: int) -> None:
 def _dump_writer(path, grid: TimeGrid, driver_descriptor: str,
                  terminal_descriptor: str):
     """Open ``path``, write the header of the layout above and yield
-    ``put(i, k, step)``: Y_i (k = 0) or Z_i (k = 1) written, in any order,
-    at its offset header + 8 * 2**N * (2 i + k), from the step's own buffer
-    when it is little-endian and C-ordered."""
+    ``put(i, k)``: the chunk writer of Y_i (k = 0) or Z_i (k = 1) for
+    :func:`_pass`.  Steps go in any order, each chunk at its offset header
+    + 8 (2**N (2 i + k) + start), from the chunk's own buffer when it is
+    little-endian."""
     head = [_MAGIC, struct.pack("<Idd", grid.steps, grid.dt, grid.horizon)]
     for text in (driver_descriptor, terminal_descriptor):
         raw = text.encode("utf-8")
@@ -766,9 +918,10 @@ def _dump_writer(path, grid: TimeGrid, driver_descriptor: str,
             os.ftruncate(fd, 0)
         _pwrite(fd, head, 0)
 
-        def put(i: int, k: int, step: np.ndarray) -> None:
-            _pwrite(fd, np.ascontiguousarray(step, dtype="<f8"),
-                    len(head) + step_bytes * (2 * i + k))
+        def put(i: int, k: int):
+            base = len(head) + step_bytes * (2 * i + k)
+            return lambda start, chunk: _pwrite(
+                fd, np.ascontiguousarray(chunk, dtype="<f8"), base + 8 * start)
 
         yield put
     finally:
@@ -776,16 +929,14 @@ def _dump_writer(path, grid: TimeGrid, driver_descriptor: str,
 
 
 def save_tree_solution(path, sol: TreeSolution) -> None:
-    """Write ``sol`` in the layout above, one step at a time: a step stored
-    by classes of rows is built into one buffer of 2**N values, reused for
-    every step."""
-    maps = sol.ys.classes + sol.zs.classes
-    buf = None if all(cls is None for cls in maps) else np.empty(2 ** sol.steps)
+    """Write ``sol`` in the layout above, one step at a time, each in one
+    pass of chunks (:func:`_pass`): a step stored by classes of rows is
+    gathered a chunk at a time, never built whole."""
     with _dump_writer(path, sol.grid, sol.driver_descriptor,
                       sol.terminal_descriptor) as put:
         for i in range(sol.steps + 1):
             for k, steps in enumerate((sol.ys, sol.zs)):
-                put(i, k, steps.build(i, out=buf))
+                _pass(steps.rows[i], steps.classes[i], put(i, k))
 
 
 def stream_tree_solution(steps, grid: TimeGrid, path=None,
@@ -796,23 +947,20 @@ def stream_tree_solution(steps, grid: TimeGrid, path=None,
     solution is written there in the layout above, with the driver and
     terminal ``descriptors``: the bytes of :func:`save_tree_solution`.
 
-    Y_i is built into a new buffer of 2**N values, written, and summarized
-    (which squares over the buffer); then Z_i is built into the buffer and
-    written.  The buffer goes before the sweep forms the next step, so the
-    largest arrays held are the sweep's two steps, or one step and the
-    buffer."""
+    Y_i is written and summarized in one pass of chunks of ``CHUNK`` values
+    (:func:`_pass`), Z_i written in another; no step is built whole but
+    one whose summary needs it.  The chunk buffers of a step go before the sweep forms the next, so the
+    largest arrays held are the sweep's two steps, or one step, its row
+    map and the chunk buffers."""
     summaries = [None] * (grid.steps + 1)
     with (contextlib.nullcontext() if path is None
           else _dump_writer(path, grid, *descriptors)) as put:
         for i, y_rows, z_rows, cls in steps:
-            buf = np.empty(2 ** grid.steps)
-            y = _build(y_rows, cls, buf)
-            if put is not None:
-                put(i, 0, y)
-            summaries[i] = _summary(y, buf)
-            if put is not None:
-                put(i, 1, _build(z_rows, cls, buf))
-            del buf, y
+            if put is None:
+                summaries[i] = _pass(y_rows, cls, summarize=True)
+            else:
+                summaries[i] = _pass(y_rows, cls, put(i, 0), summarize=True)
+                _pass(z_rows, cls, put(i, 1))
     return summaries
 
 

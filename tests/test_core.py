@@ -125,6 +125,33 @@ class TestDriverCatalog:
                 with pytest.raises(ValueError):
                     first[...] = 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf * 0, inf - inf
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.25, 3.0]),
+                           min_size=2, max_size=2),
+           values=st.lists(st.sampled_from(
+               [0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]),
+               min_size=24, max_size=24),
+           shapes=st.sampled_from([((2, 12), (2, 12)), ((24,), (24,)),
+                                   ((2, 1), (2, 12)), ((), (24,)),
+                                   ((24,), ()), ((), ())]))
+    def test_f_linear_keeps_the_bytes_of_the_two_product_sum(self, coeffs,
+                                                             values, shapes):
+        # signed zeros and non-finite z, on equal and broadcast shapes
+        a_y, a_z = coeffs
+        pool = np.array(values)
+        y = pool[:int(np.prod(shapes[0]))].reshape(shapes[0])
+        z = pool[::-1][:int(np.prod(shapes[1]))].reshape(shapes[1])
+        f = bl.builtin_driver("f_linear", [a_y, a_z]).f
+        for args in ((y, z), (y.tolist(), z.tolist())):
+            got = f(0.5, *args)
+            want = a_y * np.asarray(args[0], dtype=float) \
+                + a_z * np.asarray(args[1], dtype=float)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == np.float64
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert y.tobytes() == pool[:y.size].tobytes()
+
     def test_missing_growth_metadata_rejected(self):
         with pytest.raises(ContractViolation):
             bl.DriverSpec(f=lambda t, y, z: y, g=lambda t, y, z: 0 * y)

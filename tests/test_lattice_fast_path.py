@@ -508,6 +508,72 @@ def test_catalog_terminal_reads_the_lattice_levels(terminal, n):
     assert np.unique(got.view(np.int64)).size <= n + 1
 
 
+def _leaf_twin(term, grid):
+    """``term`` without its W_T form: a row-wise terminal that reads W_T =
+    sqrt(dt) (2k - N) from the up-step count k of its row of increments,
+    so its leaves hold the bytes of the levels (the sum of the increments,
+    which ``evaluate`` reads, rounds to other bytes at N = 5, 6, 7, ...)."""
+    n, sq = grid.steps, np.sqrt(grid.dt)
+
+    def evaluate(w):
+        ups = np.count_nonzero(np.asarray(w) > 0.0, axis=-1)
+        return term.of_w_t(sq * (2.0 * ups - n))
+
+    return dataclasses.replace(term, of_w_t=None, evaluate=evaluate)
+
+
+# every catalog terminal, W_T^2 (levels k and N - k share bytes), calls
+# whose strike zeroes most levels or all but one, and -W_T, whose levels
+# fall where their bytes, read as int64, rise
+LEVEL_TERMINALS = {
+    **{f"{name}{params}": bl.builtin_terminal(name, params)
+       for name, params in catalog_terminals()
+       + [("call", [0.9]), ("call", [3.0]), ("w_terminal_sq", [])]},
+    "minus_w": bl.core.terminal_of_w_t(np.negative, "minus_w"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", ["zero+g_zero", "f_linear+g_linear",
+                                  "f_sqrt_pos+g_sine"])
+@pytest.mark.parametrize("terminal", sorted(LEVEL_TERMINALS))
+def test_level_classes_match_the_sorted_leaf_classes(name, terminal):
+    # the classes formed per level from the up-step counts are the classes
+    # the leaf field's bytes give when sorted: the same rows, maps and
+    # numbering at every step, also when every level pair is distinct
+    # (numbered in sorted order) and at steps 0 and 1 (rows in row order)
+    driver = SWEEP_DRIVERS[name]
+    for n in range(1, 13):
+        grid = bl.make_grid(1.0, n)
+        term = LEVEL_TERMINALS[terminal]
+        got = bl.solve_tree(driver, term, grid)
+        want = bl.solve_tree(driver, _leaf_twin(term, grid), grid)
+        for field, field_want in ((got.ys, want.ys), (got.zs, want.zs)):
+            for k in range(n + 1):
+                rows, cls = field.rows[k], field.classes[k]
+                assert rows.shape[0] <= k + 1
+                assert rows.shape == field_want.rows[k].shape
+                assert rows.tobytes() == field_want.rows[k].tobytes()
+                assert (cls is None) == (field_want.classes[k] is None)
+                if cls is not None:
+                    assert cls.dtype == field_want.classes[k].dtype == np.int32
+                    assert cls.tobytes() == field_want.classes[k].tobytes()
+
+
+def test_level_classes_form_no_leaf_field(monkeypatch):
+    # a solve from the levels neither builds the leaf field nor sorts the
+    # leaves' bytes
+    def refuse(*args):
+        raise AssertionError("leaf field built")
+
+    monkeypatch.setattr(tree, "_terminal_values", refuse)
+    monkeypatch.setattr(tree, "_row_classes", refuse)
+    n = 10
+    sol = bl.solve_tree(SWEEP_DRIVERS["f_sqrt_pos+g_sine"],
+                        bl.builtin_terminal("w_terminal"), bl.make_grid(1.0, n))
+    assert [sol.ys.rows[k].shape[0] for k in (0, 1, n)] == [1, 2, n + 1]
+
+
 def test_pair_keys_past_the_int32_range_match_reference():
     # 2**16 leaf classes, each pair of them twice: the pair keys of the
     # first step reach 2**32 - 1, past what the int32 class maps can hold
@@ -611,16 +677,18 @@ def test_solve_holds_the_stored_form_and_a_few_blocks(monkeypatch):
     assert stored + maps <= peak < stored + maps + 16 * 8 * tree.LEAF_BLOCK + 2 ** 16
 
 
-def test_expectation_holds_one_step_buffer():
+def test_expectation_holds_a_few_chunks(monkeypatch):
     n = 16
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 10)
     driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
     sol = bl.solve_tree(driver, bl.builtin_terminal("call", [0.1]),
                         bl.make_grid(1.0, n))
-    one_step = 8 * 2 ** n
-    for i in (0, n // 2, n):
+    one_chunk = 8 * tree.CHUNK
+    for i in (0, 1, n // 2, n):
         _, peak = traced_peak(lambda: tree.expectation_at(sol, i))
-        # the buffer, and np.take's intp copy of a chunk of the class map
-        assert one_step <= peak < one_step + one_step // 8 + 2 ** 15
+        # the gather buffer, the squares and np.take's intp copy of a chunk
+        # of the class map, never a step (512 KiB here)
+        assert peak < 3 * one_chunk + 2 ** 15
 
 
 # --------------------------------------------------------------------------
@@ -674,16 +742,17 @@ def test_writer_replaces_a_longer_file(tmp_path):
         assert path.read_bytes() == want.read_bytes()
 
 
-def test_dump_writer_and_reader_copy_no_array(tmp_path):
+def test_dump_writer_and_reader_copy_no_array(tmp_path, monkeypatch):
     n = 14
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 10)
     sol = bl.solve_tree(bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3]),
                         bl.builtin_terminal("call", [0.0]), bl.make_grid(1.0, n))
     path = tmp_path / "sol.bin"
     one_array = 8 * 2 ** n
     _, peak = traced_peak(lambda: bl.save_tree_solution(path, sol))
-    # one buffer for the built steps, and np.take's intp copy of a chunk
-    # of one step's int32 class map
-    assert peak < one_array + one_array // 2
+    # the chunk buffer and np.take's intp copy of a chunk of one step's
+    # int32 class map, never a built step
+    assert peak < 2 * 8 * tree.CHUNK + 2 ** 15 < one_array // 2
     loaded, peak = traced_peak(lambda: bl.load_tree_solution(path))
     arrays = 2 * (n + 1) * one_array
     assert arrays <= peak < arrays + one_array // 2
@@ -704,6 +773,100 @@ def test_short_read_names_both_byte_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(tree, "_check_dump_size", lambda fh, payload: None)
     with pytest.raises(ValueError, match="dump ended after 116 of 128 bytes"):
         bl.load_tree_solution(path)
+
+
+# --------------------------------------------------------------------------
+# the chunk pass: one writer and one summary for every step
+# --------------------------------------------------------------------------
+
+def reference_summary(step):
+    """The summary of a step built whole: numpy's mean, min and max of the
+    step as a C-contiguous float64 array, and the mean of its squares."""
+    y = np.ascontiguousarray(step, dtype=float)
+    return {"mean": float(np.mean(y)), "min": float(np.min(y)),
+            "max": float(np.max(y)), "mean_square": float(np.mean(y * y))}
+
+
+def _pass_both(rows, cls, chunk):
+    """The chunk pass's summary and written bytes of the stored step, with
+    chunks of ``chunk`` values, and the reference summary and bytes of the
+    step built whole."""
+    step = np.ascontiguousarray(tree._build(rows, cls), dtype=float)
+    written = np.full(step.size, 7.0)       # a value no step here holds
+
+    def write(start, values):
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        written[start:start + values.size] = values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree, "CHUNK", chunk)
+        got = tree._pass(rows, cls, write, summarize=True)
+    assert written.tobytes() == step.tobytes()
+    return got, reference_summary(step)
+
+
+# +-0.0 ties, a square past the float range, +-inf and the NaN of numpy
+# and of inf - inf (which differ in the sign bit)
+SUMMARY_POOL = [0.0, -0.0, 1.5, -2.25, 1e300, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, 1e300**2
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(0, 12), data=st.data())
+def test_chunk_summary_matches_the_built_step(n, data):
+    # chunks of 2**7 to 2**13 values against steps of 2**0 to 2**12 values
+    # and rows of 2**0 to 2**n: a chunk may exceed the step, span rows or
+    # lie inside one row
+    width = 2 ** data.draw(st.integers(0, n), label="log2 width")
+    chunk = 2 ** data.draw(st.integers(7, 13), label="log2 chunk")
+    pool = np.array(data.draw(
+        st.lists(st.sampled_from(SUMMARY_POOL), min_size=1, max_size=4,
+                 unique_by=lambda v: np.float64(v).tobytes()), label="pool"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                          label="seed"))
+    count = 2 ** n // width
+    if data.draw(st.booleans(), label="stored by classes"):
+        classes = data.draw(st.integers(1, 4), label="classes")
+        rows = pool[rng.integers(0, pool.size, (classes, width))]
+        cls = rng.integers(0, classes, count).astype(np.int32)
+    else:
+        rows, cls = pool[rng.integers(0, pool.size, (count, width))], None
+    got, want = _pass_both(rows, cls, chunk)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
+
+
+@pytest.mark.parametrize("odd", range(0, 2 ** 11, 331))
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+@pytest.mark.parametrize("other", [3.0, -3.0, 0.0])
+def test_chunk_summary_takes_the_sign_of_a_zero_extreme(odd, zero, other):
+    # one zero of the other sign among zeros, in any chunk of 128 values:
+    # which of them np.min or np.max picks depends on its order of
+    # comparison, so the pass takes those extremes from the built step
+    step = np.full(2 ** 11, zero)
+    step[odd] = -zero
+    step[(odd + 1000) % step.size] = other
+    rows = step.reshape(2 ** 5, 2 ** 6)
+    cls, compact = tree._row_classes(rows)
+    for stored in ((rows, None), (compact, cls)):
+        got, want = _pass_both(*stored, 2 ** 7)
+        for key in want:
+            assert np.float64(got[key]).tobytes() == \
+                np.float64(want[key]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf
+@pytest.mark.parametrize("seed", range(8))
+def test_chunk_summary_keeps_the_sign_of_a_nan_mean(seed):
+    # numpy's NaN and the NaN of inf - inf differ in the sign bit, and a
+    # sum of both takes the one its order of addition gives
+    pool = np.array([0.0, np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(seed)
+    rows = pool[rng.integers(0, pool.size, 2 ** 8)].reshape(2 ** 4, 2 ** 4)
+    got, want = _pass_both(rows, None, 2 ** 7)
+    for key in want:
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -731,8 +894,11 @@ def _summary_bytes(summary):
 @pytest.mark.parametrize("n", [10, 14])
 def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
                                                  terminal, n):
-    # blocks of 64 columns: every step from N - 7 down spans several
+    # blocks of 64 columns: every step from N - 7 down spans several; and
+    # chunks of 256 values: views of rows down to step N - 8, repeated
+    # gathered chunks below
     monkeypatch.setattr(tree, "LEAF_BLOCK", 64)
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 8)
     driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
     term = STREAM_TERMINALS[terminal]
     grid = bl.make_grid(1.0, n)
@@ -751,10 +917,11 @@ def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
 
 def test_streamed_solve_holds_two_steps_and_one_buffer(tmp_path, monkeypatch):
     # each step leaves memory once it is summarized and written; the sweep
-    # holds the step it reads and the one it forms, and the buffer of the
-    # built step is gone before the next is formed
+    # holds the step it reads and the one it forms, and the chunk buffers
+    # of a step are gone before the next is formed
     n = 16
     monkeypatch.setattr(tree, "LEAF_BLOCK", 2 ** 10)
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 10)
     driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
     term = bl.builtin_terminal("call", [0.1])
     grid = bl.make_grid(1.0, n)
@@ -764,5 +931,6 @@ def test_streamed_solve_holds_two_steps_and_one_buffer(tmp_path, monkeypatch):
     rows = [sol.ys.rows[i].nbytes + sol.zs.rows[i].nbytes for i in range(n + 1)]
     two_steps = max(a + b for a, b in zip(rows, rows[1:]))
     stored = sum(rows) + sum(c.nbytes for c in sol.ys.classes if c is not None)
-    assert peak < two_steps + 8 * 2 ** n + 16 * 8 * tree.LEAF_BLOCK + 2 ** 16
+    assert peak < two_steps + 3 * 8 * tree.CHUNK + 16 * 8 * tree.LEAF_BLOCK \
+        + 2 ** 16
     assert peak < stored / 2
