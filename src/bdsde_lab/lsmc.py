@@ -2,11 +2,11 @@
 
 Conditioning on an entire backward-noise path makes its increments known
 constants at every step, which is exactly the measurability structure the
-equation asks for; the solver therefore runs an independent backward
-regression sweep over the inner forward-noise sample for each outer
-backward-noise scenario.
+equation asks for: each outer backward-noise path gets its own regression
+on the forward state W_{t_i} of the inner sample.  The sweep serves every
+outer path at once, step by step.
 
-Backward sweep, per outer path, for i = N-1..0 with state W_{t_i}:
+Backward sweep, for i = N-1..0 and every outer path, with state W_{t_i}:
 
     z target:  (Y_{i+1} + g(t_{i+1}, Y_{i+1}, Z_{i+1}) dB_i) dW_i / dt
     y target:   Y_{i+1} + dt f(t_{i+1}, Y_{i+1}, Z_{i+1})
@@ -35,8 +35,11 @@ The sweep runs step-major: steps on the outside, then fixed blocks of
 matmul each for Y_b and Z_b, one call each to f and g on (rows, m_outer),
 and the products x_b' F, [x_b | D_b x_b]' G and [x_b | D_b x_b]' x_{i+1,b}
 added into the step's sums.  One stacked solve per step then gives every
-path's coefficients.  It stores the design states W_{t_i} as (N, m_inner)
-rows, builds design x_i from row i, and keeps only x_i and x_{i+1}.
+path's coefficients.  The design states W_{t_i} come from
+``_states_descending`` in descending i, which holds a checkpoint row every
+s = ceil(sqrt(N)) steps and rebuilds one segment at a time, bitwise the
+running sum; the sweep builds design x_i from W_{t_i} and keeps only x_i
+and x_{i+1}.
 
 Blocks are counted in rows, not bytes, and every operation on a path's
 column reads that column alone, so a path's estimates are bitwise the same
@@ -52,6 +55,7 @@ fresh generator with that key would.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -83,8 +87,11 @@ class PathBatch:
     w_increments: np.ndarray
 
     def __post_init__(self):
-        self.b_increments.setflags(write=False)
-        self.w_increments.setflags(write=False)
+        # read-only views: the caller's own arrays stay writeable
+        for name in ("b_increments", "w_increments"):
+            view = getattr(self, name).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def m_outer(self) -> int:
@@ -112,19 +119,14 @@ def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
     (2i, 2i+1) with negated increments.
 
     Raises ``CapacityError`` before drawing when the increments would take
-    more than ``BATCH_MEMORY_CAP`` bytes.  ``solve_lsmc`` holds its
-    design states, designs and blocks to the same cap
-    (``check_regression_bytes``), which a caller can check before
+    more than ``BATCH_MEMORY_CAP`` bytes (``check_increment_bytes``).
+    ``solve_lsmc`` holds its design states, designs and blocks to the same
+    cap (``check_regression_bytes``); a caller can check both before
     sampling."""
     m_outer, m_inner = counts
     if m_outer < 2 or m_inner < 2:
         raise ValueError("path counts must be >= 2")
-    total_bytes = 8 * grid.steps * (m_outer + m_inner)
-    if total_bytes > BATCH_MEMORY_CAP:
-        raise CapacityError(
-            f"batch would allocate {total_bytes} bytes of increments, "
-            f"cap is {BATCH_MEMORY_CAP}"
-        )
+    check_increment_bytes(grid.steps, counts)
     key = np.array([seed, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
@@ -147,6 +149,18 @@ def sample_paths(grid: TimeGrid, counts: tuple[int, int], seed: int,
         b_increments=draw(_STREAM_OUTER, m_outer),
         w_increments=draw(_STREAM_INNER, m_inner),
     )
+
+
+def check_increment_bytes(n: int, counts: tuple[int, int]) -> None:
+    """Raise ``CapacityError`` unless the increments of (m_outer, m_inner)
+    = ``counts`` paths of N = ``n`` steps, 8 N (m_outer + m_inner) bytes,
+    fit in ``BATCH_MEMORY_CAP``."""
+    total_bytes = 8 * n * sum(counts)
+    if total_bytes > BATCH_MEMORY_CAP:
+        raise CapacityError(
+            f"batch would allocate {total_bytes} bytes of increments, "
+            f"cap is {BATCH_MEMORY_CAP}"
+        )
 
 
 def _levels(w: np.ndarray, dt: float) -> np.ndarray:
@@ -218,14 +232,72 @@ class MCSolution:
         return self.y0.shape[0]
 
 
+def _segment(n: int) -> int:
+    """Steps per checkpointed segment of the design states: ceil(sqrt(N))."""
+    return math.isqrt(n - 1) + 1
+
+
+def _state_rows(n: int) -> int:
+    """Rows of m_inner floats ``_states_descending`` holds for N steps:
+    ceil(N / s) checkpoints, s - 1 further states of one segment and its
+    s increments, with s = ``_segment(N)``."""
+    s = _segment(n)
+    return -(-n // s) + 2 * s - 1
+
+
+def _states_descending(w_inc: np.ndarray):
+    """Yield (i, W_{t_i}, dW_i) for i = N-1..0 from the inner increments
+    ``w_inc`` (m_inner, N) in ``_state_rows(N)`` rows of m_inner floats.
+
+    A forward pass keeps W at the start of every segment of s =
+    ``_segment(N)`` steps; the backward pass rebuilds each segment from its
+    checkpoint.  Both form W_1 = dW_0 and W_{i+1} = W_i + dW_i with the
+    additions a cumsum along the path makes, so every row is bitwise that
+    cumsum.  A segment's increments are one block-transposed copy, so the
+    additions and dW_i read contiguous rows.  The yielded rows are only
+    read, and are overwritten when the next segment is rebuilt."""
+    m, n = w_inc.shape
+    s = _segment(n)
+    marks = np.empty((-(-n // s), m))   # W at the start of each segment
+    marks[0] = 0.0
+    seg = np.empty((s - 1, m))
+    inc = np.empty((s, m))
+
+    def advance(i, w, dw, out):
+        """W_i = W_{i-1} + dW_{i-1} into ``out``; W_1 is dW_0 itself."""
+        if i == 1:
+            np.copyto(out, dw)
+        else:
+            np.add(w, dw, out=out)
+
+    def rebuild(k):
+        """Segment k's first step and its states, increments in ``inc``."""
+        base = k * s
+        top = min(base + s, n)
+        np.copyto(inc[:top - base], w_inc[:, base:top].T)
+        w = [marks[k], *seg[:top - base - 1]]
+        for j in range(1, top - base):
+            advance(base + j, w[j - 1], inc[j - 1], w[j])
+        return base, w
+
+    for k in range(1, marks.shape[0]):
+        base, w = rebuild(k - 1)
+        advance(base + s, w[-1], inc[s - 1], marks[k])
+    for k in range(marks.shape[0] - 1, -1, -1):
+        base, w = rebuild(k)
+        for j in range(len(w) - 1, -1, -1):
+            yield base + j, w[j], inc[j]
+
+
 def check_regression_bytes(m_inner: int, widths, m_outer: int) -> None:
     """Raise ``CapacityError`` unless what ``solve_lsmc`` holds fits in
-    ``BATCH_MEMORY_CAP`` bytes: the N rows of m_inner design states; the
-    two designs alive at once, x_i and x_{i+1} (m_inner rows of
-    ``widths[i]`` floats at step i), counted at the widest such pair; and
-    the sweep's blocks of min(``BLOCK_ROWS``, m_inner) rows, seven of
-    m_outer floats and one [x_i | D x_i] of twice the widest design."""
-    states = 8 * len(widths) * m_inner
+    ``BATCH_MEMORY_CAP`` bytes: the ``_state_rows(N)`` rows of m_inner
+    floats of the design states and their increments; the two designs
+    alive at once, x_i and x_{i+1} (m_inner rows of ``widths[i]`` floats at
+    step i), counted at the widest such pair; and the sweep's blocks of
+    min(``BLOCK_ROWS``, m_inner) rows, seven of m_outer floats and one
+    [x_i | D x_i] of twice the widest design."""
+    states = 8 * _state_rows(len(widths)) * m_inner
     pair = 8 * m_inner * max(a + b for a, b in zip(widths, widths[1:] + [0]))
     blocks = 8 * min(BLOCK_ROWS, m_inner) * (_BLOCK_ARRAYS * m_outer
                                              + 2 * max(widths))
@@ -323,15 +395,6 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     check_regression_bytes(m_in, basis.widths(w_inc, dt), m_out)
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
 
-    # W_{t_i}: W_0 = 0, W_1 the first increments themselves, then a running
-    # sum, the additions a cumsum makes
-    states = np.empty((n, m_in))
-    states[0] = 0.0
-    if n > 1:
-        states[1] = w_inc[:, 0]
-    for i in range(1, n - 1):
-        np.add(states[i], w_inc[:, i], out=states[i + 1])
-
     conds_step = np.empty(n)
     y_coeffs = [[None] * n for _ in range(m_out)]
     z_coeffs = [[None] * n for _ in range(m_out)]
@@ -341,13 +404,13 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     # the terminal values are only read: a terminal may hand out its own array
     x_next = xi.reshape(m_in, 1)
     c_y, c_z = np.ones((1, m_out)), np.zeros((1, m_out))
-    for i in range(n - 1, -1, -1):
+    for i, state, dw in _states_descending(w_inc):
         t_next = grid.time(i + 1)
-        x = basis.design(states[i], grid.time(i), dt)
+        x = basis.design(state, grid.time(i), dt)
         w = x.shape[1]
         gram = x.T @ x + ridge * np.eye(w)
         conds_step[i] = np.linalg.cond(gram)
-        np.divide(w_inc[:, i], dt, out=d)
+        np.divide(dw, dt, out=d)
         b = paths.b_increments[:, i]
         xd = np.empty((rows, 2 * w))
         s_f = np.zeros((w, m_out))

@@ -5,11 +5,13 @@ equal.  The target regression the sweep rewrites is checked beside it, to
 rounding."""
 
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdsde_lab as bl
@@ -211,14 +213,16 @@ def test_non_finite_driver_value_has_the_reference_witness(part, step, node):
 
 
 def test_sweep_holds_the_states_and_two_designs():
-    # the sweep keeps the (N, m_inner) design states and builds each design
-    # when its step comes, so at most x_i and x_{i+1} are alive (the designs
-    # of all 16 steps would take 7.7 MB here).  Its blocks of BLOCK_ROWS
-    # inner rows take 8 * 256 * (7 * 2 + 2 * 3) = 40,960 bytes: seven
-    # arrays of the two outer paths and one [x_i | D x_i].  Besides, it holds a few
-    # m_inner arrays (terminal values, dW_i / dt and the design's
-    # temporaries), about 0.5 MB.
-    n, m_in = 16, 20_000
+    # the sweep holds the design states in 16 checkpoints, 15 more states
+    # of one segment and its 16 increments, 47 rows of m_inner floats where
+    # N = 256 rows (16.4 MB) would break the bound below, and builds each
+    # design when its step comes, so at most x_i and x_{i+1} are alive (the
+    # designs of all 256 steps would take 49 MB here).  Its blocks of
+    # BLOCK_ROWS inner rows take 8 * 256 * (7 * 2 + 2 * 3) = 40,960 bytes:
+    # seven arrays of the two outer paths and one [x_i | D x_i].  Besides,
+    # it holds a few m_inner arrays (terminal values, dW_i / dt and the
+    # design's temporaries), about 0.2 MB.
+    n, m_in = 256, 8_000
     grid = bl.make_grid(1.0, n)
     paths = bl.sample_paths(grid, (2, m_in), seed=3)
     basis = bl.BasisSpec("poly", 2)
@@ -226,11 +230,14 @@ def test_sweep_holds_the_states_and_two_designs():
     terminal = bl.builtin_terminal("w_terminal")
     got, peak = traced_peak(
         lambda: bl.solve_lsmc(driver, terminal, grid, basis, paths))
-    states = 8 * n * m_in
+    states = 8 * 47 * m_in
+    assert lsmc._state_rows(n) == 47
     two_designs = 2 * 8 * m_in * (basis.degree + 1)
     blocks = 8 * lsmc.BLOCK_ROWS * (7 * 2 + 2 * (basis.degree + 1))
     assert blocks == 40_960
-    assert states <= peak < states + two_designs + blocks + 2 ** 20
+    bound = states + two_designs + blocks + 2 ** 20
+    assert 8 * n * m_in > bound
+    assert states <= peak < bound
     _assert_same_solution(got, reference_solve_lsmc(driver, terminal, grid,
                                                     basis, paths))
 
@@ -317,26 +324,30 @@ def test_non_finite_target_at_the_highest_step_before_a_singular_gram(g):
 
 
 def test_design_byte_cap():
-    # the blocks: 8 * 256 rows * (7 * 64 outer paths + 2 * 1001 columns)
+    # at N = 64 the states take 23 rows: 8 checkpoints, 7 more states of a
+    # segment and its 8 increments.  The blocks: 8 * 256 rows * (7 * 64
+    # outer paths + 2 * 1001 columns)
+    assert lsmc._state_rows(64) == 23
     with pytest.raises(CapacityError, match="design states would allocate "
-                       "102400000 bytes, the widest two consecutive designs "
+                       "36800000 bytes, the widest two consecutive designs "
                        "3203200000 and the sweep's blocks 5017600 more: "
-                       "3310617600 bytes, cap is 2147483648"):
+                       "3245017600 bytes, cap is 2147483648"):
         lsmc.check_regression_bytes(200_000, [1001] * 64, 64)
-    # the states and the widest consecutive pair, 8 * m * (N + 63 + 64), and
-    # the blocks of two outer paths, 8 * 256 * (7 * 2 + 2 * 64)
+    # the states and the widest consecutive pair, 8 * m * (23 + 63 + 64),
+    # and the blocks of two outer paths, 8 * 256 * (7 * 2 + 2 * 64)
     widths = list(range(1, 65))
-    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 64)) // (8 * (64 + 63 + 64))
+    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 64)) // (8 * (23 + 63 + 64))
     lsmc.check_regression_bytes(m, widths, 2)
     with pytest.raises(CapacityError):
         lsmc.check_regression_bytes(m + 1, widths, 2)
-    # degree 2 at N = 64 with 64 outer paths: 8 * m * (64 + 3 + 3) and
+    # degree 2 at N = 64 with 64 outer paths: 8 * m * (23 + 3 + 3) and
     # 8 * 256 * (7 * 64 + 2 * 3)
-    lsmc.check_regression_bytes(3_833_131, [3] * 64, 64)
+    lsmc.check_regression_bytes(9_252_387, [3] * 64, 64)
     with pytest.raises(CapacityError):
-        lsmc.check_regression_bytes(3_833_132, [3] * 64, 64)
-    # one step holds one design
-    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 5)) // (8 * (1 + 5))
+        lsmc.check_regression_bytes(9_252_388, [3] * 64, 64)
+    # one step holds one design, its state and its increments
+    assert lsmc._state_rows(1) == 2
+    m = (2 ** 31 - 8 * 256 * (7 * 2 + 2 * 5)) // (8 * (2 + 5))
     lsmc.check_regression_bytes(m, [5], 2)
     with pytest.raises(CapacityError):
         lsmc.check_regression_bytes(m + 1, [5], 2)
@@ -344,6 +355,80 @@ def test_design_byte_cap():
     # 8 * 100 * (7 * 500,000 + 2 * 1) bytes
     with pytest.raises(CapacityError, match="blocks 2800001600 more"):
         lsmc.check_regression_bytes(100, [1] * 4, 500_000)
+
+
+# N = 1, 2, and perfect squares with their neighbours, where the last
+# segment is full, one step long or one step short
+EDGE_STEPS = [1, 2] + [k * k + d for k in range(2, 15) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.sampled_from(EDGE_STEPS), st.integers(1, 200)),
+       m_in=st.integers(1, 64), layout=st.sampled_from(sorted(LAYOUTS)),
+       seed=st.integers(0, 2 ** 32))
+@example(n=1, m_in=1, layout="C", seed=0)
+@example(n=2, m_in=64, layout="fortran", seed=1)
+@example(n=200, m_in=7, layout="strided", seed=2)
+def test_states_descending_match_the_cumsum(n, m_in, layout, seed):
+    rng = np.random.default_rng(seed)
+    w_inc = rng.normal(size=(m_in, n)) * rng.choice([0.0, -0.0, 1.0, 1e300],
+                                                    size=(m_in, n))
+    w_inc = LAYOUTS[layout](w_inc)
+    states = np.concatenate([np.zeros((m_in, 1)), np.cumsum(w_inc, axis=1)],
+                            axis=1)
+    got = [(i, w.tobytes(), dw.tobytes())
+           for i, w, dw in lsmc._states_descending(w_inc)]
+    assert got == [(i, states[:, i].tobytes(), w_inc[:, i].tobytes())
+                   for i in range(n - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 10, 63, 64, 65, 200])
+def test_states_descending_hold_the_counted_rows(n):
+    # the rows ``check_regression_bytes`` counts are the rows the states
+    # take, and nothing of a row's size more
+    m_in = 4096
+    w_inc = np.random.default_rng(n).normal(size=(m_in, n))
+    steps, peak = traced_peak(
+        lambda: [i for i, _, _ in lsmc._states_descending(w_inc)])
+    assert steps == list(range(n - 1, -1, -1))
+    rows = lsmc._state_rows(n)
+    assert 8 * m_in * rows <= peak < 8 * m_in * (rows + 1)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_wrapping_increments_leaves_the_callers_arrays_writeable(layout):
+    grid = bl.make_grid(1.0, 7)
+    batch = bl.sample_paths(grid, (3, 300), seed=9)
+    b = LAYOUTS[layout](batch.b_increments.copy())
+    w = LAYOUTS[layout](batch.w_increments.copy())
+    kept = b.tobytes(), w.tobytes()
+    paths = bl.PathBatch.from_arrays(grid, b, w)
+    assert b.flags.writeable and w.flags.writeable
+    for mine, theirs in ((paths.b_increments, b), (paths.w_increments, w)):
+        assert not mine.flags.writeable
+        assert mine is not theirs and np.shares_memory(mine, theirs)
+    args = (bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3]),
+            bl.builtin_terminal("call", [0.2]), grid, bl.BasisSpec("poly", 2))
+    _assert_same_solution(bl.solve_lsmc(*args, paths),
+                          reference_solve_lsmc(*args, batch))
+    assert (b.tobytes(), w.tobytes()) == kept
+
+
+def test_readme_inner_path_capacity_is_the_codes():
+    # the README's capacities at N = 64, degree 2 and 64 outer paths: the
+    # regression count's and the smaller one of the increments, which binds
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text().split())
+    sweep, = re.findall(r"admits up to ([\d,]+) inner paths", text)
+    sampled, = re.findall(r"binds first, at ([\d,]+) inner paths", text)
+    sweep, sampled = (int(v.replace(",", "")) for v in (sweep, sampled))
+    assert sampled < sweep
+    lsmc.check_regression_bytes(sweep, [3] * 64, 64)
+    with pytest.raises(CapacityError):
+        lsmc.check_regression_bytes(sweep + 1, [3] * 64, 64)
+    lsmc.check_increment_bytes(64, (64, sampled))
+    with pytest.raises(CapacityError):
+        lsmc.check_increment_bytes(64, (64, sampled + 1))
 
 
 def _sliding_increments(grid, m_in, seed):
