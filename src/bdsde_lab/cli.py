@@ -208,6 +208,13 @@ _BLOCK_KEYS = {
 }
 _NEEDED_KEYS = {"kneser": ("t0", "lambdas"), "compare": ("driver2", "terminal2"),
                 "convergence": ("case", "Ns")}
+# the backends each scenario runs on, a compare by its mode; a runner gets
+# the config's backend unchanged, and any other pair is refused
+_BACKENDS = {"solve": ("tree", "scalar", "mc"), "envelope": ("tree", "scalar"),
+             "kneser": ("tree", "scalar"), "compare direct": ("tree",),
+             "compare envelopes": ("tree", "scalar"),
+             "compare separating": ("tree",),
+             "convergence": ("tree", "scalar", "mc")}
 
 
 def _scenario_block(cfg: dict, backend: str) -> dict:
@@ -215,6 +222,10 @@ def _scenario_block(cfg: dict, backend: str) -> dict:
     compare block built."""
     scenario = cfg["scenario"]
     block = dict(cfg.get(scenario, {}))
+    runs = scenario if scenario != "compare" else \
+        f"compare {block.get('mode', 'direct')}"
+    _require(backend in _BACKENDS.get(runs, ()),
+             f"{runs!r} does not run on the {backend} backend")
     if scenario == "solve":
         _check_keys(block, _SOLVE_KEYS[backend], f"solve (backend {backend})")
         return block
@@ -331,7 +342,7 @@ def _run_envelope(block, grid, driver, terminal, backend, seed, staging):
         driver, terminal, grid,
         schedule=block.get("schedule"),
         tol=float(block.get("tol") or 0.0),
-        backend=backend if backend != "mc" else "scalar",
+        backend=backend,
         conv_tol=block.get("conv_tol"),
         conv_radius=block.get("conv_radius"),
     )
@@ -346,7 +357,7 @@ def _run_kneser(block, grid, driver, terminal, backend, seed, staging):
         driver, terminal, grid,
         t0=float(block["t0"]),
         lambdas=[float(x) for x in block["lambdas"]],
-        backend="scalar" if backend in ("scalar", "mc") else "tree",
+        backend=backend,
         h_inv=None if slope is None else (lambda t, y, zt: zt * slope),
         snap_tol=block.get("snap_tol"),
         schedule=block.get("schedule"),
@@ -365,7 +376,7 @@ def _run_compare(block, grid, driver, terminal, backend, seed, staging):
         driver1=driver, terminal1=terminal,
         driver2=block["driver2"], terminal2=block["terminal2"],
         premise="config case",
-        backend=backend if backend != "mc" else "tree",
+        backend=backend,
         mode=block.get("mode", "direct"),
         tol=block.get("tol"),
         seed=seed,

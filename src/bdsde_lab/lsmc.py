@@ -221,8 +221,8 @@ class MCSolution:
     basis: BasisSpec
     ridge: float
     y0: np.ndarray                    # (m_outer,)
-    y_coeffs: list                    # y_coeffs[k][i]: coefficient vector
-    z_coeffs: list
+    y_coeffs: list                    # y_coeffs[i]: (m_outer, w_i), one
+    z_coeffs: list                    # coefficient row per outer path
     cond_numbers: np.ndarray          # (m_outer, N) Gram condition numbers
     final_se: np.ndarray              # (m_outer,) inner-sample SE of the
                                       # step-0 y target (``solve_lsmc``)
@@ -396,8 +396,7 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
     xi = np.asarray(terminal.evaluate(w_inc), dtype=float)
 
     conds_step = np.empty(n)
-    y_coeffs = [[None] * n for _ in range(m_out)]
-    z_coeffs = [[None] * n for _ in range(m_out)]
+    y_coeffs, z_coeffs = [None] * n, [None] * n
     rows = min(BLOCK_ROWS, m_in)
     bufs = np.empty((4, rows, m_out))
     d = np.empty(m_in)
@@ -444,12 +443,11 @@ def solve_lsmc(driver: DriverSpec, terminal: TerminalSpec, grid: TimeGrid,
             raise RegressionError(
                 f"normal equations singular at step {i}: {exc}"
             ) from exc
-        for k in range(m_out):
-            z_coeffs[k][i], y_coeffs[k][i] = coeffs[k]
+        z_coeffs[i], y_coeffs[i] = coeffs[:, 0], coeffs[:, 1]
         c_z = np.ascontiguousarray(coeffs[:, 0].T)
         c_y = np.ascontiguousarray(coeffs[:, 1].T)
         x_next = x
-    y0 = np.array([float(np.mean(x_next @ yc[0])) for yc in y_coeffs])
+    y0 = np.array([float(np.mean(x_next @ yc)) for yc in y_coeffs[0]])
     conds = np.broadcast_to(conds_step, (m_out, n)).copy()
     return MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
                       y_coeffs=y_coeffs, z_coeffs=z_coeffs,

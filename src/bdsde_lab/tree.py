@@ -24,10 +24,15 @@ as a function of W_T, and the solver reads W_T = sqrt(dt) (2k - N) from
 the number k of up-steps of a leaf, so leaves with equal counts hold
 equal bytes.  Drivers are pointwise, so step i then holds at most i + 1
 classes: the lattice recombines in the forward noise only (Cox, Ross &
-Rubinstein 1979), never in the backward noise.  A full step is built only
-when a caller indexes it (:class:`LatticeField`).  A ``solve`` run keeps no
-stored form: :func:`stream_tree_solution` takes each step's summary and
-dump bytes as the sweep forms it, and holds about two steps.
+Rubinstein 1979), never in the backward noise.  One numbering forms
+the classes, from the count of rows its keys stand for and the child
+relation alone: row keys (bytes) stand for a row each, and row h has
+children 2h and 2h + 1; from a W_T form, the up-step counts 0..i stand
+for the 2**i rows of step i, and count k has children k and k + 1.  A
+full step is built only when a caller indexes it (:class:`LatticeField`).
+A ``solve`` run keeps no stored form: :func:`stream_tree_solution` takes
+each step's summary and dump bytes as the sweep forms it, and holds about
+two steps.
 
 Scheme
 ------
@@ -60,7 +65,8 @@ import os
 import struct
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -240,31 +246,34 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _classes(keys: np.ndarray):
-    """Equal entries of the 1-d int64 array ``keys`` as classes.
+def _classes(keys: np.ndarray, rows: int):
+    """Equal entries of the 1-d int64 array ``keys``, which stand for
+    ``rows`` rows, as classes.
 
     Returns ``(cls, distinct)``: the distinct keys in increasing order and,
-    for every entry, the int32 position of its key among them.  When every
-    entry is distinct, ``cls`` is None: each entry is its own class,
-    numbered by its position."""
+    for every entry, the int32 position of its key among them.  When the
+    keys take ``rows`` distinct values, ``cls`` is None: each row is its
+    own class, numbered by its position."""
     distinct = _distinct(keys)
-    if distinct.size == keys.size:
+    if distinct.size == rows:
         return None, distinct
     return np.searchsorted(distinct, keys).astype(np.int32), distinct
 
 
-def _pair_classes(cls: np.ndarray, count: int):
-    """Classes of the pairs ``(cls[2j], cls[2j+1])`` of class numbers below
-    ``count``: ``(cls, pairs)``, with ``cls`` as :func:`_classes` gives it
-    and ``pairs[c]`` the two class numbers of pair class ``c``."""
-    pairs = cls.reshape(-1, 2)
+def _pair_classes(left: np.ndarray, right: np.ndarray, count: int,
+                  rows: int):
+    """Classes of the pairs ``(left[j], right[j])`` of class numbers below
+    ``count``, which stand for ``rows`` rows: ``(cls, pairs)``, with
+    ``cls`` as :func:`_classes` gives it and ``pairs[c]`` the two class
+    numbers of pair class ``c``; both None when each row is its own
+    class."""
     # widen before multiplying: int32 keys would overflow past 2**31
-    keys = pairs[:, 0].astype(np.int64)
+    keys = left.astype(np.int64)
     keys *= count
-    keys += pairs[:, 1]
-    cls, distinct = _classes(keys)
+    keys += right
+    cls, distinct = _classes(keys, rows)
     if cls is None:
-        return None, pairs
+        return None, None
     return cls, np.stack(np.divmod(distinct, count), axis=1)
 
 
@@ -275,47 +284,21 @@ def _row_classes(rows: np.ndarray):
     ``compact``.  The entries are grouped first, then adjacent pairs of
     classes, until one class is left per row (row widths are powers of
     two)."""
-    cls, distinct = _classes(rows.view(np.int64).ravel())
+    keys = rows.view(np.int64).ravel()
+    cls, distinct = _classes(keys, keys.size)
     compact = distinct.view(np.float64).reshape(-1, 1)
     while cls is not None and compact.shape[1] < rows.shape[1]:
-        cls, pairs = _pair_classes(cls, compact.shape[0])
-        compact = np.take(compact, pairs, axis=0).reshape(pairs.shape[0], -1)
+        cls, pairs = _pair_classes(cls[0::2], cls[1::2], compact.shape[0],
+                                   cls.size // 2)
+        if cls is not None:
+            compact = np.take(compact, pairs, axis=0).reshape(len(pairs), -1)
     return cls, (rows if cls is None else compact)
 
 
-def _level_start(levels: np.ndarray):
-    """``(lev, rows)``: the leaves of the N + 1 ``levels`` grouped as
-    :func:`_row_classes` groups the leaf field, ``lev[k]`` the class of the
-    leaves of k up-steps; ``lev`` None and the leaf field when every leaf
-    is its own class (N <= 1).  Every level is some leaf's."""
-    n = levels.size - 1
-    keys = levels.view(np.int64)
-    distinct = _distinct(keys)
-    if distinct.size == 2 ** n:
-        return None, levels[_up_counts(n)].reshape(-1, 1)
-    return (np.searchsorted(distinct, keys).astype(np.int32),
-            distinct.view(np.float64).reshape(-1, 1))
-
-
-def _level_classes(lev: np.ndarray, count: int, i: int):
-    """:func:`_pair_classes` for step i from ``lev``, the level map of step
-    i + 1: ``(lev, pairs)`` with the level map of step i.  The children of
-    a row of k up-steps have k and k + 1, and every k = 0..i occurs, so
-    the pairs are those of the levels; when they number 2**i (steps 0 and
-    1 alone), each row is its own class, in row order, and ``lev`` None."""
-    keys = lev[:-1].astype(np.int64)
-    keys *= count
-    keys += lev[1:]
-    distinct = _distinct(keys)
-    if distinct.size == 2 ** i:
-        return None, lev[_up_counts(i + 1)].reshape(-1, 2)
-    return (np.searchsorted(distinct, keys).astype(np.int32),
-            np.stack(np.divmod(distinct, count), axis=1))
-
-
-def _row_map(cls, lev, i: int):
-    """Step i's row map: ``cls``, or ``lev`` at each row's up-step count."""
-    return cls if lev is None else lev[_up_counts(i)]
+def _row_map(cls, by_level: bool, i: int):
+    """Step i's row map: ``cls``, or with ``by_level`` the class of each
+    row's up-step count."""
+    return cls[_up_counts(i)] if by_level and cls is not None else cls
 
 
 def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
@@ -330,15 +313,13 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     ``start_y`` is the field at the start step s, shape (2**s, 2**(N-s)),
     or at s = N the N + 1 levels of :func:`_terminal_levels`.
 
-    The sweep runs on classes of rows, not on rows.  The start field's rows
-    are grouped by their bytes; at each step a row's class is the pair of
-    its two children's classes.  Rows of one class hold the same bytes,
-    because the step is a pointwise map of the two children's rows, so the
-    driver, the finiteness check and the step's ufuncs run once per class
-    on compact ``(classes, columns)`` arrays, and these are what is yielded.
-    From levels the classes are formed per up-step count, with no leaf
-    field built and no row key sorted; the maps and numbering are the
-    same.
+    The sweep runs on classes of rows, not on rows.  Rows of one class hold
+    the same bytes, because the step is a pointwise map of the two
+    children's rows, so the driver, the finiteness check and the step's
+    ufuncs run once per class on compact ``(classes, columns)`` arrays, and
+    these are what is yielded.  One class map, by row or by up-step count,
+    is numbered as the module docstring says; from levels no leaf field is
+    built and no row key sorted, and the maps and numbering are the same.
 
     Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
     column c of the children gives columns c and c + m of the new rows
@@ -354,12 +335,15 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     sq = np.sqrt(dt)
     two_sq = 2.0 * sq
     y_start = np.asarray(start_y, dtype=float)
-    # cls: class of every row of the step last written, or lev: class of
-    # its rows of each up-step count (both None: each row is its own
-    # class); cy, cz: one row per class
-    cls = lev = None
-    if start_step == n and y_start.shape == (n + 1,):
-        lev, cy = _level_start(y_start)
+    # cls: class of every row of the step last written, or with by_level
+    # of its rows of each up-step count (None: each row is its own class);
+    # cy, cz: one row per class
+    by_level = start_step == n and y_start.shape == (n + 1,)
+    if by_level:
+        cls, distinct = _classes(y_start.view(np.int64), 2 ** n)
+        # with no map (N <= 1) the levels are the leaf field
+        cy = (y_start if cls is None
+              else distinct.view(np.float64)).reshape(-1, 1)
     elif y_start.shape == (2 ** start_step, 2 ** (n - start_step)):
         cls, cy = _row_classes(y_start)
     else:
@@ -372,20 +356,20 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     # into classes; CPython 3.11+ hands call arguments to the callee's frame
     del start_y, y_start
     cz = np.zeros(cy.shape)
-    yield start_step, cy, cz, _row_map(cls, lev, start_step)
+    yield start_step, cy, cz, _row_map(cls, by_level, start_step)
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
         count, m = cy.shape
-        new_cls = new_lev = None
-        if lev is not None:
-            new_lev, pairs = _level_classes(lev, count, i)
-            rows = pairs.shape[0]
-        elif cls is None:
-            # the children of row h are rows 2h and 2h+1
-            rows, pairs = 2 ** i, None
-        else:
-            new_cls, pairs = _pair_classes(cls, count)
-            rows = pairs.shape[0]
+        # pairs None: the children of row h are rows 2h and 2h + 1
+        new_cls = pairs = None
+        if cls is not None:
+            # the children of up-step count k are counts k and k + 1
+            left, right = ((cls[:-1], cls[1:]) if by_level
+                           else (cls[0::2], cls[1::2]))
+            new_cls, pairs = _pair_classes(left, right, count, 2 ** i)
+            if new_cls is None:
+                pairs = _row_map(cls, by_level, i + 1).reshape(-1, 2)
+        rows = 2 ** i if pairs is None else pairs.shape[0]
         y_new, z_new = np.empty((rows, 2, m)), np.empty((rows, 2, m))
         for lo in range(0, m, LEAF_BLOCK):
             hi = min(lo + LEAF_BLOCK, m)
@@ -395,7 +379,7 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
                 fv, gv = _driver_values(driver, t_next, cy, cz)
                 raise NumericError(f"non-finite driver value at step {i + 1}",
                                    where=_first_non_finite(
-                                       fv, gv, _row_map(cls, lev, i + 1)))
+                                       fv, gv, _row_map(cls, by_level, i + 1)))
             y_blk, z_blk = y_new[:, :, lo:hi], z_new[:, :, lo:hi]
             # y + dt f goes to the block of the new z array (there are at
             # most twice as many child classes as classes); its branch
@@ -427,9 +411,9 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
             np.subtract(a_mean, g_mean_sq, out=y_blk[:, 0, :])
             np.add(a_mean, g_mean_sq, out=y_blk[:, 1, :])
             del fv, gv, g3      # free before the next driver call
-        cls, lev = new_cls, new_lev
+        cls = new_cls
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
-        yield i, cy, cz, _row_map(cls, lev, i)
+        yield i, cy, cz, _row_map(cls, by_level, i)
 
 
 def _fields(steps, last: int):
@@ -593,9 +577,10 @@ def _chunks(rows: np.ndarray, cls, size: int):
     ``(starts, chunk)``, each chunk once with every start at which the
     step holds it.  A chunk is a view of the step or of one class row, or
     gathered over several rows into one buffer.  Chunks over rows of the
-    same classes are gathered once: in a solve from levels, a chunk of
-    2**j rows from row h holds the classes of up-step counts popcount(h) +
-    0..j, so step N has at most N - j + 1 distinct chunks."""
+    same classes, at the same column offset, are formed once: in a solve
+    from levels, a chunk of 2**j rows from row h holds the classes of
+    up-step counts popcount(h) + 0..j, so step N has at most N - j + 1
+    distinct chunks."""
     rows = np.ascontiguousarray(rows, dtype=float)
     if cls is None:
         flat = rows.reshape(-1)
@@ -603,29 +588,27 @@ def _chunks(rows: np.ndarray, cls, size: int):
             yield [start], flat[start:start + size]
         return
     width = rows.shape[1]
-    if width >= size:
-        for c in _distinct(cls):
-            members = np.flatnonzero(cls == c) * width
-            for a in range(0, width, size):
-                yield (members + a).tolist(), rows[c, a:a + size]
-        return
-    per = size // width
-    # one group per run of equal map slices, found through their first and
-    # last class and checked whole
+    per = max(size // width, 1)     # rows a chunk spans
+    # one group per run of equal map slices at one column offset, found
+    # through their first and last class and checked whole
     groups, latest = [], {}
     for h in range(0, cls.size, per):
         part = cls[h:h + per]
-        group = latest.get((part[0], part[-1]))
-        if group is None or not np.array_equal(cls[group[0]:group[0] + per],
-                                               part):
-            group = latest[part[0], part[-1]] = (h, [])
-            groups.append(group)
-        group[1].append(h * width)
-    buf = np.empty(size)
-    for h, starts in groups:
-        np.take(rows, cls[h:h + per], axis=0, out=buf.reshape(per, width),
-                mode="clip")
-        yield starts, buf
+        for a in range(0, width, size):
+            group = latest.get((part[0], part[-1], a))
+            if group is None or not np.array_equal(
+                    cls[group[0]:group[0] + per], part):
+                group = latest[part[0], part[-1], a] = (h, a, [])
+                groups.append(group)
+            group[2].append(h * width + a)
+    buf = np.empty(size) if per > 1 else None
+    for h, a, starts in groups:
+        if buf is None:
+            yield starts, rows[cls[h], a:a + size]
+        else:
+            np.take(rows, cls[h:h + per], axis=0,
+                    out=buf.reshape(per, width), mode="clip")
+            yield starts, buf
 
 
 def _pairwise(sums: list):
@@ -747,7 +730,14 @@ class ForwardSegment:
     zt: list            # backward-noise integrand per step, len = N - start_step
     dw_integrands: list
     residual: float
-    dependence: np.ndarray = field(repr=False, default=None)
+
+    @cached_property
+    def dependence(self) -> np.ndarray:
+        """The sensitivity of the class docstring per step of ``ys``,
+        shape (N - i0 + 1, 2, N): computed on first read, then kept."""
+        i0, n = self.start_step, self.grid.steps
+        return np.array([_dependence(y, i0 + k, i0, n)
+                         for k, y in enumerate(self.ys)])
 
 
 def _forward_step(driver: DriverSpec, grid: TimeGrid, j: int, y: np.ndarray,
@@ -862,11 +852,8 @@ def solve_forward_swapped(driver: DriverSpec, h_inv, eta: np.ndarray,
         ys.append(y_next)
         zts.append(zt)
         dws.append(c)
-    dependence = np.array([_dependence(y, i0 + k, i0, n)
-                           for k, y in enumerate(ys)])
     segment = ForwardSegment(grid=grid, start_step=i0, ys=ys, zt=zts,
-                             dw_integrands=dws, residual=0.0,
-                             dependence=dependence)
+                             dw_integrands=dws, residual=0.0)
     return replace(segment, residual=forward_residual(segment, driver))
 
 

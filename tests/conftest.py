@@ -368,8 +368,7 @@ def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
             np.asarray(driver.f(t, y, z), dtype=float), y.shape))
         return y, f, g
 
-    y_coeffs = [[None] * n for _ in range(m_out)]
-    z_coeffs = [[None] * n for _ in range(m_out)]
+    y_coeffs, z_coeffs = [None] * n, [None] * n
     final_se = None
     x_next = xi.reshape(m_in, 1)
     c_y, c_z = np.ones((1, m_out)), np.zeros((1, m_out))
@@ -403,17 +402,19 @@ def reference_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
             square = sum(((t - mean) * (t - mean)).sum(axis=0)
                          for t in targets)
             final_se = np.sqrt(square / m_in) / np.sqrt(m_in)
+        z_rows, y_rows = [], []
         for k in range(m_out):
             try:
-                z_coeffs[k][i] = np.linalg.solve(grams[i], rhs_z[:, k])
-                y_coeffs[k][i] = np.linalg.solve(grams[i], rhs_y[:, k])
+                z_rows.append(np.linalg.solve(grams[i], rhs_z[:, k]))
+                y_rows.append(np.linalg.solve(grams[i], rhs_y[:, k]))
             except np.linalg.LinAlgError as exc:
                 raise RegressionError(
                     f"normal equations singular at step {i}: {exc}") from exc
-        c_y = np.stack([y_coeffs[k][i] for k in range(m_out)], axis=1)
-        c_z = np.stack([z_coeffs[k][i] for k in range(m_out)], axis=1)
+        z_coeffs[i], y_coeffs[i] = np.stack(z_rows), np.stack(y_rows)
+        c_y = np.stack(y_rows, axis=1)
+        c_z = np.stack(z_rows, axis=1)
         x_next = x
-    y0 = np.array([float(np.mean(x_next @ yc[0])) for yc in y_coeffs])
+    y0 = np.array([float(np.mean(x_next @ yc)) for yc in y_coeffs[0]])
     return lsmc.MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
                            y_coeffs=y_coeffs, z_coeffs=z_coeffs,
                            cond_numbers=conds, final_se=final_se)
@@ -471,6 +472,9 @@ def oracle_solve_lsmc(driver, terminal, grid, basis, paths, ridge=1e-8):
         y0[k] = float(np.mean(y))
         y_coeffs_all.append(yc)
         z_coeffs_all.append(zc)
+    # per step, one coefficient row per outer path
+    y_coeffs = [np.stack([yc[i] for yc in y_coeffs_all]) for i in range(n)]
+    z_coeffs = [np.stack([zc[i] for zc in z_coeffs_all]) for i in range(n)]
     return lsmc.MCSolution(grid=grid, basis=basis, ridge=ridge, y0=y0,
-                           y_coeffs=y_coeffs_all, z_coeffs=z_coeffs_all,
+                           y_coeffs=y_coeffs, z_coeffs=z_coeffs,
                            cond_numbers=conds, final_se=final_se)

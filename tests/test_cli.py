@@ -319,13 +319,21 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     _kneser_cfg("scalar", math.inf),
     _kneser_cfg("tree", math.inf),
     _base_cfg(backend="scalar", terminal={"name": "w_terminal", "params": []}),
+    # a scenario on a backend it does not run on
+    {**_envelope_cfg(), "backend": "mc"},
+    {**_kneser_cfg("scalar", 0.5), "backend": "mc"},
+    {**_demo_cfg("ordered_pair_compare"), "backend": "mc"},
+    {**_demo_cfg("ordered_pair_compare"), "backend": "scalar"},
+    {**_demo_cfg("ordered_pair_compare", mode="separating", eps_bar=1.0),
+     "backend": "scalar"},
 ], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
         "unknown_driver", "unknown_driver2", "zero_steps", "bool_seed",
         "string_dump", "decreasing_schedule", "unknown_convergence_case",
         "t0_off_grid",
         "scalar_t0_past_horizon", "scalar_t0_negative", "tree_t0_off_grid",
         "scalar_t0_infinite", "tree_t0_infinite",
-        "scalar_solve_stochastic_terminal"])
+        "scalar_solve_stochastic_terminal", "mc_envelope", "mc_kneser",
+        "mc_compare", "scalar_compare_direct", "scalar_compare_separating"])
 def test_refused_config_writes_nothing(tmp_path, cfg):
     out = tmp_path / "o"
     assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
@@ -486,8 +494,9 @@ def test_glue_run_above_the_memory_cap_is_refused_before_computing(tmp_path):
 
 
 def test_regression_above_the_byte_cap_is_refused_before_sampling(tmp_path):
-    # 64 state rows and two design matrices of 200,000 x 1,001 floats take
-    # 3.3 GB; the check runs before the 102 MB of increments are drawn
+    # lsmc._state_rows(64) = 23 rows of design states and two design
+    # matrices of 200,000 x 1,001 floats take 3.2 GB; the check runs before
+    # the 102 MB of increments are drawn
     cfg = _base_cfg(backend="mc", grid={"horizon": 1, "steps": 64},
                     solve={"m_outer": 2, "m_inner": 200000, "basis_degree": 1000})
     path, out = _write(tmp_path, cfg), tmp_path / "o"

@@ -94,7 +94,7 @@ class TestClosedForms:
         # intercept preserve sample means), so 3 sigma = 3 sqrt(T/M)
         se = np.sqrt(grid.horizon / paths.m_inner)
         assert abs(float(np.mean(mc.y0))) <= 3 * se
-        intercepts = [c[0] for c in mc.z_coeffs[0]]
+        intercepts = [c[0, 0] for c in mc.z_coeffs]
         assert np.allclose(intercepts, 1.0, atol=0.05)
 
     def test_backward_noise_exact_per_outer_path(self):
@@ -156,8 +156,8 @@ class TestDiagnostics:
                            bl.builtin_terminal("w_terminal"), grid,
                            bl.BasisSpec("poly", 2), paths)
         assert np.all(np.isfinite(mc.cond_numbers))
-        for coeffs in mc.y_coeffs[0]:
-            assert coeffs.shape == (3,)
+        for coeffs in mc.y_coeffs:
+            assert coeffs.shape == (2, 3)
             assert np.all(np.isfinite(coeffs))
 
 

@@ -55,9 +55,8 @@ def _assert_same_solution(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     for name in ("y_coeffs", "z_coeffs"):
-        for row_a, row_b in zip(getattr(got, name), getattr(want, name),
-                                strict=True):
-            assert [c.tobytes() for c in row_a] == [c.tobytes() for c in row_b]
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def _lattice_batch(grid, m_outer, layout, rng):
@@ -107,10 +106,9 @@ def _assert_close_solution(got, want, tol=1e-10):
     close(got.final_se, want.final_se)
     assert got.cond_numbers.tobytes() == want.cond_numbers.tobytes()
     for name in ("y_coeffs", "z_coeffs"):
-        for row_a, row_b in zip(getattr(got, name), getattr(want, name),
-                                strict=True):
-            for a, b in zip(row_a, row_b, strict=True):
-                close(a, b)
+        for a, b in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert a.shape == b.shape
+            close(a, b)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # cond of a singular Gram
@@ -169,8 +167,8 @@ def test_a_path_is_the_same_in_any_batch(monkeypatch):
                 assert (getattr(part, name)[k].tobytes()
                         == getattr(full, name)[lo + k].tobytes()), name
             for name in ("y_coeffs", "z_coeffs"):
-                assert ([c.tobytes() for c in getattr(part, name)[k]]
-                        == [c.tobytes() for c in getattr(full, name)[lo + k]])
+                assert ([c[k].tobytes() for c in getattr(part, name)]
+                        == [c[lo + k].tobytes() for c in getattr(full, name)])
 
 
 CUSTOM = custom_drivers()
@@ -466,15 +464,16 @@ def test_counted_widths_are_the_design_widths(kind, source):
 
 
 def test_solve_above_the_design_cap_allocates_nothing():
-    # N + 1 columns per step would fit under the cap (8 * m * (16 + 2 * 17)
-    # bytes = 1.5 GiB), the counted widths of these Gaussian paths do not
+    # N + 1 columns per step would fit under the cap (8 * m * (11 + 2 * 17)
+    # bytes = 1.3 GiB, with lsmc._state_rows(16) = 11 rows of design
+    # states), the counted widths of these Gaussian paths do not
     # (38 + 39 columns at steps 14 and 15); the count runs over blocks of
     # paths before the states, the terminal values and the designs are made
     grid = bl.make_grid(1.0, 16)
     m_in = 4_000_000
     paths = bl.PathBatch.from_arrays(grid, np.zeros((2, 16)),
                                      _sliding_increments(grid, m_in, seed=3))
-    assert 8 * m_in * (16 + 2 * 17) <= lsmc.BATCH_MEMORY_CAP
+    assert 8 * m_in * (lsmc._state_rows(16) + 2 * 17) <= lsmc.BATCH_MEMORY_CAP
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):

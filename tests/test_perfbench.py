@@ -51,3 +51,27 @@ def test_toy_tree_oracle_passes_the_benchmark_check(tmp_path, monkeypatch, seed)
     # the dump-size check and the reloaded dump's residual, which the
     # benchmark applies to every tree_oracle run
     assert _toy_check("tree_oracle", seed, tmp_path, monkeypatch) == []
+
+
+def test_traced_toy_runs_exit_0(tmp_path, monkeypatch):
+    # the traced benchmark path end to end, as its child process runs it:
+    # the after-hooks read what the package returns (a forward segment's
+    # dependence among them) and count the calls they see
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        cfg = workloads.make_config(workload, 0, toy=True)
+        path = tmp_path / f"{workload}.json"
+        path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "child.py"),
+             "--src", str(ROOT / "src"), "--config", str(path),
+             "--out", str(tmp_path / workload), "--mode", "run", "--trace"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, (workload, proc.stderr)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["status"] == 0, workload
+        if workload == "lattice_glue":
+            assert result["layers"]["tree.forward_calls"] == \
+                len(cfg["kneser"]["lambdas"])
