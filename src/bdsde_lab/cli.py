@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import platform
 import sys
@@ -109,7 +110,9 @@ def _build_grid(block):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # json parses NaN and +-Infinity, which no key takes
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def _is_integer(value) -> bool:

@@ -84,7 +84,7 @@ class DriverSpec:
     ``f`` and ``g`` must be pointwise: the value at a node depends on t and
     that node's (y, z) alone, never on its position in the array or on
     the other nodes.  Solvers may call them on any subset of the nodes; the
-    lattice sweep calls them once per distinct row of a step.
+    lattice sweep calls them once per level (or per row) of a step.
     """
 
     f: DriverPart

@@ -48,15 +48,14 @@ class IterateRecord:
     n: float
     sup_dist_prev: float
     y0_mean: float
-    field: object = None
 
 
 @dataclass(frozen=True)
 class EnvelopeSide:
     """One envelope side: the last iterate's fields, the lower-bound
     companion, the iterate record and the convolution boundary hits summed
-    over the iterates.  On the tree backend the hits count distinct probes
-    (the lattice sweep evaluates the driver once per distinct row), not
+    over the iterates.  On the tree backend the hits count level probes
+    (the lattice sweep evaluates the driver once per level of a step), not
     lattice nodes; they reach no artifact."""
 
     mode: str                 # "sup" (maximal) or "inf" (minimal)
@@ -241,6 +240,8 @@ def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
     reg = None
     for n in schedule:
         reg = regularized_driver(driver, n, mode, grid_spec)
+        # only the previous iterate's y is held while the next one forms
+        y_field = z_field = None
         y_field, z_field = _solve_one(reg.spec, terminal, grid, backend, xi_const)
         boundary_hits += reg.operator.boundary_hits
         dist = np.nan if prev_y is None else fld.sup_distance(y_field, prev_y)
@@ -263,7 +264,6 @@ def _envelope_side(mode: str, driver: DriverSpec, terminal: TerminalSpec,
         iterates.append(IterateRecord(
             n=n, sup_dist_prev=float(dist),
             y0_mean=float(np.mean(fld.step_values(y_field, 0))),
-            field=y_field,
         ))
         if prev_y is not None and dist < tol:
             converged = True

@@ -466,10 +466,10 @@ def _check_glue_bytes(n: int, i0: int, count: int) -> None:
     """Raise ``CapacityError`` unless ``count`` retained glued lattice
     solutions plus one glue's working arrays fit in ``GLUE_MAX_BYTES``,
     counted from the shapes they are stored on: per solution, eta and the
-    backward piece (2 i0 + 2 lattice steps of 2**N values, an upper bound
-    for steps stored by classes of rows), the forward
-    steps i0..N and the two integrands of steps i0..N-1 (2**j rows of
-    2**(N-i0) each), ``tau`` (int64) and ``side_is_max`` (bool) on D."""
+    backward piece (2 i0 + 2 lattice steps of 2**N values: eta is swept on
+    plain rows), the forward steps i0..N and the two integrands of steps
+    i0..N-1 (2**j rows of 2**(N-i0) each), ``tau`` (int64) and
+    ``side_is_max`` (bool) on D."""
     cols = 2 ** (n - i0)
     d = 2 ** n * cols
     floats = ((2 * i0 + 2) * 2 ** n + (2 ** (n + 1) - 2 ** i0) * cols

@@ -63,7 +63,6 @@ import numpy as np
 
 from .core import DriverSpec, TerminalSpec, TimeGrid
 from .errors import CapacityError, NumericError, RegressionError
-from .tree import _distinct
 
 BATCH_MEMORY_CAP = 2 ** 31  # bytes of increments per batch
 WIDTH_BLOCK = 2 ** 13       # paths per block when indicator widths are counted
@@ -161,6 +160,16 @@ def check_increment_bytes(n: int, counts: tuple[int, int]) -> None:
             f"batch would allocate {total_bytes} bytes of increments, "
             f"cap is {BATCH_MEMORY_CAP}"
         )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d array, in increasing order (a sort
+    and one comparison; ``np.unique`` would import ``numpy.ma``)."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 def _levels(w: np.ndarray, dt: float) -> np.ndarray:

@@ -100,8 +100,8 @@ class ConvolvedPart:
     ``boundary_hits`` counts evaluations whose optimizer landed on the edge
     of the candidate box, the failure signature of too small a radius.  It
     counts the probes the operator is handed: the lattice sweep hands it
-    each distinct row of a step once, so a tree-backend count is one of
-    distinct probes, not of lattice nodes.
+    each level of a step once, so a tree-backend count is one of level
+    probes, not of lattice nodes.
     """
 
     def __init__(self, base: DriverPart, n: float, spec: ConvGridSpec,

@@ -16,23 +16,20 @@ Every step therefore has exactly 2**N nodes.
 
 Stored form
 -----------
-A solution stores each step by classes of rows: one row of 2**(N-i)
-values per class and the int32 class of each of the 2**i rows, or no map
-when every row is its own class (then the rows are the step).  Rows of
-one class hold the same bytes.  Every catalog terminal declares its form
-as a function of W_T, and the solver reads W_T = sqrt(dt) (2k - N) from
-the number k of up-steps of a leaf, so leaves with equal counts hold
-equal bytes.  Drivers are pointwise, so step i then holds at most i + 1
-classes: the lattice recombines in the forward noise only (Cox, Ross &
-Rubinstein 1979), never in the backward noise.  One numbering forms
-the classes, from the count of rows its keys stand for and the child
-relation alone: row keys (bytes) stand for a row each, and row h has
-children 2h and 2h + 1; from a W_T form, the up-step counts 0..i stand
-for the 2**i rows of step i, and count k has children k and k + 1.  A
-full step is built only when a caller indexes it (:class:`LatticeField`).
-A ``solve`` run keeps no stored form: :func:`stream_tree_solution` takes
-each step's summary and dump bytes as the sweep forms it, and holds about
-two steps.
+Every catalog terminal declares its form as a function of W_T, and the
+solver reads W_T = sqrt(dt) (2k - N) from the number k of up-steps of a
+leaf.  Drivers are pointwise, so from such a terminal the rows of step i
+with k up-steps hold the same values: the lattice recombines in the
+forward noise only (Cox, Ross & Rubinstein 1979), never in the backward
+noise.  A sweep from a W_T form stores step i by levels, an
+(i + 1, 2**(N-i)) array whose row k is the row of every history with k
+up-steps; the children of level k are levels k and k + 1.  A row-wise
+start (a terminal without a W_T form, or a glue's start field) is swept
+on plain rows, each step stored as itself; the children of row h are
+rows 2h and 2h + 1.  A full step is built only when a caller indexes it
+(:class:`LatticeField`).  A ``solve`` run keeps no stored form:
+:func:`stream_tree_solution` takes each step's summary and dump bytes as
+the sweep forms it, and holds about two steps.
 
 Scheme
 ------
@@ -66,7 +63,7 @@ import struct
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -109,14 +106,16 @@ def leaf_increments(grid: TimeGrid) -> np.ndarray:
     return _leaf_block(grid, 0, 2 ** grid.steps)
 
 
+@cache
 def _up_counts(n: int) -> np.ndarray:
     """The number of up-steps (set bits) of every leaf index below 2**n,
-    uint8: the counts below 2**j, then the same counts plus one for the
-    indices with bit j set."""
+    uint8, read-only: the counts below 2**j, then the same counts plus one
+    for the indices with bit j set.  Kept per n (2 MiB for n <= 20), since
+    every step built from levels reads them."""
     ups = np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         ups = np.concatenate((ups, ups + 1))
-    return ups
+    return _read_only(ups)
 
 
 def _terminal_levels(terminal: TerminalSpec, grid: TimeGrid):
@@ -161,21 +160,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LatticeField(Sequence):
-    """The steps 0..N of one lattice field (Y or Z), stored by classes of
-    rows.
+    """The steps 0..N of one lattice field (Y or Z), stored by levels or by
+    plain rows.
 
-    ``rows[i]`` holds one row of 2**(N-i) values per class of step i, and
-    ``classes[i]`` the int32 class of each of its 2**i rows, or None when
-    every row is its own class and ``rows[i]`` is the step itself.
+    With ``levels``, ``rows[i]`` has shape (i + 1, 2**(N-i)) and its row k
+    holds every row of step i with k up-steps; else ``rows[i]`` is step i.
     Indexing builds step i, shape (2**i, 2**(N-i)), read-only, on demand."""
 
     rows: list
-    classes: list
+    levels: bool = False
 
     def __post_init__(self):
-        for name in ("rows", "classes"):
-            object.__setattr__(self, name, [
-                None if a is None else _read_only(a) for a in getattr(self, name)])
+        object.__setattr__(self, "rows", [_read_only(a) for a in self.rows])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -185,21 +181,20 @@ class LatticeField(Sequence):
 
     def shape(self, i: int) -> tuple:
         """The shape of step i, read from the stored form."""
-        rows, cls = self.rows[i], self.classes[i]
-        return rows.shape if cls is None else (cls.size, rows.shape[1])
+        rows = self.rows[i]
+        return (2 ** i, rows.shape[1]) if self.levels else rows.shape
 
     def build(self, i: int) -> np.ndarray:
         """Step i, as :func:`_build` gives it from the stored form."""
-        return _build(self.rows[i], self.classes[i])
+        return _build(self.rows[i], self.levels)
 
 
-def _build(rows: np.ndarray, cls) -> np.ndarray:
-    """The step stored as class ``rows`` and row map ``cls``: ``rows`` itself
-    when every row is its own class (``cls`` None), else the rows gathered
-    through the map."""
-    if cls is None:
+def _build(rows: np.ndarray, levels: bool) -> np.ndarray:
+    """The step stored as ``rows``: ``rows`` itself, or with ``levels`` the
+    level of every row's up-step count, gathered."""
+    if not levels:
         return rows
-    step = np.take(rows, cls, axis=0, mode="clip")
+    step = np.take(rows, _up_counts(rows.shape[0] - 1), axis=0)
     step.setflags(write=False)
     return step
 
@@ -211,7 +206,7 @@ class TreeSolution:
     ``ys`` and ``zs`` are :class:`LatticeField` sequences: ``ys[i]`` builds
     step i, shape (2**i, 2**(N-i)), on demand from the rows the sweep
     computed.  Lists of full step arrays (a loaded dump, a test's fields)
-    are kept as they are, each row its own class."""
+    are kept as they are, as plain rows."""
 
     grid: TimeGrid
     ys: LatticeField
@@ -223,153 +218,67 @@ class TreeSolution:
         for name in ("ys", "zs"):
             steps = getattr(self, name)
             if not isinstance(steps, LatticeField):
-                steps = list(steps)
-                object.__setattr__(self, name,
-                                   LatticeField(steps, [None] * len(steps)))
+                object.__setattr__(self, name, LatticeField(list(steps)))
 
     @property
     def steps(self) -> int:
         return self.grid.steps
 
     def max_abs_y(self) -> float:
-        # every class holds at least one row of its step
+        # the levels of a step hold every value of the step
         return max(float(np.max(np.abs(rows))) for rows in self.ys.rows)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct entries of a 1-d array, in increasing order (a sort
-    and one comparison; ``np.unique`` would import ``numpy.ma``)."""
-    ordered = np.sort(values)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
-def _classes(keys: np.ndarray, rows: int):
-    """Equal entries of the 1-d int64 array ``keys``, which stand for
-    ``rows`` rows, as classes.
-
-    Returns ``(cls, distinct)``: the distinct keys in increasing order and,
-    for every entry, the int32 position of its key among them.  When the
-    keys take ``rows`` distinct values, ``cls`` is None: each row is its
-    own class, numbered by its position."""
-    distinct = _distinct(keys)
-    if distinct.size == rows:
-        return None, distinct
-    return np.searchsorted(distinct, keys).astype(np.int32), distinct
-
-
-def _pair_classes(left: np.ndarray, right: np.ndarray, count: int,
-                  rows: int):
-    """Classes of the pairs ``(left[j], right[j])`` of class numbers below
-    ``count``, which stand for ``rows`` rows: ``(cls, pairs)``, with
-    ``cls`` as :func:`_classes` gives it and ``pairs[c]`` the two class
-    numbers of pair class ``c``; both None when each row is its own
-    class."""
-    # widen before multiplying: int32 keys would overflow past 2**31
-    keys = left.astype(np.int64)
-    keys *= count
-    keys += right
-    cls, distinct = _classes(keys, rows)
-    if cls is None:
-        return None, None
-    return cls, np.stack(np.divmod(distinct, count), axis=1)
-
-
-def _row_classes(rows: np.ndarray):
-    """The rows of a 2-d float64 array grouped by their bytes (so -0.0 and
-    +0.0 differ, as do NaN payloads): ``(cls, compact)``, with ``cls`` as
-    :func:`_classes` gives it for the rows and one row per class in
-    ``compact``.  The entries are grouped first, then adjacent pairs of
-    classes, until one class is left per row (row widths are powers of
-    two)."""
-    keys = rows.view(np.int64).ravel()
-    cls, distinct = _classes(keys, keys.size)
-    compact = distinct.view(np.float64).reshape(-1, 1)
-    while cls is not None and compact.shape[1] < rows.shape[1]:
-        cls, pairs = _pair_classes(cls[0::2], cls[1::2], compact.shape[0],
-                                   cls.size // 2)
-        if cls is not None:
-            compact = np.take(compact, pairs, axis=0).reshape(len(pairs), -1)
-    return cls, (rows if cls is None else compact)
-
-
-def _row_map(cls, by_level: bool, i: int):
-    """Step i's row map: ``cls``, or with ``by_level`` the class of each
-    row's up-step count."""
-    return cls[_up_counts(i)] if by_level and cls is not None else cls
 
 
 def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
                  start_y: np.ndarray):
     """Run the backward recursion from a field given at ``start_step`` down
-    to step 0, as a generator: ``(i, y_rows, z_rows, classes)`` for i =
+    to step 0, as a generator: ``(i, y_rows, z_rows, levels)`` for i =
     start_step, ..., 0, each step in the stored form of
     :class:`LatticeField`.  The z field at the start step is zero.  The
     generator drops step i + 1 once step i is formed, so it holds two steps
     at most; a consumer that keeps no earlier step holds no more.
 
     ``start_y`` is the field at the start step s, shape (2**s, 2**(N-s)),
-    or at s = N the N + 1 levels of :func:`_terminal_levels`.
-
-    The sweep runs on classes of rows, not on rows.  Rows of one class hold
-    the same bytes, because the step is a pointwise map of the two
-    children's rows, so the driver, the finiteness check and the step's
-    ufuncs run once per class on compact ``(classes, columns)`` arrays, and
-    these are what is yielded.  One class map, by row or by up-step count,
-    is numbered as the module docstring says; from levels no leaf field is
-    built and no row key sorted, and the maps and numbering are the same.
+    swept on plain rows, or at s = N the N + 1 levels of
+    :func:`_terminal_levels`, swept on levels.  The step is a pointwise map
+    of the two children of each new row, so the driver, the finiteness
+    check and the step's ufuncs run on the (levels or rows, columns)
+    arrays, and these are what is yielded.  The - and + children of the
+    new rows are the child rows ``[:-1]`` and ``[1:]`` on levels, and
+    ``[0::2]`` and ``[1::2]`` on rows: views, no gather.
 
     Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
     column c of the children gives columns c and c + m of the new rows
     (r_i = -1 and +1, m child columns), and every operation is pointwise
     per column, so the blocks give the values of one pass over the step.
-    The driver's values, the gathered child pairs and the pair means take
-    (classes, block) arrays, not whole steps; each block writes through
-    ``out=`` into its columns of the two new arrays.  The driver's values
-    and the yielded rows are only read, since a driver may return its own
-    argument."""
+    The driver's values and the pair means take (rows, block) arrays, not
+    whole steps; each block writes through ``out=`` into its columns of
+    the two new arrays.  The driver's values and the yielded rows are only
+    read, since a driver may return its own argument."""
     n = grid.steps
     dt = grid.dt
     sq = np.sqrt(dt)
     two_sq = 2.0 * sq
-    y_start = np.asarray(start_y, dtype=float)
-    # cls: class of every row of the step last written, or with by_level
-    # of its rows of each up-step count (None: each row is its own class);
-    # cy, cz: one row per class
-    by_level = start_step == n and y_start.shape == (n + 1,)
-    if by_level:
-        cls, distinct = _classes(y_start.view(np.int64), 2 ** n)
-        # with no map (N <= 1) the levels are the leaf field
-        cy = (y_start if cls is None
-              else distinct.view(np.float64)).reshape(-1, 1)
-    elif y_start.shape == (2 ** start_step, 2 ** (n - start_step)):
-        cls, cy = _row_classes(y_start)
-    else:
+    cy = np.asarray(start_y, dtype=float)
+    # held as cy alone, so that a start passed as a temporary goes once the
+    # next step is formed
+    del start_y
+    levels = start_step == n and cy.shape == (n + 1,)
+    if levels:
+        cy = cy.reshape(-1, 1)
+    elif cy.shape != (2 ** start_step, 2 ** (n - start_step)):
         raise ValueError(
-            f"start field has shape {y_start.shape}, expected "
+            f"start field has shape {cy.shape}, expected "
             f"{(2 ** start_step, 2 ** (n - start_step))}"
         )
-    # when the generator holds the only reference (a temporary passed in,
-    # as solve_tree_steps does), this frees a start field that was grouped
-    # into classes; CPython 3.11+ hands call arguments to the callee's frame
-    del start_y, y_start
+    minus, plus = ((slice(None, -1), slice(1, None)) if levels
+                   else (slice(0, None, 2), slice(1, None, 2)))
     cz = np.zeros(cy.shape)
-    yield start_step, cy, cz, _row_map(cls, by_level, start_step)
+    yield start_step, cy, cz, levels
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
         count, m = cy.shape
-        # pairs None: the children of row h are rows 2h and 2h + 1
-        new_cls = pairs = None
-        if cls is not None:
-            # the children of up-step count k are counts k and k + 1
-            left, right = ((cls[:-1], cls[1:]) if by_level
-                           else (cls[0::2], cls[1::2]))
-            new_cls, pairs = _pair_classes(left, right, count, 2 ** i)
-            if new_cls is None:
-                pairs = _row_map(cls, by_level, i + 1).reshape(-1, 2)
-        rows = 2 ** i if pairs is None else pairs.shape[0]
+        rows = count - 1 if levels else count // 2
         y_new, z_new = np.empty((rows, 2, m)), np.empty((rows, 2, m))
         for lo in range(0, m, LEAF_BLOCK):
             hi = min(lo + LEAF_BLOCK, m)
@@ -378,31 +287,24 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
                 # the first node in C order may sit in a later block
                 fv, gv = _driver_values(driver, t_next, cy, cz)
                 raise NumericError(f"non-finite driver value at step {i + 1}",
-                                   where=_first_non_finite(
-                                       fv, gv, _row_map(cls, by_level, i + 1)))
+                                   where=_first_non_finite(fv, gv, levels))
             y_blk, z_blk = y_new[:, :, lo:hi], z_new[:, :, lo:hi]
-            # y + dt f goes to the block of the new z array (there are at
-            # most twice as many child classes as classes); its branch
-            # difference to the - branch of the new y, the g terms to the
-            # + branches
+            # y + dt f goes to the block of the new z array (it has room for
+            # the child rows); its branch difference to the - branch of the
+            # new y, the g terms to the + branches
             a = z_new.reshape(-1, m)[:count, lo:hi]
             np.multiply(fv, dt, out=a)
             np.add(a, cy[:, lo:hi], out=a)
-            a3 = a.reshape(rows, 2, -1) if pairs is None else \
-                np.take(a, pairs, axis=0, mode="clip")
             a_mean = np.empty((rows, hi - lo))
             a_diff = y_blk[:, 0, :]
-            np.add(a3[:, 1, :], a3[:, 0, :], out=a_mean)
+            np.add(a[plus], a[minus], out=a_mean)
             np.multiply(a_mean, 0.5, out=a_mean)
-            np.subtract(a3[:, 1, :], a3[:, 0, :], out=a_diff)
-            del a3
-            g3 = gv.reshape(rows, 2, -1) if pairs is None else \
-                np.take(gv, pairs, axis=0, mode="clip")
+            np.subtract(a[plus], a[minus], out=a_diff)
             g_mean_sq, g_diff_sq = y_blk[:, 1, :], z_blk[:, 1, :]
-            np.add(g3[:, 1, :], g3[:, 0, :], out=g_mean_sq)
+            np.add(gv[plus], gv[minus], out=g_mean_sq)
             np.multiply(g_mean_sq, 0.5, out=g_mean_sq)
             np.multiply(g_mean_sq, sq, out=g_mean_sq)
-            np.subtract(g3[:, 1, :], g3[:, 0, :], out=g_diff_sq)
+            np.subtract(gv[plus], gv[minus], out=g_diff_sq)
             np.multiply(g_diff_sq, sq, out=g_diff_sq)
             np.subtract(a_diff, g_diff_sq, out=z_blk[:, 0, :])
             np.divide(z_blk[:, 0, :], two_sq, out=z_blk[:, 0, :])
@@ -410,31 +312,25 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
             np.divide(z_blk[:, 1, :], two_sq, out=z_blk[:, 1, :])
             np.subtract(a_mean, g_mean_sq, out=y_blk[:, 0, :])
             np.add(a_mean, g_mean_sq, out=y_blk[:, 1, :])
-            del fv, gv, g3      # free before the next driver call
-        cls = new_cls
+            del fv, gv      # free before the next driver call
         cy, cz = y_new.reshape(rows, 2 * m), z_new.reshape(rows, 2 * m)
-        yield i, cy, cz, _row_map(cls, by_level, i)
+        yield i, cy, cz, levels
 
 
 def _fields(steps, last: int):
     """The Y and Z fields of steps 0..``last`` as :class:`LatticeField`
     sequences, collected from the sweep's ``steps``."""
-    y_rows, z_rows, maps = ([None] * (last + 1) for _ in range(3))
-    for i, y, z, cls in steps:
-        y_rows[i], z_rows[i], maps[i] = y, z, cls
-    return LatticeField(y_rows, maps), LatticeField(z_rows, maps)
+    y_rows, z_rows = [None] * (last + 1), [None] * (last + 1)
+    for i, y, z, levels in steps:
+        y_rows[i], z_rows[i] = y, z
+    return LatticeField(y_rows, levels), LatticeField(z_rows, levels)
 
 
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
                     start_y: np.ndarray):
     """The Y and Z fields of steps 0..start_step that :func:`_sweep_steps`
-    forms from ``start_y``, as :class:`LatticeField` sequences with one
-    class map per step."""
-    steps = _sweep_steps(driver, grid, start_step, start_y)
-    # the generator holds the only reference now, if the caller passed a
-    # temporary, and frees a start field it groups into classes
-    del start_y
-    return _fields(steps, start_step)
+    forms from ``start_y``, as :class:`LatticeField` sequences."""
+    return _fields(_sweep_steps(driver, grid, start_step, start_y), start_step)
 
 
 def _driver_values(driver: DriverSpec, t: float, y: np.ndarray, z: np.ndarray):
@@ -444,14 +340,14 @@ def _driver_values(driver: DriverSpec, t: float, y: np.ndarray, z: np.ndarray):
                  for part in (driver.f, driver.g))
 
 
-def _first_non_finite(fv: np.ndarray, gv: np.ndarray, cls) -> tuple:
+def _first_non_finite(fv: np.ndarray, gv: np.ndarray, levels: bool) -> tuple:
     """The first node, in C order of the full step array, whose driver
-    value is not finite, from the per-class values and the row classes."""
+    value is not finite, from the values on the step's levels or rows: the
+    first row of level k is row 2**k - 1."""
     bad = ~(np.isfinite(fv) & np.isfinite(gv))
-    bad_rows = np.any(bad, axis=1)
-    row = int(np.flatnonzero(bad_rows if cls is None else bad_rows[cls])[0])
-    col = int(np.flatnonzero(bad[row if cls is None else cls[row]])[0])
-    return (row, col)
+    row = int(np.flatnonzero(np.any(bad, axis=1))[0])
+    col = int(np.flatnonzero(bad[row])[0])
+    return (2 ** row - 1 if levels else row, col)
 
 
 def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
@@ -483,7 +379,8 @@ def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
     levels = _terminal_levels(terminal, grid)
     if levels is not None:
         return _sweep_steps(driver, grid, n, levels)
-    # a temporary start field, so that the sweep can free it
+    # a temporary start field, so that a streamed sweep drops it once step
+    # N - 1 is formed
     return _sweep_steps(driver, grid, n,
                         _terminal_values(terminal, grid).reshape(2 ** n, 1))
 
@@ -568,47 +465,40 @@ def expectation_at(sol: TreeSolution, i: int) -> dict:
     (:func:`_pass`)."""
     if not 0 <= i <= sol.steps:
         raise ValueError(f"step index {i} out of range 0..{sol.steps}")
-    return _pass(sol.ys.rows[i], sol.ys.classes[i], summarize=True)
+    return _pass(sol.ys.rows[i], sol.ys.levels, summarize=True)
 
 
-def _chunks(rows: np.ndarray, cls, size: int):
-    """The step stored as ``rows`` and ``cls`` (:func:`_build`) in chunks of
-    ``size`` float64 values, a power of two no larger than the step:
-    ``(starts, chunk)``, each chunk once with every start at which the
-    step holds it.  A chunk is a view of the step or of one class row, or
-    gathered over several rows into one buffer.  Chunks over rows of the
-    same classes, at the same column offset, are formed once: in a solve
-    from levels, a chunk of 2**j rows from row h holds the classes of
-    up-step counts popcount(h) + 0..j, so step N has at most N - j + 1
-    distinct chunks."""
+def _chunks(rows: np.ndarray, levels: bool, size: int):
+    """The step stored as ``rows`` (:func:`_build`) in chunks of ``size``
+    float64 values, a power of two no larger than the step: ``(starts,
+    chunk)``, each chunk once with every start at which the step holds it.
+    On plain rows a chunk is a view of the step.  On levels, chunks at one
+    column offset of rows with equal up-step counts are formed once: a
+    chunk inside row h is a view of level popcount(h), and a chunk of an
+    aligned block of 2**j rows from row h holds levels popcount(h) +
+    :func:`_up_counts` (j), gathered into one buffer, so step N has at most
+    N - j + 1 distinct chunks."""
     rows = np.ascontiguousarray(rows, dtype=float)
-    if cls is None:
+    if not levels:
         flat = rows.reshape(-1)
         for start in range(0, flat.size, size):
             yield [start], flat[start:start + size]
         return
     width = rows.shape[1]
     per = max(size // width, 1)     # rows a chunk spans
-    # one group per run of equal map slices at one column offset, found
-    # through their first and last class and checked whole
-    groups, latest = [], {}
-    for h in range(0, cls.size, per):
-        part = cls[h:h + per]
+    groups = {}
+    for h in range(0, 2 ** (rows.shape[0] - 1), per):
         for a in range(0, width, size):
-            group = latest.get((part[0], part[-1], a))
-            if group is None or not np.array_equal(
-                    cls[group[0]:group[0] + per], part):
-                group = latest[part[0], part[-1], a] = (h, a, [])
-                groups.append(group)
-            group[2].append(h * width + a)
-    buf = np.empty(size) if per > 1 else None
-    for h, a, starts in groups:
-        if buf is None:
-            yield starts, rows[cls[h], a:a + size]
-        else:
-            np.take(rows, cls[h:h + per], axis=0,
-                    out=buf.reshape(per, width), mode="clip")
-            yield starts, buf
+            groups.setdefault((bin(h).count("1"), a), []).append(h * width + a)
+    if per == 1:
+        for (k, a), starts in groups.items():
+            yield starts, rows[k, a:a + size]
+        return
+    ups = _up_counts(per.bit_length() - 1)
+    buf = np.empty(size)
+    for (k, _), starts in groups.items():
+        np.take(rows, ups + k, axis=0, out=buf.reshape(per, width), mode="clip")
+        yield starts, buf
 
 
 def _pairwise(sums: list):
@@ -619,12 +509,13 @@ def _pairwise(sums: list):
     return sums[0]
 
 
-def _pass(rows: np.ndarray, cls, write=None, summarize: bool = False):
-    """One pass over the step stored as ``rows`` and ``cls`` in chunks of
-    ``CHUNK`` values (:func:`_chunks`), each handed to ``write(start,
-    chunk)`` at every start that holds it and, with ``summarize``, reduced
-    once while in cache: returns the mean, min, max and mean square of the
-    step, else None.
+def _pass(rows: np.ndarray, levels: bool, write=None,
+          summarize: bool = False):
+    """One pass over the step stored as ``rows``, by levels or not, in
+    chunks of ``CHUNK`` values (:func:`_chunks`), each handed to
+    ``write(start, chunk)`` at every start that holds it and, with
+    ``summarize``, reduced once while in cache: returns the mean, min, max
+    and mean square of the step, else None.
 
     These hold the bits numpy gives over the step built whole.  numpy sums
     a contiguous array pairwise, halving a power-of-two count down to
@@ -634,7 +525,8 @@ def _pass(rows: np.ndarray, cls, write=None, summarize: bool = False):
     summarized from the step built whole: there the sign a sum or an
     extreme takes follows numpy's order over the whole step.  (The NaN of inf - inf has
     one sign, whatever the order.)"""
-    size = rows.shape[1] * (rows.shape[0] if cls is None else cls.size)
+    size = rows.shape[1] * (2 ** (rows.shape[0] - 1) if levels
+                            else rows.shape[0])
     size_chunk = min(CHUNK, size)
     if summarize:
         squares = np.empty(size_chunk)
@@ -642,7 +534,7 @@ def _pass(rows: np.ndarray, cls, write=None, summarize: bool = False):
         count = size // size_chunk
         sums, square_sums, lows, highs = [None] * count, [None] * count, [], []
         zero_signs = set()      # signs of the zeros of chunks with a zero extreme
-    for starts, chunk in _chunks(rows, cls, size_chunk):
+    for starts, chunk in _chunks(rows, levels, size_chunk):
         if write is not None:
             for start in starts:
                 write(start, chunk)
@@ -668,7 +560,7 @@ def _pass(rows: np.ndarray, cls, write=None, summarize: bool = False):
     lo, hi = np.min(lows), np.max(highs)
     if np.isnan(lo) or np.isnan(hi) or \
             (len(zero_signs) == 2 and (lo == 0.0 or hi == 0.0)):
-        step = np.ascontiguousarray(_build(rows, cls), dtype=float)
+        step = np.ascontiguousarray(_build(rows, levels), dtype=float)
         mean, mean_square = np.mean(step), np.mean(step * step)
         lo, hi = step.min(), step.max()
     return {"mean": float(mean), "min": float(lo), "max": float(hi),
@@ -917,13 +809,13 @@ def _dump_writer(path, grid: TimeGrid, driver_descriptor: str,
 
 def save_tree_solution(path, sol: TreeSolution) -> None:
     """Write ``sol`` in the layout above, one step at a time, each in one
-    pass of chunks (:func:`_pass`): a step stored by classes of rows is
-    gathered a chunk at a time, never built whole."""
+    pass of chunks (:func:`_pass`): a step stored by levels is gathered a
+    chunk at a time, never built whole."""
     with _dump_writer(path, sol.grid, sol.driver_descriptor,
                       sol.terminal_descriptor) as put:
         for i in range(sol.steps + 1):
             for k, steps in enumerate((sol.ys, sol.zs)):
-                _pass(steps.rows[i], steps.classes[i], put(i, k))
+                _pass(steps.rows[i], steps.levels, put(i, k))
 
 
 def stream_tree_solution(steps, grid: TimeGrid, path=None,
@@ -936,18 +828,18 @@ def stream_tree_solution(steps, grid: TimeGrid, path=None,
 
     Y_i is written and summarized in one pass of chunks of ``CHUNK`` values
     (:func:`_pass`), Z_i written in another; no step is built whole but
-    one whose summary needs it.  The chunk buffers of a step go before the sweep forms the next, so the
-    largest arrays held are the sweep's two steps, or one step, its row
-    map and the chunk buffers."""
+    one whose summary needs it.  The chunk buffers of a step go before the
+    sweep forms the next, so the largest arrays held are the sweep's two
+    steps, or one step and the chunk buffers."""
     summaries = [None] * (grid.steps + 1)
     with (contextlib.nullcontext() if path is None
           else _dump_writer(path, grid, *descriptors)) as put:
-        for i, y_rows, z_rows, cls in steps:
+        for i, y_rows, z_rows, levels in steps:
             if put is None:
-                summaries[i] = _pass(y_rows, cls, summarize=True)
+                summaries[i] = _pass(y_rows, levels, summarize=True)
             else:
-                summaries[i] = _pass(y_rows, cls, put(i, 0), summarize=True)
-                _pass(z_rows, cls, put(i, 1))
+                summaries[i] = _pass(y_rows, levels, put(i, 0), summarize=True)
+                _pass(z_rows, levels, put(i, 1))
     return summaries
 
 

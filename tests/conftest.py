@@ -6,7 +6,9 @@ import pytest
 
 import bdsde_lab as bl
 import bdsde_lab.lsmc as lsmc
+from bdsde_lab.envelope import _scalar_solve
 from bdsde_lab.errors import NumericError, RegressionError
+from bdsde_lab.regularize import ConvGridSpec, ConvolvedPart
 
 
 @pytest.fixture
@@ -165,6 +167,22 @@ def brute_force_conv(f, n, t, y, z, mode, radius, spacing):
     if mode == "sup":
         return float(np.max(vals - pen))
     return float(np.min(vals + pen))
+
+
+def rebuilt_iterates(driver, side, grid, xi=0.0):
+    """``(record, field)`` for each iterate of a scalar envelope side: the
+    records keep no field, so each is solved again from its slope on the
+    side's convolution grid.  The field's value at t = 0 is the record's
+    ``y0_mean``, and the last field is the side's ``y``, bitwise."""
+    spec = side.final_reg_spec.f.spec
+    for rec in side.iterates:
+        op = ConvolvedPart(driver.f, rec.n, ConvGridSpec(spec.radius, spec.spacing),
+                           side.mode, z_independent=True)
+        y = _scalar_solve(op, grid, xi)
+        assert y[0] == rec.y0_mean
+        if rec is side.iterates[-1]:
+            assert y.tobytes() == np.asarray(side.y).tobytes()
+        yield rec, y
 
 
 def sequential_transform_1d(values, step_cost, mode):

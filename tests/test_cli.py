@@ -298,6 +298,23 @@ def _kneser_cfg(backend, t0):
 
 
 _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
+# the toy lattice_glue and tree_oracle workloads of perfbench/workloads.py
+_TOY_GLUE = {
+    "scenario": "kneser", "grid": {"horizon": 1.0, "steps": 8},
+    "driver": {"f": {"name": "f_sqrt_pos", "params": [2.0]},
+               "g": {"name": "g_linear", "params": [0.9]}},
+    "terminal": {"name": "constant", "params": [0.0]}, "backend": "tree",
+    "seed": 0,
+    "kneser": {"t0": 0.5, "lambdas": [0.0, 0.5, 1.0], "snap_tol": 0.01,
+               "schedule": [2, 4], "conv_tol": 0.05, "h_inv_slope": 1.0 / 0.9},
+}
+_TOY_ORACLE = {
+    "scenario": "solve", "grid": {"horizon": 1.0, "steps": 10},
+    "driver": {"f": {"name": "f_sqrt_pos", "params": [2.0]},
+               "g": {"name": "g_sine", "params": [0.5, 0.3]}},
+    "terminal": {"name": "call", "params": [0.1]}, "backend": "tree",
+    "seed": 0, "solve": {"dump": True},
+}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -326,6 +343,9 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
     {**_demo_cfg("ordered_pair_compare"), "backend": "scalar"},
     {**_demo_cfg("ordered_pair_compare", mode="separating", eps_bar=1.0),
      "backend": "scalar"},
+    # non-finite numbers, which json parses
+    {**_TOY_GLUE, "kneser": {**_TOY_GLUE["kneser"], "snap_tol": math.nan}},
+    {**_TOY_ORACLE, "terminal": {"name": "call", "params": [math.nan]}},
 ], ids=["tree_solve_m_outer", "tree_kneser_without_h_inv_slope",
         "unknown_driver", "unknown_driver2", "zero_steps", "bool_seed",
         "string_dump", "decreasing_schedule", "unknown_convergence_case",
@@ -333,7 +353,8 @@ _UNKNOWN_F = {"f": {"name": "f_cubic", "params": []}}
         "scalar_t0_past_horizon", "scalar_t0_negative", "tree_t0_off_grid",
         "scalar_t0_infinite", "tree_t0_infinite",
         "scalar_solve_stochastic_terminal", "mc_envelope", "mc_kneser",
-        "mc_compare", "scalar_compare_direct", "scalar_compare_separating"])
+        "mc_compare", "scalar_compare_direct", "scalar_compare_separating",
+        "nan_snap_tol", "nan_strike"])
 def test_refused_config_writes_nothing(tmp_path, cfg):
     out = tmp_path / "o"
     assert cli.run_scenario(_write(tmp_path, cfg), out=str(out)) == 2
@@ -577,7 +598,8 @@ _FUZZ_BASES += [_base_cfg(), _envelope_cfg()]
 _FUZZ_PATHS = [(k, path) for k, cfg in enumerate(_FUZZ_BASES)
                for path in _leaf_paths(cfg)]
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=8), inner, max_size=4),
     max_leaves=12)

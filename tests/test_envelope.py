@@ -1,13 +1,16 @@
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 import bdsde_lab as bl
+from bdsde_lab import envelope
 from bdsde_lab.envelope import (_check_scalar_applicable, _terminal_constant,
                                 default_schedule)
 from bdsde_lab.errors import StabilityError
+from conftest import rebuilt_iterates
 
 
 def sqrt_problem(steps=512):
@@ -48,19 +51,19 @@ class TestScalarBackend:
         mx = bl.maximal_solution(driver, terminal, grid, schedule=[2, 4, 8, 16],
                                  tol=0.0, backend="scalar", conv_tol=0.02)
         prev = None
-        for rec in mx.iterates:
+        for rec, y in rebuilt_iterates(driver, mx, grid):
             if prev is not None:
-                assert np.all(rec.field <= prev + 1e-9)
+                assert np.all(y <= prev + 1e-9)
                 assert rec.sup_dist_prev >= 0.0
-            assert np.all(mx.u <= rec.field + 1e-9)
-            prev = rec.field
+            assert np.all(mx.u <= y + 1e-9)
+            prev = y
         mn = bl.minimal_solution(driver, terminal, grid, schedule=[2, 4, 8, 16],
                                  tol=0.0, backend="scalar", conv_tol=0.02)
         prev = None
-        for rec in mn.iterates:
+        for _, y in rebuilt_iterates(driver, mn, grid):
             if prev is not None:
-                assert np.all(rec.field >= prev - 1e-9)
-            prev = rec.field
+                assert np.all(y >= prev - 1e-9)
+            prev = y
 
     def test_zero_drift_keeps_constant_terminal(self):
         driver = bl.builtin_driver("zero")
@@ -101,9 +104,10 @@ class TestScalarBackend:
                                  backend="scalar", conv_tol=0.005)
         # sup-norms of all iterates and of the bounding field stay within
         # 10x the first iterate (no explosion across the schedule)
-        first = float(np.max(np.abs(mx.iterates[0].field)))
-        for rec in mx.iterates:
-            assert float(np.max(np.abs(rec.field))) <= 10.0 * first
+        fields = [y for _, y in rebuilt_iterates(driver, mx, grid)]
+        first = float(np.max(np.abs(fields[0])))
+        for y in fields:
+            assert float(np.max(np.abs(y))) <= 10.0 * first
         assert float(np.max(np.abs(mx.u))) <= 10.0 * first
         # consecutive-iterate distances decrease once regularization
         # dominates grid error
@@ -121,6 +125,24 @@ class TestScalarBackend:
         with pytest.raises(ValueError, match="zero noise"):
             bl.maximal_solution(noisy, bl.builtin_terminal("constant", [0.0]),
                                 grid, schedule=[1], backend="scalar")
+
+    def test_side_holds_only_the_previous_iterate(self, monkeypatch):
+        # while an iterate forms, the side holds the previous iterate's y
+        # and no other field of an earlier iterate
+        solve, made, seen = envelope._solve_one, [], []
+
+        def tracked(*args):
+            seen.append([ref() is not None for ref in made])
+            y, z = solve(*args)
+            made.extend((weakref.ref(y), weakref.ref(z)))
+            return y, z
+
+        monkeypatch.setattr(envelope, "_solve_one", tracked)
+        driver, terminal, grid = sqrt_problem(64)
+        side = bl.maximal_solution(driver, terminal, grid, schedule=[2, 4, 8],
+                                   tol=0.0, backend="scalar", conv_tol=0.05)
+        assert len(side.iterates) == 3
+        assert seen == [[], [True, False], [False, False, True, False]]
 
     def test_terminal_probe_at_the_grid_cap_stays_small(self):
         # one (1, steps) probe row at a time: a (16, steps) block would take

@@ -358,7 +358,13 @@ class TestSharedSamples:
                 op = ConvolvedPart(driver.f, rec.n,
                                    ConvGridSpec(spec.radius, spec.spacing),
                                    side.mode, z_independent=True)
-                assert _scalar_solve(op, grid, 0.0).tobytes() == rec.field.tobytes()
+                # the records keep no field: the iterate solved again from
+                # its slope has the record's value at t = 0, and the last
+                # one is the side's field
+                y = _scalar_solve(op, grid, 0.0)
+                assert y[0] == rec.y0_mean
+                if rec is side.iterates[-1]:
+                    assert y.tobytes() == side.y.tobytes()
                 hits += op.boundary_hits
             assert side.boundary_hits == hits
         assert env.maximal.boundary_hits > 0
