@@ -307,7 +307,8 @@ def _run_solve(block, grid, driver, terminal, backend, seed, staging):
         steps = solve_tree_steps(driver, terminal, grid)
         dump = staging.stage("solution.bin") if block.get("dump") else None
         summaries = stream_tree_solution(
-            steps, grid, dump, (driver.descriptor, terminal.descriptor))
+            driver, steps, grid, dump,
+            (driver.descriptor, terminal.descriptor))
         # the columns after step and t are the keys of the summaries
         header = ["step", "t", "mean", "min", "max", "mean_square"]
         rows = [[i, grid.time(i), *map(summary.get, header[2:])]

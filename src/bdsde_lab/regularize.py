@@ -37,6 +37,9 @@ from .core import _ZERO, DriverPart, DriverSpec, _with_twin
 from .errors import CapacityError
 
 GRID_CAPACITY = 10_000_000
+# Nodes per block in which the distance transform finds its run starts
+# (128 KiB of float64 and 16 KiB of mask), not one grid-sized temporary.
+RUN_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,13 @@ class ConvolvedPart:
         In a pass, node i changes only if its neighbour's final value,
         moved by the step cost, beats it; so every run of changed nodes
         starts next to a node the pass leaves alone, where the test holds
-        on the pass's input.  numpy finds those starts; each run is walked
-        in plain floats until the test fails.  One rounding per node keeps
-        consecutive table differences within the slope bound."""
+        on the pass's input.  numpy finds those starts, a block of
+        ``RUN_BLOCK`` nodes at a time after the walks from the blocks
+        before; each run is walked in plain floats until the test fails.
+        The nodes from the last walk's end on still hold the pass's input,
+        starts before that end are skipped, and a start at the end walks
+        no node, since the walk stopped there.  One rounding per node
+        keeps consecutive table differences within the slope bound."""
         out = np.array(values, dtype=float)
         delta = -step_cost if mode == "sup" else step_cost
         beats, beats_all = ((operator.gt, np.greater) if mode == "sup"
@@ -139,16 +146,20 @@ class ConvolvedPart:
         for view in (out, out[::-1]):
             item = view.item
             end = 0
-            # runs start at i where view[i - 1] + delta beats view[i]
-            for i in (np.flatnonzero(beats_all(view[:-1] + delta, view[1:])) + 1).tolist():
-                if i < end:
-                    continue            # inside the previous run
-                v = item(i - 1) + delta
-                while i < m and beats(v, item(i)):
-                    view[i] = v
-                    v += delta
-                    i += 1
-                end = i
+            for lo in range(0, m - 1, RUN_BLOCK):
+                hi = min(lo + RUN_BLOCK, m - 1)
+                # runs start at i where view[i - 1] + delta beats view[i]
+                starts = np.flatnonzero(
+                    beats_all(view[lo:hi] + delta, view[lo + 1:hi + 1]))
+                for i in (starts + (lo + 1)).tolist():
+                    if i < end:
+                        continue            # inside the previous run
+                    v = item(i - 1) + delta
+                    while i < m and beats(v, item(i)):
+                        view[i] = v
+                        v += delta
+                        i += 1
+                    end = i
         return out
 
     @staticmethod

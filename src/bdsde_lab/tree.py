@@ -29,7 +29,12 @@ on plain rows, each step stored as itself; the children of row h are
 rows 2h and 2h + 1.  A full step is built only when a caller indexes it
 (:class:`LatticeField`).  A ``solve`` run keeps no stored form:
 :func:`stream_tree_solution` takes each step's summary and dump bytes as
-the sweep forms it, and holds about two steps.
+the sweep forms it.  Below step ``STREAM_SPLIT`` it forms the steps
+depth-first over blocks of that step's columns: column c of step i + 1
+is the only child column of columns c and c + 2**(N-i-1) of step i (the
+same backward suffix r_{i+1}..r_{N-1}), so a block's columns and the
+columns below them form a sub-lattice of their own.  It holds about two
+steps down to the split, then the split step and one block's steps.
 
 Scheme
 ------
@@ -82,6 +87,12 @@ LEAF_BLOCK = 2 ** 14
 # reduced while in cache); a power of two of at least numpy's pairwise
 # summation block of 128.
 CHUNK = 2 ** 15
+# Below step STREAM_SPLIT a streamed solve forms the steps depth-first, over
+# blocks of STREAM_BLOCK columns of that step (a power of two of at least
+# 128, as CHUNK): at N = 20 a block's steps 1 and 0 take 4 MiB of Y and Z,
+# where the whole steps take 32 MiB.
+STREAM_SPLIT = 4
+STREAM_BLOCK = 2 ** 13
 
 
 def stability_margin(driver: DriverSpec, dt: float) -> float:
@@ -230,22 +241,26 @@ class TreeSolution:
 
 
 def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
-                 start_y: np.ndarray):
-    """Run the backward recursion from a field given at ``start_step`` down
-    to step 0, as a generator: ``(i, y_rows, z_rows, levels)`` for i =
+                 start_y: np.ndarray, start_z: np.ndarray | None = None,
+                 levels: bool = False):
+    """Run the backward recursion from the fields given at ``start_step``
+    down to step 0, as a generator: ``(i, y_rows, z_rows, levels)`` for i =
     start_step, ..., 0, each step in the stored form of
-    :class:`LatticeField`.  The z field at the start step is zero.  The
-    generator drops step i + 1 once step i is formed, so it holds two steps
-    at most; a consumer that keeps no earlier step holds no more.
+    :class:`LatticeField`.  The generator drops step i + 1 once step i is
+    formed, so it holds two steps at most; a consumer that keeps no
+    earlier step holds no more.
 
-    ``start_y`` is the field at the start step s, shape (2**s, 2**(N-s)),
-    swept on plain rows, or at s = N the N + 1 levels of
-    :func:`_terminal_levels`, swept on levels.  The step is a pointwise map
-    of the two children of each new row, so the driver, the finiteness
-    check and the step's ufuncs run on the (levels or rows, columns)
-    arrays, and these are what is yielded.  The - and + children of the
-    new rows are the child rows ``[:-1]`` and ``[1:]`` on levels, and
-    ``[0::2]`` and ``[1::2]`` on rows: views, no gather.
+    ``start_y`` and ``start_z`` (zero when None) are Y and Z at the start
+    step s: s + 1 levels with ``levels``, else 2**s plain rows, of m
+    columns each.  With m = 2**(N-s) they are the whole step; with fewer,
+    a block of its columns, whose sub-lattice the sweep forms: step i
+    holds m 2**(s-i) columns, the block's once for each r_i..r_{s-1}
+    (r_i most significant), as the whole step orders them.  The step is a
+    pointwise map of the two children of each new row, so the driver, the
+    finiteness check and the step's ufuncs run on the (levels or rows,
+    columns) arrays, and these are what is yielded.  The - and + children of the new rows are the child rows
+    ``[:-1]`` and ``[1:]`` on levels, and ``[0::2]`` and ``[1::2]`` on
+    rows: views, no gather.
 
     Each step runs over blocks of at most ``LEAF_BLOCK`` child columns:
     column c of the children gives columns c and c + m of the new rows
@@ -260,20 +275,13 @@ def _sweep_steps(driver: DriverSpec, grid: TimeGrid, start_step: int,
     sq = np.sqrt(dt)
     two_sq = 2.0 * sq
     cy = np.asarray(start_y, dtype=float)
-    # held as cy alone, so that a start passed as a temporary goes once the
-    # next step is formed
-    del start_y
-    levels = start_step == n and cy.shape == (n + 1,)
-    if levels:
-        cy = cy.reshape(-1, 1)
-    elif cy.shape != (2 ** start_step, 2 ** (n - start_step)):
-        raise ValueError(
-            f"start field has shape {cy.shape}, expected "
-            f"{(2 ** start_step, 2 ** (n - start_step))}"
-        )
+    cz = np.zeros(cy.shape) if start_z is None else \
+        np.asarray(start_z, dtype=float)
+    # held as cy and cz alone, so that a start passed as a temporary goes
+    # once the next step is formed
+    del start_y, start_z
     minus, plus = ((slice(None, -1), slice(1, None)) if levels
                    else (slice(0, None, 2), slice(1, None, 2)))
-    cz = np.zeros(cy.shape)
     yield start_step, cy, cz, levels
     for i in range(start_step - 1, -1, -1):
         t_next = grid.time(i + 1)
@@ -329,8 +337,20 @@ def _fields(steps, last: int):
 def _backward_sweep(driver: DriverSpec, grid: TimeGrid, start_step: int,
                     start_y: np.ndarray):
     """The Y and Z fields of steps 0..start_step that :func:`_sweep_steps`
-    forms from ``start_y``, as :class:`LatticeField` sequences."""
-    return _fields(_sweep_steps(driver, grid, start_step, start_y), start_step)
+    forms from ``start_y``, as :class:`LatticeField` sequences:
+    ``start_y`` is step ``start_step``, shape (2**s, 2**(N-s)), swept on
+    plain rows, or at s = N the N + 1 levels of :func:`_terminal_levels`,
+    swept on levels."""
+    n = grid.steps
+    shape = (2 ** start_step, 2 ** (n - start_step))
+    levels = start_step == n and np.shape(start_y) == (n + 1,)
+    if levels:
+        start_y = np.reshape(start_y, (-1, 1))
+    elif np.shape(start_y) != shape:
+        raise ValueError(f"start field has shape {np.shape(start_y)}, "
+                         f"expected {shape}")
+    return _fields(_sweep_steps(driver, grid, start_step, start_y,
+                                levels=levels), start_step)
 
 
 def _driver_values(driver: DriverSpec, t: float, y: np.ndarray, z: np.ndarray):
@@ -378,7 +398,8 @@ def solve_tree_steps(driver: DriverSpec, terminal: TerminalSpec,
         )
     levels = _terminal_levels(terminal, grid)
     if levels is not None:
-        return _sweep_steps(driver, grid, n, levels)
+        return _sweep_steps(driver, grid, n, levels.reshape(-1, 1),
+                            levels=True)
     # a temporary start field, so that a streamed sweep drops it once step
     # N - 1 is formed
     return _sweep_steps(driver, grid, n,
@@ -509,62 +530,89 @@ def _pairwise(sums: list):
     return sums[0]
 
 
+class _Summary:
+    """The summary of one step (the dict of :func:`expectation_at`), taken
+    from chunks of ``part`` values, a power of two of at least 128 that
+    divides the step's ``size``, handed in any order by :meth:`add`, each
+    chunk once with every start at which the step holds it.
+
+    It holds the bits numpy gives over the step built whole.  numpy sums
+    a contiguous array pairwise, halving a power-of-two count down to
+    blocks of 128, so the chunk sums are nodes of its tree, kept by
+    position and added by :func:`_pairwise` as it adds them.  The minimum
+    and maximum of the chunk extremes are the step's, but where the step
+    holds a NaN (its extremes are NaN), or zeros of both signs where an
+    extreme is zero, the sign a sum or an extreme takes follows numpy's
+    order over the whole step: there :meth:`result` gives None.  (The NaN
+    of inf - inf has one sign, whatever the order.)"""
+
+    def __init__(self, size: int, part: int):
+        self.size, self.part = size, part
+        count = size // part
+        self.sums, self.square_sums = [None] * count, [None] * count
+        self.lows, self.highs = [], []
+        self.zero_signs = set()     # signs of the zeros of chunks with a zero extreme
+        self.squares = np.empty(part)
+
+    def add(self, starts, chunk: np.ndarray) -> None:
+        total = np.add.reduce(chunk)
+        np.multiply(chunk, chunk, out=self.squares)
+        total_square = np.add.reduce(self.squares)
+        for start in starts:
+            self.sums[start // self.part] = total
+            self.square_sums[start // self.part] = total_square
+        self.lows.append(chunk.min())
+        self.highs.append(chunk.max())
+        if self.lows[-1] == 0.0 or self.highs[-1] == 0.0:
+            signs = np.signbit(chunk[chunk == 0.0])
+            self.zero_signs.update((signs.min(), signs.max()))
+
+    def result(self):
+        """The summary, or None where the step built whole decides it."""
+        # a zero extreme is held by every zero of the step, each the extreme
+        # of its chunk: of one sign, any of them has its bytes
+        lo, hi = np.min(self.lows), np.max(self.highs)
+        if np.isnan(lo) or np.isnan(hi) or \
+                (len(self.zero_signs) == 2 and (lo == 0.0 or hi == 0.0)):
+            return None
+        return {"mean": float(_pairwise(self.sums) / self.size),
+                "min": float(lo), "max": float(hi),
+                "mean_square": float(_pairwise(self.square_sums) / self.size)}
+
+
+def _feed(chunks, write=None, summary: _Summary | None = None) -> None:
+    """Hand each ``(starts, chunk)`` of ``chunks`` to ``write(start,
+    chunk)`` at every start that holds it and, once, to ``summary``."""
+    for starts, chunk in chunks:
+        if write is not None:
+            for start in starts:
+                write(start, chunk)
+        if summary is not None:
+            summary.add(starts, chunk)
+
+
 def _pass(rows: np.ndarray, levels: bool, write=None,
           summarize: bool = False):
     """One pass over the step stored as ``rows``, by levels or not, in
     chunks of ``CHUNK`` values (:func:`_chunks`), each handed to
     ``write(start, chunk)`` at every start that holds it and, with
-    ``summarize``, reduced once while in cache: returns the mean, min, max
-    and mean square of the step, else None.
-
-    These hold the bits numpy gives over the step built whole.  numpy sums
-    a contiguous array pairwise, halving a power-of-two count down to
-    blocks of 128, so the chunk sums are nodes of its tree and
-    :func:`_pairwise` adds them as it does.  A step that holds a NaN (its
-    extremes are NaN), or zeros of both signs where an extreme is zero, is
-    summarized from the step built whole: there the sign a sum or an
-    extreme takes follows numpy's order over the whole step.  (The NaN of inf - inf has
-    one sign, whatever the order.)"""
+    ``summarize``, reduced once while in cache (:class:`_Summary`):
+    returns the mean, min, max and mean square of the step, else None.  A
+    step whose summary the chunks cannot give is built whole for it."""
     size = rows.shape[1] * (2 ** (rows.shape[0] - 1) if levels
                             else rows.shape[0])
     size_chunk = min(CHUNK, size)
-    if summarize:
-        squares = np.empty(size_chunk)
-        # sums by chunk position, extremes by distinct chunk
-        count = size // size_chunk
-        sums, square_sums, lows, highs = [None] * count, [None] * count, [], []
-        zero_signs = set()      # signs of the zeros of chunks with a zero extreme
-    for starts, chunk in _chunks(rows, levels, size_chunk):
-        if write is not None:
-            for start in starts:
-                write(start, chunk)
-        if not summarize:
-            continue
-        total = np.add.reduce(chunk)
-        np.multiply(chunk, chunk, out=squares)
-        total_square = np.add.reduce(squares)
-        for start in starts:
-            sums[start // size_chunk] = total
-            square_sums[start // size_chunk] = total_square
-        lows.append(chunk.min())
-        highs.append(chunk.max())
-        if lows[-1] == 0.0 or highs[-1] == 0.0:
-            signs = np.signbit(chunk[chunk == 0.0])
-            zero_signs.update((signs.min(), signs.max()))
+    summary = _Summary(size, size_chunk) if summarize else None
+    _feed(_chunks(rows, levels, size_chunk), write, summary)
     if not summarize:
         return None
-    mean = _pairwise(sums) / size
-    mean_square = _pairwise(square_sums) / size
-    # a zero extreme is held by every zero of the step, each the extreme of
-    # its chunk: of one sign, any of them has its bytes
-    lo, hi = np.min(lows), np.max(highs)
-    if np.isnan(lo) or np.isnan(hi) or \
-            (len(zero_signs) == 2 and (lo == 0.0 or hi == 0.0)):
+    result = summary.result()
+    if result is None:
         step = np.ascontiguousarray(_build(rows, levels), dtype=float)
-        mean, mean_square = np.mean(step), np.mean(step * step)
-        lo, hi = step.min(), step.max()
-    return {"mean": float(mean), "min": float(lo), "max": float(hi),
-            "mean_square": float(mean_square)}
+        result = {"mean": float(np.mean(step)), "min": float(step.min()),
+                  "max": float(step.max()),
+                  "mean_square": float(np.mean(step * step))}
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -818,28 +866,109 @@ def save_tree_solution(path, sol: TreeSolution) -> None:
                 _pass(steps.rows[i], steps.levels, put(i, k))
 
 
-def stream_tree_solution(steps, grid: TimeGrid, path=None,
-                         descriptors: tuple = ("", "")) -> list:
-    """Consume a lattice solve's ``steps`` (:func:`solve_tree_steps`) one at
-    a time and return the summary of every Y_i (the dict of
-    :func:`expectation_at`), in step order.  When ``path`` is given, the
-    solution is written there in the layout above, with the driver and
-    terminal ``descriptors``: the bytes of :func:`save_tree_solution`.
+def _placed(chunks, width: int, m: int, lo: int):
+    """``chunks`` of a step of a block's sub-lattice (:func:`_sweep_steps`
+    from columns lo .. lo + STREAM_BLOCK - 1 of a step of m columns),
+    ``STREAM_BLOCK`` values each, with every start moved to where the
+    whole step holds the chunk.  A sub-lattice row has ``width`` columns;
+    its columns q STREAM_BLOCK .. sit at column q m + lo of the whole row,
+    which has width m / STREAM_BLOCK."""
+    full = width // STREAM_BLOCK * m
+    for starts, chunk in chunks:
+        yield [s // width * full + s % width // STREAM_BLOCK * m + lo
+               for s in starts], chunk
+
+
+def _blocked_summaries(driver: DriverSpec, grid: TimeGrid, split: int,
+                       y_rows: np.ndarray, z_rows: np.ndarray, levels: bool,
+                       put):
+    """Form steps split - 1 .. 0 depth-first from the whole step ``split``
+    (Y and Z in the stored form), over blocks of ``STREAM_BLOCK`` of its
+    columns: each block's sub-lattice (:func:`_sweep_steps`) is written
+    through ``put`` (:func:`_dump_writer`, or None) and summarized, a run
+    of ``STREAM_BLOCK`` values at a time (:class:`_Summary`), and dropped
+    before the next block.  Returns the summaries of steps 0 .. split - 1,
+    or None where the whole steps decide: a non-finite driver value (the
+    error names the highest such step, which a block need not reach
+    first), or a summary that needs the step built whole."""
+    m = y_rows.shape[1]
+    summaries = [_Summary(2 ** grid.steps, STREAM_BLOCK) for _ in range(split)]
+    try:
+        for lo in range(0, m, STREAM_BLOCK):
+            sub = _sweep_steps(driver, grid, split,
+                               y_rows[:, lo:lo + STREAM_BLOCK],
+                               z_rows[:, lo:lo + STREAM_BLOCK], levels)
+            next(sub)       # the block of step ``split`` itself
+            for i, y, z, _ in sub:
+                _feed(_placed(_chunks(y, levels, STREAM_BLOCK), y.shape[1],
+                              m, lo),
+                      None if put is None else put(i, 0), summaries[i])
+                if put is not None:
+                    _feed(_placed(_chunks(z, levels, STREAM_BLOCK),
+                                  z.shape[1], m, lo), put(i, 1))
+    except NumericError:
+        return None
+    results = [summary.result() for summary in summaries]
+    return None if any(r is None for r in results) else results
+
+
+def stream_tree_solution(driver: DriverSpec, steps, grid: TimeGrid,
+                         path=None, descriptors: tuple = ("", "")) -> list:
+    """Consume a lattice solve's ``steps`` (:func:`solve_tree_steps` of
+    ``driver``) one at a time and return the summary of every Y_i (the
+    dict of :func:`expectation_at`), in step order.  When ``path`` is
+    given, the solution is written there in the layout above, with the
+    driver and terminal ``descriptors``: the bytes of
+    :func:`save_tree_solution`.
 
     Y_i is written and summarized in one pass of chunks of ``CHUNK`` values
     (:func:`_pass`), Z_i written in another; no step is built whole but
     one whose summary needs it.  The chunk buffers of a step go before the
-    sweep forms the next, so the largest arrays held are the sweep's two
-    steps, or one step and the chunk buffers."""
+    sweep forms the next.  Once step ``STREAM_SPLIT`` is taken, if it has
+    more than ``STREAM_BLOCK`` columns, the steps below it are formed
+    depth-first over blocks of its columns (:func:`_blocked_summaries`).
+    Where that cannot give a step's summary or the first non-finite driver
+    value, steps STREAM_SPLIT - 1 .. 0 are formed again whole from the
+    held step, and written again with the same bytes.
+
+    So the largest arrays held are the sweep's two steps from N down to
+    STREAM_SPLIT, or one step and the chunk buffers; then step
+    STREAM_SPLIT and two steps of a block's sub-lattice.  With s_i values
+    in stored step i ((i + 1) 2**(N-i) on levels, 2**N on rows) and m the
+    columns of step STREAM_SPLIT = j, that is
+
+        16 max(max_{i >= j} (s_{i+1} + s_i),
+               s_j + max_{i < j} (s_{i+1} + s_i) STREAM_BLOCK / m)
+
+    bytes of Y and Z: 9 MiB at N = 20 on levels (step 4, 5 MiB, and a
+    block's steps 1 and 0, 4 MiB; steps 5 and 4 take 8 MiB), where whole
+    steps 1 and 0 take 32 MiB."""
     summaries = [None] * (grid.steps + 1)
     with (contextlib.nullcontext() if path is None
           else _dump_writer(path, grid, *descriptors)) as put:
-        for i, y_rows, z_rows, levels in steps:
-            if put is None:
-                summaries[i] = _pass(y_rows, levels, summarize=True)
+
+        def take(steps):
+            """Take each whole step of ``steps``; stop after step
+            STREAM_SPLIT if it has more than one block, and return it."""
+            for i, y_rows, z_rows, levels in steps:
+                summaries[i] = _pass(y_rows, levels,
+                                     None if put is None else put(i, 0),
+                                     summarize=True)
+                if put is not None:
+                    _pass(z_rows, levels, put(i, 1))
+                if i == STREAM_SPLIT and y_rows.shape[1] > STREAM_BLOCK:
+                    return i, y_rows, z_rows, levels
+            return None
+
+        held = take(steps)
+        if held is not None:
+            low = _blocked_summaries(driver, grid, *held, put)
+            if low is None:
+                rerun = _sweep_steps(driver, grid, *held)
+                next(rerun)     # step STREAM_SPLIT, taken
+                take(rerun)
             else:
-                summaries[i] = _pass(y_rows, levels, put(i, 0), summarize=True)
-                _pass(z_rows, levels, put(i, 1))
+                summaries[:STREAM_SPLIT] = low
     return summaries
 
 

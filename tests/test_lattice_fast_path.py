@@ -883,7 +883,8 @@ STREAM_TERMINALS["binary"] = _binary_terminal()
 
 
 def _stream(driver, term, grid, path):
-    return tree.stream_tree_solution(tree.solve_tree_steps(driver, term, grid),
+    return tree.stream_tree_solution(driver,
+                                     tree.solve_tree_steps(driver, term, grid),
                                      grid, path,
                                      (driver.descriptor, term.descriptor))
 
@@ -892,19 +893,11 @@ def _summary_bytes(summary):
     return [(key, np.float64(value).tobytes()) for key, value in summary.items()]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("terminal", sorted(STREAM_TERMINALS))
-@pytest.mark.parametrize("n", [10, 14])
-def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
-                                                 terminal, n):
-    # blocks of 64 columns: every step from N - 7 down spans several; and
-    # chunks of 256 values: views of rows down to step N - 8, repeated
-    # gathered chunks below
-    monkeypatch.setattr(tree, "LEAF_BLOCK", 64)
-    monkeypatch.setattr(tree, "CHUNK", 2 ** 8)
-    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
-    term = STREAM_TERMINALS[terminal]
-    grid = bl.make_grid(1.0, n)
+def _assert_stream_matches(tmp_path, driver, term, grid):
+    """The streamed solve's summaries and dump, with and without a dump,
+    against ``expectation_at`` and ``save_tree_solution`` of the stored
+    solve and the reference writer, bitwise."""
+    n = grid.steps
     streamed = tmp_path / "streamed.bin"
     summaries = _stream(driver, term, grid, streamed)
     sol = bl.solve_tree(driver, term, grid)
@@ -918,23 +911,132 @@ def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
     assert streamed.read_bytes() == saved.read_bytes() == want.read_bytes()
 
 
-def test_streamed_solve_holds_two_steps_and_one_buffer(tmp_path, monkeypatch):
-    # each step leaves memory once it is summarized and written; the sweep
-    # holds the step it reads and the one it forms, and the chunk buffers
-    # of a step are gone before the next is formed
-    n = 16
+def _spy_blocked(monkeypatch):
+    """The results of every ``_blocked_summaries`` call, as they come."""
+    results, blocked = [], tree._blocked_summaries
+
+    def spy(*args):
+        results.append(blocked(*args))
+        return results[-1]
+
+    monkeypatch.setattr(tree, "_blocked_summaries", spy)
+    return results
+
+
+STREAM_DRIVER = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("terminal", sorted(STREAM_TERMINALS))
+@pytest.mark.parametrize("n", [10, 14])
+def test_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
+                                                 terminal, n):
+    # blocks of 64 columns: every step from N - 7 down spans several; and
+    # chunks of 256 values: views of rows down to step N - 8, repeated
+    # gathered chunks below
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 64)
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 8)
+    _assert_stream_matches(tmp_path, STREAM_DRIVER, STREAM_TERMINALS[terminal],
+                           bl.make_grid(1.0, n))
+
+
+# f = y and g = 0 keep a -0.0: from a terminal of -0.0 every step below
+# holds -0.0 and +0.0 (-0.0 - 0.0 and -0.0 + 0.0 on r_i = -1 and +1) and
+# nothing else, so both its extremes are zeros of both signs
+SIGNED_ZEROS = (
+    dataclasses.replace(bl.driver_pair("zero", [], "g_zero", []),
+                        f=lambda t, y, z: y),
+    bl.builtin_terminal("constant", [-0.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(STREAM_TERMINALS) + ["signed zeros"])
+def test_blocked_streamed_solve_matches_the_stored_solve(tmp_path, monkeypatch,
+                                                         case):
+    # below step 4, blocks of 128 of its 1,024 columns at N = 14: steps
+    # 3..0 are formed over 8 blocks, each block's sub-lattice in runs of
+    # 128 values; the signed zeros need the steps built whole
+    monkeypatch.setattr(tree, "LEAF_BLOCK", 64)
+    monkeypatch.setattr(tree, "CHUNK", 2 ** 8)
+    monkeypatch.setattr(tree, "STREAM_SPLIT", 4)
+    monkeypatch.setattr(tree, "STREAM_BLOCK", 2 ** 7)
+    results = _spy_blocked(monkeypatch)
+    driver, term = (SIGNED_ZEROS if case == "signed zeros"
+                    else (STREAM_DRIVER, STREAM_TERMINALS[case]))
+    _assert_stream_matches(tmp_path, driver, term, bl.make_grid(1.0, 14))
+    # with and without a dump; None: the whole steps were formed again
+    assert [r is None for r in results] == [case == "signed zeros"] * 2
+
+
+def _poisoned(base, bad: dict):
+    """``base`` with an f that reads NaN where (t, y, z) is a key t of
+    ``bad`` and one of its (y, z) pairs: pointwise, as a driver must be."""
+    def f(t, y, z):
+        out = np.array(np.broadcast_to(base.f(t, y, z), np.shape(y)))
+        for y_at, z_at in bad.get(t, ()):
+            out[(np.asarray(y) == y_at) & (np.asarray(z) == z_at)] = np.nan
+        return out
+
+    return dataclasses.replace(base, f=f)
+
+
+@pytest.mark.parametrize("terminal", ["call", "binary"])
+def test_blocked_streamed_solve_raises_the_error_of_the_stored_solve(
+        tmp_path, monkeypatch, terminal):
+    # below step 4, blocks of 128 of its 1,024 columns at N = 14: step 3
+    # column c belongs to block c % 1024 // 128.  A bad node of step 3 in
+    # block 5 and one of step 2 in block 0: block 0 meets step 2's first,
+    # but the stored solve raises at step 3, at its first node in C order
+    n = 14
+    monkeypatch.setattr(tree, "STREAM_SPLIT", 4)
+    monkeypatch.setattr(tree, "STREAM_BLOCK", 2 ** 7)
+    base = bl.driver_pair("f_linear", [0.5, 0.1], "g_linear", [0.3])
+    term = STREAM_TERMINALS[terminal]
+    grid = bl.make_grid(1.0, n)
+    sol = bl.solve_tree(base, term, grid)
+    bad = {}
+    for i, block in ((3, 5), (2, 0)):
+        y, z = sol.ys[i], sol.zs[i]
+        block_of = np.arange(y.shape[1]) % 1024 // 128
+        # the first node of the block whose (y, z) the step holds nowhere else
+        for node in map(tuple, np.argwhere(block_of[None, :] == block)):
+            hit = (y == y[node]) & (z == z[node])
+            if set(block_of[np.any(hit, axis=0)].tolist()) == {block}:
+                bad[grid.time(i)] = [(y[node], z[node])]
+                break
+    assert len(bad) == 2
+    driver = _poisoned(base, bad)
+    with pytest.raises(NumericError) as want:
+        bl.solve_tree(driver, term, grid)
+    results = _spy_blocked(monkeypatch)
+    with pytest.raises(NumericError) as got:
+        _stream(driver, term, grid, tmp_path / "sol.bin")
+    assert results == [None]
+    assert str(got.value) == str(want.value) == \
+        "non-finite driver value at step 3"
+    assert got.value.where == want.value.where
+
+
+def test_streamed_solve_holds_the_split_step_and_one_block(tmp_path,
+                                                           monkeypatch):
+    # below step 4 the steps are formed a block of 1,024 of its 4,096
+    # columns at a time: the solve holds step 4 and one block's
+    # sub-lattice, never whole steps 1 and 0 (2 MiB of Y and Z here)
+    n, split, block = 16, 4, 2 ** 10
     monkeypatch.setattr(tree, "LEAF_BLOCK", 2 ** 10)
     monkeypatch.setattr(tree, "CHUNK", 2 ** 10)
-    driver = bl.driver_pair("f_sqrt_pos", [2.0], "g_sine", [0.5, 0.3])
+    monkeypatch.setattr(tree, "STREAM_SPLIT", split)
+    monkeypatch.setattr(tree, "STREAM_BLOCK", block)
     term = bl.builtin_terminal("call", [0.1])
     grid = bl.make_grid(1.0, n)
     path = tmp_path / "sol.bin"
-    _, peak = traced_peak(lambda: _stream(driver, term, grid, path))
-    sol = bl.solve_tree(driver, term, grid)
+    _, peak = traced_peak(lambda: _stream(STREAM_DRIVER, term, grid, path))
+    sol = bl.solve_tree(STREAM_DRIVER, term, grid)
     rows = [sol.ys.rows[i].nbytes + sol.zs.rows[i].nbytes for i in range(n + 1)]
-    two_steps = max(a + b for a, b in zip(rows, rows[1:]))
-    assert peak < two_steps + 3 * 8 * tree.CHUNK + 16 * 8 * tree.LEAF_BLOCK \
-        + 2 ** 16
-    # an eighth of the full Y and Z fields: steps 0 and 1, which the sweep
-    # holds together, are half of the levels a stored solve keeps
-    assert peak < 16 * (n + 1) * 2 ** n / 8
+    share = block / 2 ** (n - split)
+    sub_lattice = share * sum(rows[:split])
+    # the sweep's two whole steps above the split fit in the bound
+    assert rows[split + 1] <= sub_lattice
+    bound = rows[split] + sub_lattice + 3 * 8 * tree.CHUNK + \
+        16 * 8 * tree.LEAF_BLOCK + 2 ** 16
+    assert peak < bound < rows[0] + rows[1]

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import bdsde_lab as bl
 from bdsde_lab import fields as fld
-from bdsde_lab import gluing
+from bdsde_lab import gluing, regularize
 from bdsde_lab.core import scalar_drift
 from bdsde_lab.envelope import (
     EnvelopeResult,
@@ -84,13 +84,26 @@ tables = st.lists(st.one_of(points.map(lambda v: [v]), runs, repeats),
                                                           dtype=float))
 
 
+def _assert_transform_matches(values, cost):
+    for mode in ("sup", "inf"):
+        out = ConvolvedPart._transform_1d(values, cost, mode)
+        assert out.tobytes() == sequential_transform_1d(values, cost, mode).tobytes()
+
+
 class TestTransform:
     @settings(deadline=None, max_examples=300)
     @given(tables, st.floats(1e-6, 10.0))
     def test_matches_sequential_sweeps(self, values, cost):
-        for mode in ("sup", "inf"):
-            out = ConvolvedPart._transform_1d(values, cost, mode)
-            assert out.tobytes() == sequential_transform_1d(values, cost, mode).tobytes()
+        _assert_transform_matches(values, cost)
+
+    @settings(deadline=None, max_examples=300)
+    @given(tables, st.floats(1e-6, 10.0))
+    def test_matches_sequential_sweeps_across_run_blocks(self, values, cost):
+        # the run starts are found a block at a time: blocks of 3 nodes put
+        # block edges inside runs and at their ends, and runs walk across them
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(regularize, "RUN_BLOCK", 3)
+            _assert_transform_matches(values, cost)
 
     def test_input_left_unchanged(self):
         values = np.array([3.0, 0.0, 0.0, 5.0])
@@ -112,6 +125,11 @@ class TestTransform:
                 cost = n * spec.spacing
                 assert (ConvolvedPart._transform_1d(values, cost, mode).tobytes()
                         == sequential_transform_1d(values, cost, mode).tobytes())
+
+    def test_scalar_continuum_tables_across_run_blocks(self, monkeypatch):
+        # blocks of 64 of the grid's 443,157 nodes
+        monkeypatch.setattr(regularize, "RUN_BLOCK", 64)
+        self.test_scalar_continuum_tables()
 
 
 # --------------------------------------------------------------------------
